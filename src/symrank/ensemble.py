@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     DegenerateEnsembleError,
@@ -24,7 +25,7 @@ from .errors import (
     NotInEnsembleError,
 )
 from .exactfield import QuadExt, format_scalar, parse_scalar
-from .linalg import Matrix
+from .linalg import Matrix, integer_scaled, quad_discriminant, quad_scaled
 
 
 @dataclass(frozen=True)
@@ -140,8 +141,41 @@ class TwoValuePair:
     def value_bb(self):
         return self.f(self.beta, self.beta)
 
+    @cached_property
+    def values(self) -> tuple:
+        """(f(a,a), f(a,b), f(b,a), f(b,b)), evaluated once per pair."""
+        return (self.value_aa(), self.value_ab(), self.value_ba(), self.value_bb())
+
+    @cached_property
+    def integral_values(self) -> tuple:
+        """(d, values) with the four values scaled by one common nonzero factor.
+
+        d is None and the values are ints when all four are rational;
+        otherwise they are Z[sqrt(d)] pairs (a, b).  A common factor changes
+        neither the rank of an ensemble matrix nor mu^2.
+        """
+        d = quad_discriminant(self.values)
+        if d is None:
+            return None, tuple(integer_scaled(self.values))
+        return d, tuple(quad_scaled(self.values))
+
+    @cached_property
+    def mu_squared(self):
+        """f(a,a) f(b,b) / (f(a,b) - f(b,a))^2; see the module function mu_squared."""
+        vaa, vab, vba, vbb = self.values
+        diff = vab - vba
+        if diff == 0:
+            raise DegenerateEnsembleError(
+                "f(alpha, beta) == f(beta, alpha); the ensemble has a single member"
+            )
+        value = vaa * vbb / (diff * diff)
+        if isinstance(value, QuadExt) and value.b == 0:
+            return value.a
+        return value
+
     def is_good(self) -> bool:
-        return self.value_aa() != 0 and self.value_bb() != 0
+        vaa, _, _, vbb = self.values
+        return vaa != 0 and vbb != 0
 
     def require_good(self):
         if not self.is_good():
@@ -161,18 +195,11 @@ class TwoValuePair:
 def mu_squared(pair: TwoValuePair):
     """f(a,a) f(b,b) / (f(a,b) - f(b,a))^2, demoted to a Fraction when rational.
 
-    Raises DegenerateEnsembleError when f(a,b) == f(b,a), in which case the
-    ensemble contains a single matrix and the scalar is undefined.
+    Computed once per pair.  Raises DegenerateEnsembleError when
+    f(a,b) == f(b,a), in which case the ensemble contains a single matrix and
+    the scalar is undefined.
     """
-    diff = pair.value_ab() - pair.value_ba()
-    if diff == 0:
-        raise DegenerateEnsembleError(
-            "f(alpha, beta) == f(beta, alpha); the ensemble has a single member"
-        )
-    value = pair.value_aa() * pair.value_bb() / (diff * diff)
-    if isinstance(value, QuadExt) and value.b == 0:
-        return value.a
-    return value
+    return pair.mu_squared
 
 
 def good_pair_check(f, values) -> bool:
@@ -416,10 +443,7 @@ def matrix_from_bigraph(pair: TwoValuePair, g: BipartiteGraph) -> Matrix:
     block, and cross entries f(a,b) on edges, f(b,a) on non-edges.
     """
     pair.require_good()
-    vaa = pair.value_aa()
-    vab = pair.value_ab()
-    vba = pair.value_ba()
-    vbb = pair.value_bb()
+    vaa, vab, vba, vbb = pair.values
     m, n = g.m, g.n
     size = m + n
     entries = [0] * (size * size)
@@ -443,15 +467,12 @@ def matrix_from_bigraph(pair: TwoValuePair, g: BipartiteGraph) -> Matrix:
 
 def bigraph_from_matrix(m: Matrix, pair: TwoValuePair, left: int, right: int) -> BipartiteGraph:
     """Inverse of matrix_from_bigraph; validates full ensemble membership."""
-    vab = pair.value_ab()
-    vba = pair.value_ba()
+    vaa, vab, vba, vbb = pair.values
     if vab == vba:
         raise DegenerateEnsembleError("f(alpha, beta) == f(beta, alpha)")
     size = left + right
     if m.rows != size or m.cols != size:
         raise ValueError(f"matrix is {m.rows}x{m.cols}, expected {size}x{size}")
-    vaa = pair.value_aa()
-    vbb = pair.value_bb()
     for i in range(size):
         if m.entry(i, i) != 0:
             raise NotInEnsembleError(f"nonzero diagonal entry at ({i}, {i})")

@@ -129,70 +129,14 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank, independent of row/column order."""
-        quad_d = None
-        for x in self._e:
-            if isinstance(x, QuadExt) and x.b != 0:
-                if quad_d is None:
-                    quad_d = x.d
-                elif x.d != quad_d:
-                    raise FieldMismatchError(
-                        f"matrix mixes sqrt({quad_d}) and sqrt({x.d}) entries"
-                    )
+        quad_d = quad_discriminant(self._e)
+        rows = [self.row_list(i) for i in range(self.rows)]
         if quad_d is None:
-            return _rank_rows_int(self._integer_rows())
-        return _rank_rows_quad(self._quad_rows(quad_d), quad_d)
+            return rank_int_rows([integer_scaled(row) for row in rows])
+        return rank_quad_rows([quad_scaled(row) for row in rows], quad_d)
 
     def nullity(self) -> int:
         return self.cols - self.rank()
-
-    def _integer_rows(self) -> list[list[int]]:
-        """Scale each row to integers (row scaling preserves rank)."""
-        rows = []
-        cols = self.cols
-        e = self._e
-        for i in range(self.rows):
-            row = e[i * cols : (i + 1) * cols]
-            scale = 1
-            for v in row:
-                if isinstance(v, QuadExt):
-                    v = v.a
-                d = v.denominator
-                if d != 1:
-                    scale = lcm(scale, d)
-            if scale == 1:
-                ints = [v.a.numerator if isinstance(v, QuadExt) else v.numerator for v in row]
-            else:
-                ints = []
-                for v in row:
-                    if isinstance(v, QuadExt):
-                        v = v.a
-                    ints.append(v.numerator * (scale // v.denominator))
-            if any(ints):
-                rows.append(ints)
-        return rows
-
-    def _quad_rows(self, d: int) -> list[list[tuple[int, int]]]:
-        rows = []
-        cols = self.cols
-        e = self._e
-        for i in range(self.rows):
-            row = e[i * cols : (i + 1) * cols]
-            scale = 1
-            for v in row:
-                if isinstance(v, QuadExt):
-                    scale = lcm(scale, v.a.denominator, v.b.denominator)
-                else:
-                    scale = lcm(scale, v.denominator)
-            pairs = []
-            for v in row:
-                if isinstance(v, QuadExt):
-                    pairs.append((int(v.a * scale), int(v.b * scale)))
-                else:
-                    f = Fraction(v)
-                    pairs.append((f.numerator * (scale // f.denominator), 0))
-            if any(a or b for a, b in pairs):
-                rows.append(pairs)
-        return rows
 
     # -- text I/O -----------------------------------------------------------
 
@@ -216,8 +160,51 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def _rank_rows_int(pending: list[list[int]]) -> int:
-    """Fraction-free elimination rank over integer rows (rows are consumed)."""
+def quad_discriminant(values) -> int | None:
+    """The d of the irrational Q(sqrt(d)) scalars among values; None if all are rational.
+
+    Raises FieldMismatchError when two irrational scalars have different d.
+    """
+    quad_d = None
+    for x in values:
+        if isinstance(x, QuadExt) and x.b != 0:
+            if quad_d is None:
+                quad_d = x.d
+            elif x.d != quad_d:
+                raise FieldMismatchError(f"matrix mixes sqrt({quad_d}) and sqrt({x.d}) entries")
+    return quad_d
+
+
+def integer_scaled(values) -> list[int]:
+    """Rational scalars times the lcm of their denominators (scaling preserves rank).
+
+    QuadExt values must be rational-embedded (b == 0).
+    """
+    values = [v.a if isinstance(v, QuadExt) else v for v in values]
+    scale = lcm(*(v.denominator for v in values))
+    if scale == 1:
+        return [v.numerator for v in values]
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def quad_scaled(values) -> list[tuple[int, int]]:
+    """Scalars of Q(sqrt(d)) as Z[sqrt(d)] pairs (a, b), scaled by one common factor."""
+    parts = []
+    for v in values:
+        if isinstance(v, QuadExt):
+            parts.append((v.a, v.b))
+        else:
+            parts.append((Fraction(v), Fraction(0)))
+    scale = lcm(*(x.denominator for a, b in parts for x in (a, b)))
+    return [
+        (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
+        for a, b in parts
+    ]
+
+
+def rank_int_rows(rows: list[list[int]]) -> int:
+    """Exact rank of a matrix given as integer rows, by fraction-free elimination."""
+    pending = [row for row in rows if any(row)]
     rank = 0
     prev = 1
     while pending:
@@ -253,8 +240,9 @@ def _rank_rows_int(pending: list[list[int]]) -> int:
     return rank
 
 
-def _rank_rows_quad(pending: list[list[tuple[int, int]]], d: int) -> int:
-    """Fraction-free elimination rank over Z[sqrt(d)] rows of (a, b) pairs."""
+def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
+    """Exact rank of a matrix given as rows of Z[sqrt(d)] pairs (a, b) = a + b*sqrt(d)."""
+    pending = [row for row in rows if any(a or b for a, b in row)]
     rank = 0
     prev = (1, 0)
     while pending:

@@ -257,3 +257,12 @@ def test_identical_invocations_byte_identical(tmp_path, capsys):
             == 0
         )
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_theorem1_verify_one_vertex_parts(capsys):
+    # K_{1,1} with a zero cross value has rank 0; the sandwich floor must allow it
+    code, out = run_cli(
+        capsys, "theorem1-verify", "--samples", "50", "--max-m", "1", "--max-n", "1", "--seed", "0"
+    )
+    assert code == 0
+    assert json.loads(out)["instances_checked"] == 50

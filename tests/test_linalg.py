@@ -4,7 +4,17 @@ from fractions import Fraction
 import pytest
 
 from symrank.exactfield import QuadExt
-from symrank.linalg import Matrix, gram, kronecker, nullity, rank
+from symrank.linalg import (
+    Matrix,
+    gram,
+    integer_scaled,
+    kronecker,
+    nullity,
+    quad_scaled,
+    rank,
+    rank_int_rows,
+    rank_quad_rows,
+)
 
 from oracle import rank_naive
 
@@ -156,3 +166,29 @@ def test_csv_roundtrip():
     assert again == m
     zero5 = Matrix.zeros(5, 5)
     assert Matrix.from_csv(zero5.to_csv()).rank() == 0
+
+
+def test_row_rank_entry_points():
+    assert rank_int_rows([]) == 0
+    assert rank_int_rows([[0, 0], [0, 0]]) == 0
+    assert rank_int_rows([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+    # rows of (a, b) = a + b*sqrt(2): the second row is (1 + sqrt 2) times the first
+    first = [(1, 0), (0, 1)]
+    second = [(1, 1), (2, 1)]
+    assert rank_quad_rows([first, second], 2) == 1
+    assert rank_quad_rows([first, [(0, 0), (0, 0)], [(1, 0), (0, 0)]], 2) == 2
+
+
+def test_scaled_rows_keep_rank():
+    assert integer_scaled([Fraction(1, 2), Fraction(-2, 3), 4]) == [3, -4, 24]
+    assert integer_scaled([]) == []
+    assert quad_scaled([QuadExt(Fraction(1, 2), Fraction(1, 3), 5), Fraction(1, 4)]) == [
+        (6, 4),
+        (3, 0),
+    ]
+    rng = random.Random(53)
+    for _ in range(30):
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)] for _ in range(3)]
+        rows.append([a + b for a, b in zip(rows[0], rows[1])])
+        expected = rank_naive(Matrix.from_rows(rows))
+        assert rank_int_rows([integer_scaled(r) for r in rows]) == expected

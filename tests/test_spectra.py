@@ -92,6 +92,23 @@ def test_rank_sandwich_hypotheses():
         rank_sandwich(TwoValuePair.table(1, 2, Fraction(1), Fraction(2), Fraction(2), Fraction(3)), g)
 
 
+def test_rank_sandwich_k11_zero_cross_value():
+    # theta = 1/4, alpha = -1, beta = 2 gives f(alpha, beta) = 0: K_{1,1} has rank 0
+    pair = TwoValuePair.linear(Fraction(1, 4), -1, 2)
+    assert pair.value_ab() == 0
+    report = rank_sandwich(pair, BipartiteGraph.complete(1, 1))
+    assert (report.exact_rank, report.rank_lower) == (0, 0)
+    assert rank_sandwich(pair, BipartiteGraph.empty(1, 1)).exact_rank == 2
+
+
+def test_rank_sandwich_one_vertex_part_floor():
+    # a part of size 1 contributes no diagonal rank; the other part's k(J - I) does
+    pair = TwoValuePair.linear(Fraction(1, 4), -1, 2)
+    for n in range(2, 5):
+        report = rank_sandwich(pair, BipartiteGraph.complete(1, n))
+        assert report.rank_lower >= n and report.exact_rank >= n
+
+
 def test_rank_sandwich_random_instances():
     rng = random.Random(47)
     pair = TwoValuePair.linear(HALF, 1, 2)
