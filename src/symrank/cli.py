@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import families as fam
@@ -36,6 +34,13 @@ from .spectra import low_rank_matching_instance, rank_sandwich
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def _read_json_object(path: str) -> dict:
+    data = json.loads(_read_text(path))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {data!r}")
+    return data
 
 
 def _emit(report: dict, args) -> None:
@@ -67,22 +72,6 @@ def _pair_from_args(args) -> TwoValuePair:
         values = [parse_scalar(v) for v in args.table]
         return TwoValuePair.table(alpha, beta, *values)
     return TwoValuePair(LinearTheta(parse_rational(args.theta)), alpha, beta)
-
-
-def _threads(args) -> int:
-    t = getattr(args, "threads", None)
-    if t is None:
-        t = os.cpu_count() or 1
-    if t < 1:
-        raise ValueError("--threads must be >= 1")
-    return t
-
-
-def _map_batch(worker, items, threads: int):
-    if threads == 1:
-        return [worker(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, items))
 
 
 # -- subcommand handlers ----------------------------------------------------
@@ -127,7 +116,7 @@ def _cmd_tournament(args) -> dict:
 
 
 def _cmd_bigraph(args) -> dict:
-    graph = BipartiteGraph.from_dict(json.loads(_read_text(args.infile)))
+    graph = BipartiteGraph.from_dict(_read_json_object(args.infile))
     pair = _pair_from_args(args)
     matrix = matrix_from_bigraph(pair, graph)
     report = {
@@ -170,18 +159,18 @@ def _random_admissible_pair(rng: random.Random) -> TwoValuePair:
 
 def _cmd_theorem1_verify(args) -> dict:
     """Verify the rank sandwich exhaustively or on random instances."""
-    threads = _threads(args)
     checked = 0
     if args.samples:
+        for flag, bound in (("--max-m", args.max_m), ("--max-n", args.max_n)):
+            if bound < 1:
+                raise ValueError(f"{flag} must be >= 1 with --samples, got {bound}")
         rng = random.Random(args.seed)
-        jobs = []
         for _ in range(args.samples):
             m = rng.randint(1, args.max_m)
             n = rng.randint(1, args.max_n)
             masks = [rng.getrandbits(n) for _ in range(m)]
-            jobs.append((_random_admissible_pair(rng), BipartiteGraph(m, n, masks)))
-        results = _map_batch(lambda job: rank_sandwich(job[0], job[1]), jobs, threads)
-        checked = len(results)
+            rank_sandwich(_random_admissible_pair(rng), BipartiteGraph(m, n, masks))
+            checked += 1
     else:
         pair = _pair_from_args(args)
         for m in range(1, args.max_m + 1):
@@ -200,7 +189,7 @@ def _cmd_theorem1_verify(args) -> dict:
 
 def _cmd_theorem2(args) -> dict:
     theta = parse_rational(args.theta)
-    beta, matrix, report = low_rank_matching_instance(theta, args.n, args.sign)
+    beta, report = low_rank_matching_instance(theta, args.n, args.sign)
     ok = report.exact_rank <= args.n + 3
     out = {
         "command": "theorem2",
@@ -284,7 +273,7 @@ def _cmd_onebytwo(args) -> dict:
 
 
 def _cmd_family_check(args) -> dict:
-    family = fam.SetFamily.from_dict(json.loads(_read_text(args.infile)))
+    family = fam.SetFamily.from_dict(_read_json_object(args.infile))
     theta = parse_rational(args.theta)
     violation = fam.theta_violation(family, theta)
     report = {
@@ -325,7 +314,7 @@ def _cmd_family_build(args) -> dict:
 
 def _cmd_family_search(args) -> dict:
     if args.seed_file:
-        seed = fam.SetFamily.from_dict(json.loads(_read_text(args.seed_file)))
+        seed = fam.SetFamily.from_dict(_read_json_object(args.seed_file))
     else:
         seed = _family_from_kind(args.seed_kind, args)
     result = fam.search_bisection_closed(
@@ -345,14 +334,10 @@ def _cmd_random_rank_stats(args) -> dict:
     theta = parse_rational(args.theta)
     f = LinearTheta(theta)
     values = list(range(1, args.n + 1))
-    threads = _threads(args)
-
-    def one(seed: int) -> int:
-        t = random_tournament(args.n, seed)
-        return matrix_from_tournament(f, values, t).rank()
-
-    seeds = [args.seed + i for i in range(args.samples)]
-    ranks = _map_batch(one, seeds, threads)
+    ranks = [
+        matrix_from_tournament(f, values, random_tournament(args.n, args.seed + i)).rank()
+        for i in range(args.samples)
+    ]
     hits = sum(1 for r in ranks if r >= args.n - 1)
     return {
         "command": "random-rank-stats",
@@ -373,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=False):
         p.add_argument("--out", default=None, help="write the JSON report to a file")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None)
         if seed:
             p.add_argument("--seed", type=int, default=0)
 

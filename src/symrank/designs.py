@@ -1,8 +1,8 @@
 """Hadamard matrices, symmetric 2-designs, and their ensemble instances.
 
-Hadamard matrices come from a small construction catalog (Sylvester powers,
-the quadratic-residue construction for primes q = 3 mod 4, and Kronecker
-products); every constructed matrix is validated against H H^T = order * I.
+Hadamard matrices come from a small construction catalog (Sylvester powers
+and the quadratic-residue construction for primes q = 3 mod 4); every
+constructed matrix is validated once against H H^T = order * I.
 A normalized matrix of order 4t yields a symmetric 2-(4t-1, 2t-1, t-1)
 design by deleting the first row and column and reading +1 entries as
 incidences.  Designs feed the rank machinery through their point-block
@@ -10,9 +10,6 @@ incidence graphs.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import isqrt
 
 from .errors import UnsupportedParameterError, VerificationError
 from .ensemble import BipartiteGraph, TwoValuePair
@@ -51,36 +48,8 @@ class HadamardMatrix:
         first_col = all(row[0] == 1 for row in self.entries)
         return first_row and first_col
 
-    def normalize(self) -> "HadamardMatrix":
-        """Negate rows and columns until the first row and column are all +1."""
-        rows = [list(r) for r in self.entries]
-        for i in range(self.order):
-            if rows[i][0] == -1:
-                rows[i] = [-v for v in rows[i]]
-        for j in range(self.order):
-            if rows[0][j] == -1:
-                for i in range(self.order):
-                    rows[i][j] = -rows[i][j]
-        return HadamardMatrix(rows)
-
-    def kron(self, other: "HadamardMatrix") -> "HadamardMatrix":
-        out = []
-        for r1 in self.entries:
-            for r2 in other.entries:
-                out.append([a * b for a in r1 for b in r2])
-        return HadamardMatrix(out)
-
     def to_csv(self) -> str:
         return "\n".join(",".join(str(v) for v in row) for row in self.entries) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "HadamardMatrix":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                rows.append([int(cell) for cell in line.split(",")])
-        return cls(rows)
 
     def __eq__(self, other):
         if not isinstance(other, HadamardMatrix):
@@ -119,8 +88,11 @@ def is_prime(n: int) -> bool:
 def paley(q: int) -> HadamardMatrix:
     """Order q+1 Hadamard matrix from quadratic residues, q prime, q = 3 mod 4.
 
-    The skew core S has S[i][j] = +1 when i - j is a nonzero square mod q;
-    the bordered matrix I + S is Hadamard and is returned normalized.
+    The skew core S has S[i][j] = +1 when i - j is a nonzero square mod q and
+    -1 otherwise off the diagonal.  The bordered matrix with first row all +1,
+    first column -1 below it and core I + S is Hadamard.  Negating its rows
+    below the first normalizes it, so those rows are built negated:
+    [1] followed by -S[i] with -1 on the diagonal.
     """
     if not is_prime(q):
         raise UnsupportedParameterError(f"q = {q} is not prime")
@@ -131,15 +103,9 @@ def paley(q: int) -> HadamardMatrix:
     for x in range(1, q):
         chi[x] = 1 if x in residues else -1
     n = q + 1
-    rows = [[1] * n]
-    for i in range(1, n):
-        row = [-1] * n
-        row[i] = 1
-        for j in range(1, n):
-            if j != i:
-                row[j] = chi[(i - j) % q]
-        rows.append(row)
-    return HadamardMatrix(rows).normalize()
+    # chi[0] == 0, so "or -1" puts -1 on the diagonal
+    rows = [[1] * n] + [[1] + [-chi[(i - j) % q] or -1 for j in range(1, n)] for i in range(1, n)]
+    return HadamardMatrix(rows)
 
 
 class SymmetricDesign:

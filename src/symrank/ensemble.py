@@ -24,7 +24,7 @@ from .errors import (
     GoodPairError,
     NotInEnsembleError,
 )
-from .exactfield import QuadExt, format_scalar, parse_scalar
+from .exactfield import QuadExt, format_scalar
 from .linalg import Matrix, integer_scaled, quad_discriminant, quad_scaled
 
 
@@ -42,9 +42,6 @@ class LinearTheta:
     def __call__(self, x, y):
         return x + (1 - 2 * self.theta) * y
 
-    def to_dict(self) -> dict:
-        return {"variant": "linear_theta", "theta": format_scalar(self.theta)}
-
 
 @dataclass(frozen=True)
 class SquaredDiff:
@@ -52,9 +49,6 @@ class SquaredDiff:
 
     def __call__(self, x, y):
         return (x - y) ** 2
-
-    def to_dict(self) -> dict:
-        return {"variant": "squared_diff"}
 
 
 @dataclass(frozen=True)
@@ -82,35 +76,6 @@ class TableFunction:
         else:
             raise ValueError(f"table function is defined only on its alphabet, got {y}")
         return (self.f_aa, self.f_ab, self.f_ba, self.f_bb)[vx * 2 + vy]
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": "table",
-            "alpha": format_scalar(self.alpha),
-            "beta": format_scalar(self.beta),
-            "f_aa": format_scalar(self.f_aa),
-            "f_ab": format_scalar(self.f_ab),
-            "f_ba": format_scalar(self.f_ba),
-            "f_bb": format_scalar(self.f_bb),
-        }
-
-
-def pair_function_from_dict(data: dict):
-    variant = data["variant"]
-    if variant == "linear_theta":
-        return LinearTheta(parse_scalar(data["theta"]))
-    if variant == "squared_diff":
-        return SquaredDiff()
-    if variant == "table":
-        return TableFunction(
-            parse_scalar(data["alpha"]),
-            parse_scalar(data["beta"]),
-            parse_scalar(data["f_aa"]),
-            parse_scalar(data["f_ab"]),
-            parse_scalar(data["f_ba"]),
-            parse_scalar(data["f_bb"]),
-        )
-    raise ValueError(f"unknown pair-function variant {variant!r}")
 
 
 @dataclass(frozen=True)
@@ -184,13 +149,6 @@ class TwoValuePair:
                 "vanishes on the diagonal"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "f": self.f.to_dict(),
-            "alpha": format_scalar(self.alpha),
-            "beta": format_scalar(self.beta),
-        }
-
 
 def mu_squared(pair: TwoValuePair):
     """f(a,a) f(b,b) / (f(a,b) - f(b,a))^2, demoted to a Fraction when rational.
@@ -200,16 +158,6 @@ def mu_squared(pair: TwoValuePair):
     the scalar is undefined.
     """
     return pair.mu_squared
-
-
-def good_pair_check(f, values) -> bool:
-    """True iff f(a_i, a_i) != 0 for every value in the sequence."""
-    return all(f(x, x) != 0 for x in values)
-
-
-def two_valued(alpha, m: int, beta, n: int) -> tuple:
-    """The sequence (alpha, ..., alpha, beta, ..., beta) with m and n copies."""
-    return (alpha,) * m + (beta,) * n
 
 
 class Tournament:
@@ -264,6 +212,13 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament(n, pairs)
 
 
+def _int_pair(edge) -> tuple[int, int]:
+    """An edge as a pair of ints; ValueError naming the edge otherwise."""
+    if isinstance(edge, (list, tuple)) and len(edge) == 2 and all(type(x) is int for x in edge):
+        return edge[0], edge[1]
+    raise ValueError(f"edge {edge!r} is not a pair of integers")
+
+
 class BipartiteGraph:
     """Bipartite graph on parts of sizes m and n, stored as row bitmasks."""
 
@@ -285,8 +240,10 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges) -> "BipartiteGraph":
+        if type(m) is not int or type(n) is not int:
+            raise ValueError(f"part sizes must be integers, got m={m!r}, n={n!r}")
         masks = [0] * m
-        for i, j in edges:
+        for i, j in map(_int_pair, edges):
             if not (0 <= i < m and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range")
             masks[i] |= 1 << j
@@ -331,12 +288,6 @@ class BipartiteGraph:
         right = [mask.bit_count() for mask in self.column_masks()]
         return left + right
 
-    def biadjacency(self) -> Matrix:
-        entries = []
-        for mask in self.row_masks:
-            entries.extend((mask >> j) & 1 for j in range(self.n))
-        return Matrix(self.m, self.n, entries)
-
     def is_connected(self) -> bool:
         """Connectivity of the bipartite graph (isolated vertices disconnect it)."""
         total = self.m + self.n
@@ -380,8 +331,11 @@ class BipartiteGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BipartiteGraph":
+        edges = data["edges"]
+        if not isinstance(edges, list):
+            raise ValueError(f"edges must be a list, got {edges!r}")
         return cls.from_edges(
-            data["m"], data["n"], [(i - 1, j - 1) for i, j in data["edges"]]
+            data["m"], data["n"], [(i - 1, j - 1) for i, j in map(_int_pair, edges)]
         )
 
     def __repr__(self):

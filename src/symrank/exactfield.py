@@ -24,16 +24,6 @@ from .errors import FieldMismatchError, NoRealRootError
 SQUARE_FREE_TRIAL_BOUND = 10**6
 
 
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Reduced canonical rational numerator/denominator.
-
-    Raises ZeroDivisionError when the denominator is zero.  The result always
-    has a positive denominator and gcd(|num|, den) == 1, with zero stored
-    uniquely as 0/1.
-    """
-    return Fraction(numerator, denominator)
-
-
 def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int, int]:
     """Decompose ``n = s**2 * d`` with ``d`` square-free; returns ``(d, s)``.
 
@@ -357,6 +347,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"invalid rational literal: {text!r}")
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
+    if den == 0:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
     return Fraction(num, den)
 
 

@@ -30,11 +30,13 @@ class SetFamily:
     __slots__ = ("ground_n", "sets")
 
     def __init__(self, ground_n: int, sets):
-        if ground_n < 1:
-            raise ValueError(f"ground_n must be >= 1, got {ground_n}")
+        if type(ground_n) is not int or ground_n < 1:
+            raise ValueError(f"ground_n must be an integer >= 1, got {ground_n!r}")
         canonical = []
         seen = set()
         for s in sets:
+            if any(type(x) is not int for x in s):
+                raise ValueError(f"set {s!r} has a point that is not an integer")
             fs = frozenset(s)
             if not fs:
                 raise ValueError("families contain nonempty sets only")
@@ -80,7 +82,13 @@ class SetFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SetFamily":
-        return cls(data["n"], data["sets"])
+        sets = data["sets"]
+        if not isinstance(sets, list):
+            raise ValueError(f"sets must be a list, got {sets!r}")
+        for s in sets:
+            if not isinstance(s, list):
+                raise ValueError(f"set {s!r} is not a list of points")
+        return cls(data["n"], sets)
 
     def __repr__(self):
         return f"SetFamily(n={self.ground_n}, size={len(self.sets)})"

@@ -1,4 +1,4 @@
-"""Exact dense linear algebra: rank, nullity, Gram products, Kronecker products.
+"""Exact dense linear algebra: matrices, their rank, and CSV text form.
 
 Matrices are dense and immutable by convention, with entries that are ints,
 Fractions, or QuadExt elements over a single discriminant.  Rank is computed
@@ -42,14 +42,6 @@ class Matrix:
         flat = [x for r in row_lists for x in r]
         return cls(len(row_lists), cols, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [0] * (rows * cols))
-
     def entry(self, i: int, j: int):
         return self._e[i * self.cols + j]
 
@@ -59,13 +51,6 @@ class Matrix:
     def entries(self) -> list:
         return list(self._e)
 
-    def transpose(self) -> "Matrix":
-        e = self._e
-        cols = self.cols
-        return Matrix(
-            cols, self.rows, [e[i * cols + j] for j in range(cols) for i in range(self.rows)]
-        )
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -74,44 +59,6 @@ class Matrix:
             and self.cols == other.cols
             and all(a == b for a, b in zip(self._e, other._e))
         )
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)])
-
-    def _check_same_shape(self, other):
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError(
-                f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
-            )
-
-    def scaled(self, s) -> "Matrix":
-        return Matrix(self.rows, self.cols, [s * x for x in self._e])
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        n = self.cols
-        out = []
-        ocols = other.cols
-        oe = other._e
-        for i in range(self.rows):
-            base = i * n
-            se = self._e
-            for j in range(ocols):
-                acc = 0
-                for k in range(n):
-                    acc = acc + se[base + k] * oe[k * ocols + j]
-                out.append(acc)
-        return Matrix(self.rows, ocols, out)
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -135,9 +82,6 @@ class Matrix:
             return rank_int_rows([integer_scaled(row) for row in rows])
         return rank_quad_rows([quad_scaled(row) for row in rows], quad_d)
 
-    def nullity(self) -> int:
-        return self.cols - self.rank()
-
     # -- text I/O -----------------------------------------------------------
 
     def to_csv(self) -> str:
@@ -148,12 +92,19 @@ class Matrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "Matrix":
+        """Parse CSV text; a bad cell raises ValueError naming its 1-based row and column."""
         rows = []
         for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue
-            rows.append([parse_scalar(cell) for cell in line.split(",")])
+            row = []
+            for col, cell in enumerate(line.split(","), 1):
+                try:
+                    row.append(parse_scalar(cell))
+                except ValueError as exc:
+                    raise ValueError(f"row {len(rows) + 1}, column {col}: {exc}") from None
+            rows.append(row)
         return cls.from_rows(rows)
 
     def __repr__(self):
@@ -285,27 +236,3 @@ def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
         prev = (pa, pb)
     return rank
 
-
-def rank(m: Matrix) -> int:
-    return m.rank()
-
-
-def nullity(m: Matrix) -> int:
-    return m.nullity()
-
-
-def gram(b: Matrix) -> Matrix:
-    """The Gram product B^T B (cols x cols)."""
-    return b.transpose() * b
-
-
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, (r1*r2) x (c1*c2)."""
-    out = []
-    for i1 in range(a.rows):
-        for i2 in range(b.rows):
-            for j1 in range(a.cols):
-                x = a.entry(i1, j1)
-                for j2 in range(b.cols):
-                    out.append(x * b.entry(i2, j2))
-    return Matrix(a.rows * b.rows, a.cols * b.cols, out)

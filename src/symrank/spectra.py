@@ -19,8 +19,9 @@ from fractions import Fraction
 
 from .errors import DegenerateEnsembleError, GoodPairError, VerificationError
 from .exactfield import as_fraction, format_scalar, scalar_sign, solve_monic_quadratic
-from .ensemble import BipartiteGraph, TwoValuePair, matrix_from_bigraph, mu_squared
-from .linalg import Matrix, rank_int_rows, rank_quad_rows
+from .ensemble import BipartiteGraph, TwoValuePair, mu_squared
+from .linalg import Matrix  # noqa: F401  kept bound: bench/test_bench.py reads spectra.Matrix
+from .linalg import rank_int_rows, rank_quad_rows
 
 
 @dataclass
@@ -192,14 +193,12 @@ def complete_minus_matching(n: int) -> BipartiteGraph:
     return BipartiteGraph(n, n, [full ^ (1 << i) for i in range(n)])
 
 
-def low_rank_matching_instance(
-    theta, n: int, sign: str = "+"
-) -> tuple[object, Matrix, SpectralReport]:
+def low_rank_matching_instance(theta, n: int, sign: str = "+") -> tuple[object, SpectralReport]:
     """A rank <= n+3 member of the ensemble over (1^(n), beta^(n)).
 
     beta is the chosen root of x^2 - (2 + (1/theta - 1)^2) x + 1 = 0, which
     makes mu^2 == 1 an eigenvalue of K_{n,n} minus a perfect matching with
-    multiplicity n - 1.  Returns (beta, matrix, report).
+    multiplicity n - 1.  Returns (beta, report).
     """
     theta = Fraction(theta)
     if not 0 < theta < 1:
@@ -210,10 +209,7 @@ def low_rank_matching_instance(
     plus, minus = solve_monic_quadratic(-coeff, 1)
     beta = plus if sign == "+" else minus
     pair = TwoValuePair.linear(theta, Fraction(1), beta)
-    g = complete_minus_matching(n)
-    report = rank_sandwich(pair, g)
-    matrix = matrix_from_bigraph(pair, g)
-    return beta, matrix, report
+    return beta, rank_sandwich(pair, complete_minus_matching(n))
 
 
 @dataclass

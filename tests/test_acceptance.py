@@ -121,7 +121,7 @@ def test_criterion_03_matched_root_instances():
     for theta in (HALF, Fraction(2, 5), Fraction(3, 11), Fraction(1, 3)):
         for n in range(2, 41):
             for sign in ("+", "-"):
-                beta, _, rep = low_rank_matching_instance(theta, n, sign)
+                beta, rep = low_rank_matching_instance(theta, n, sign)
                 assert rep.exact_rank <= n + 3
                 if theta == Fraction(2, 5) and sign == "+":
                     assert beta == 4

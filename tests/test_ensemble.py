@@ -12,14 +12,11 @@ from symrank.ensemble import (
     Tournament,
     TwoValuePair,
     bigraph_from_matrix,
-    good_pair_check,
     matrix_from_bigraph,
     matrix_from_tournament,
     mu_squared,
-    pair_function_from_dict,
     random_tournament,
     tournament_from_matrix,
-    two_valued,
 )
 
 HALF = Fraction(1, 2)
@@ -38,9 +35,9 @@ def test_mu_squared_table_pair():
 
 
 def test_good_pair_check():
-    assert good_pair_check(LinearTheta(HALF), (1, 2, 3))
-    assert not good_pair_check(SquaredDiff(), (1, 2, 3))
-    assert not good_pair_check(LinearTheta(HALF), (0, 1))
+    assert TwoValuePair(LinearTheta(HALF), 1, 2).is_good()
+    assert not TwoValuePair(SquaredDiff(), 1, 2).is_good()
+    assert not TwoValuePair(LinearTheta(HALF), 0, 1).is_good()
 
 
 def test_linear_theta_validation():
@@ -171,7 +168,7 @@ def test_tournament_and_bigraph_constructions_agree():
     for _ in range(20):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
         t = random_tournament(m + n, rng.randint(0, 10**6))
-        values = two_valued(pair.alpha, m, pair.beta, n)
+        values = [pair.alpha] * m + [pair.beta] * n
         mt = matrix_from_tournament(pair.f, values, t)
         g = BipartiteGraph.from_edges(
             m, n, [(i, j) for i in range(m) for j in range(n) if t.beats(i, m + j)]
@@ -203,5 +200,3 @@ def test_serialization_roundtrips():
     assert Tournament.from_dict(t.to_dict()) == t
     g = BipartiteGraph.from_edges(3, 4, [(0, 1), (2, 3)])
     assert BipartiteGraph.from_dict(g.to_dict()) == g
-    pair = TwoValuePair.linear(HALF, 1, 2)
-    assert pair_function_from_dict(pair.f.to_dict()) == pair.f

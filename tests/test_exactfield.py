@@ -8,24 +8,25 @@ from symrank.exactfield import (
     QuadExt,
     as_fraction,
     format_scalar,
+    parse_rational,
     parse_scalar,
-    rational,
     solve_monic_quadratic,
     square_free_part,
 )
 
 
 def test_rational_reduction():
-    assert rational(2, 4) == Fraction(1, 2)
-    assert rational(0, 7) == Fraction(0, 1)
-    assert rational(0, 7).denominator == 1
-    assert rational(3, -6) == Fraction(-1, 2)
-    assert rational(3, -6).denominator == 2
+    assert parse_rational("2/4") == Fraction(1, 2)
+    assert parse_rational("0/7").denominator == 1
+    assert parse_rational("-3/6") == Fraction(-1, 2)
+    assert parse_rational("-3/6").denominator == 2
 
 
 def test_rational_zero_denominator():
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
+    with pytest.raises(ValueError, match="1/0"):
+        parse_rational("1/0")
+    with pytest.raises(ValueError, match="1/0"):
+        parse_scalar("1+1/0*sqrt(2)")
 
 
 def test_square_free_part():

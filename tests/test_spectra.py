@@ -5,7 +5,7 @@ import pytest
 
 from symrank.errors import DegenerateEnsembleError, GoodPairError
 from symrank.exactfield import QuadExt
-from symrank.ensemble import BipartiteGraph, TwoValuePair
+from symrank.ensemble import BipartiteGraph, TwoValuePair, matrix_from_bigraph
 from symrank.spectra import (
     bigraph_multiplicity,
     complete_minus_matching,
@@ -120,21 +120,24 @@ def test_rank_sandwich_random_instances():
 
 
 def test_low_rank_matching_instances():
-    beta, matrix, report = low_rank_matching_instance(Fraction(2, 5), 5, "+")
+    g = complete_minus_matching(5)
+    beta, report = low_rank_matching_instance(Fraction(2, 5), 5, "+")
     assert beta == 4
     assert report.exact_rank <= 8
+    matrix = matrix_from_bigraph(TwoValuePair.linear(Fraction(2, 5), 1, beta), g)
     assert rank_naive(matrix) == report.exact_rank
 
-    beta, matrix, report = low_rank_matching_instance(HALF, 5, "+")
+    beta, report = low_rank_matching_instance(HALF, 5, "+")
     assert beta == QuadExt(Fraction(3, 2), Fraction(1, 2), 5)
     assert report.exact_rank <= 8
+    matrix = matrix_from_bigraph(TwoValuePair.linear(HALF, 1, beta), g)
     assert rank_naive(matrix) == report.exact_rank
 
-    beta, _, report = low_rank_matching_instance(Fraction(3, 11), 4, "+")
+    beta, report = low_rank_matching_instance(Fraction(3, 11), 4, "+")
     assert beta == 9
     assert report.exact_rank <= 7
 
-    beta_minus, _, report_minus = low_rank_matching_instance(HALF, 4, "-")
+    beta_minus, report_minus = low_rank_matching_instance(HALF, 4, "-")
     assert beta_minus == QuadExt(Fraction(3, 2), Fraction(-1, 2), 5)
     assert report_minus.exact_rank <= 7
 
