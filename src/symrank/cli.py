@@ -160,6 +160,8 @@ def _random_admissible_pair(rng: random.Random) -> TwoValuePair:
 def _cmd_theorem1_verify(args) -> dict:
     """Verify the rank sandwich exhaustively or on random instances."""
     checked = 0
+    if args.samples < 0:
+        raise ValueError(f"--samples must be >= 0 (0 means exhaustive), got {args.samples}")
     if args.samples:
         for flag, bound in (("--max-m", args.max_m), ("--max-n", args.max_n)):
             if bound < 1:
@@ -218,7 +220,7 @@ def _cmd_hadamard(args) -> dict:
         "config": _config(args, ("construction", "k", "q")),
         "order": h.order,
         "normalized": h.normalized,
-        "rows": h.entries,
+        "rows": h.rows(),
     }
     if args.matrix_out:
         with open(args.matrix_out, "w", encoding="utf-8") as fh:
@@ -295,10 +297,10 @@ def _family_from_kind(kind: str, args) -> fam.SetFamily:
     if kind == "fano":
         return fam.fano_family()
     if kind == "hadamard":
-        k = (args.order).bit_length() - 1
-        if 1 << k != args.order:
-            raise ValueError("hadamard family orders must be powers of two here")
-        return fam.hadamard_family(dsg.sylvester(k))
+        order = args.order
+        if order < 1 or order & (order - 1):
+            raise ValueError(f"--order must be a power of two, got {order}")
+        return fam.hadamard_family(dsg.sylvester(order.bit_length() - 1))
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -331,6 +333,8 @@ def _cmd_family_search(args) -> dict:
 
 
 def _cmd_random_rank_stats(args) -> dict:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     theta = parse_rational(args.theta)
     f = LinearTheta(theta)
     values = list(range(1, args.n + 1))

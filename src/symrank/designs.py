@@ -1,8 +1,11 @@
 """Hadamard matrices, symmetric 2-designs, and their ensemble instances.
 
 Hadamard matrices come from a small construction catalog (Sylvester powers
-and the quadratic-residue construction for primes q = 3 mod 4); every
-constructed matrix is validated once against H H^T = order * I.
+and the quadratic-residue construction for primes q = 3 mod 4).  Like the
+designs, they store each row as a bitmask (bit j set for a +1 in column j);
+the +1/-1 lists exist only in reports and CSV output.  Every constructed
+matrix is validated once against H H^T = order * I: two rows are orthogonal
+exactly when they differ in half of the columns, popcount(r_i ^ r_j) = n/2.
 A normalized matrix of order 4t yields a symmetric 2-(4t-1, 2t-1, t-1)
 design by deleting the first row and column and reading +1 entries as
 incidences.  Designs feed the rank machinery through their point-block
@@ -17,44 +20,47 @@ from .spectra import SpectralReport, rank_sandwich
 
 
 class HadamardMatrix:
-    """A +1/-1 matrix H of order n with H H^T = n I, validated on construction."""
+    """A +1/-1 matrix H of order n with H H^T = n I, validated on construction.
 
-    __slots__ = ("order", "entries")
+    Row i is stored as a bitmask: bit j is set when H[i][j] = +1.
+    """
 
-    def __init__(self, entries):
-        entries = [list(row) for row in entries]
-        n = len(entries)
-        if any(len(row) != n for row in entries):
-            raise ValueError("matrix is not square")
-        for row in entries:
-            for v in row:
-                if v != 1 and v != -1:
-                    raise ValueError(f"entry {v!r} is not +1/-1")
+    __slots__ = ("order", "row_masks")
+
+    def __init__(self, row_masks):
+        row_masks = list(row_masks)
+        n = len(row_masks)
         if n not in (1, 2) and n % 4 != 0:
             raise UnsupportedParameterError(f"no Hadamard matrix of order {n} exists")
+        for i, mask in enumerate(row_masks):
+            if mask < 0 or mask >> n:
+                raise ValueError(f"row {i} mask {mask!r} has bits outside columns 0..{n - 1}")
+        # two +1/-1 rows have dot product n - 2 * (number of columns where they differ)
         for i in range(n):
-            ri = entries[i]
-            for j in range(i, n):
-                rj = entries[j]
-                dot = sum(a * b for a, b in zip(ri, rj))
-                if dot != (n if i == j else 0):
+            ri = row_masks[i]
+            for j in range(i + 1, n):
+                if 2 * (ri ^ row_masks[j]).bit_count() != n:
                     raise VerificationError(f"rows {i} and {j} are not orthogonal")
         self.order = n
-        self.entries = entries
+        self.row_masks = row_masks
 
     @property
     def normalized(self) -> bool:
-        first_row = all(v == 1 for v in self.entries[0])
-        first_col = all(row[0] == 1 for row in self.entries)
-        return first_row and first_col
+        full = (1 << self.order) - 1
+        return self.row_masks[0] == full and all(m & 1 for m in self.row_masks)
+
+    def rows(self) -> list[list[int]]:
+        """The matrix as lists of +1/-1 entries."""
+        n = self.order
+        return [[1 if (m >> j) & 1 else -1 for j in range(n)] for m in self.row_masks]
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.entries) + "\n"
+        return "\n".join(",".join(str(v) for v in row) for row in self.rows()) + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, HadamardMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        return self.row_masks == other.row_masks
 
     def __repr__(self):
         return f"HadamardMatrix(order={self.order})"
@@ -64,10 +70,12 @@ def sylvester(k: int) -> HadamardMatrix:
     """The order 2^k matrix built by repeated Kronecker products of [[1,1],[1,-1]]."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    rows = [[1]]
+    masks = [1]
     for _ in range(k):
-        rows = [r + r for r in rows] + [r + [-v for v in r] for r in rows]
-    return HadamardMatrix(rows)
+        w = len(masks)
+        full = (1 << w) - 1
+        masks = [m | m << w for m in masks] + [m | (full ^ m) << w for m in masks]
+    return HadamardMatrix(masks)
 
 
 def is_prime(n: int) -> bool:
@@ -92,7 +100,8 @@ def paley(q: int) -> HadamardMatrix:
     -1 otherwise off the diagonal.  The bordered matrix with first row all +1,
     first column -1 below it and core I + S is Hadamard.  Negating its rows
     below the first normalizes it, so those rows are built negated:
-    [1] followed by -S[i] with -1 on the diagonal.
+    [1] followed by -S[i] with -1 on the diagonal.  In mask form, entry (i, j)
+    with i, j >= 1 is +1 exactly when i - j is a non-square mod q.
     """
     if not is_prime(q):
         raise UnsupportedParameterError(f"q = {q} is not prime")
@@ -103,9 +112,10 @@ def paley(q: int) -> HadamardMatrix:
     for x in range(1, q):
         chi[x] = 1 if x in residues else -1
     n = q + 1
-    # chi[0] == 0, so "or -1" puts -1 on the diagonal
-    rows = [[1] * n] + [[1] + [-chi[(i - j) % q] or -1 for j in range(1, n)] for i in range(1, n)]
-    return HadamardMatrix(rows)
+    masks = [(1 << n) - 1] + [
+        1 | sum(1 << j for j in range(1, n) if chi[(i - j) % q] < 0) for i in range(1, n)
+    ]
+    return HadamardMatrix(masks)
 
 
 class SymmetricDesign:
@@ -203,15 +213,7 @@ def hadamard_design(h: HadamardMatrix) -> SymmetricDesign:
             f"order {h.order} does not give a nondegenerate design (need 4t, t >= 2)"
         )
     t = h.order // 4
-    masks = []
-    for i in range(1, h.order):
-        mask = 0
-        row = h.entries[i]
-        for j in range(1, h.order):
-            if row[j] == 1:
-                mask |= 1 << (j - 1)
-        masks.append(mask)
-    return SymmetricDesign(4 * t - 1, 2 * t - 1, t - 1, masks)
+    return SymmetricDesign(4 * t - 1, 2 * t - 1, t - 1, [m >> 1 for m in h.row_masks[1:]])
 
 
 _FANO_BLOCKS = [

@@ -107,13 +107,6 @@ class QuadExt:
             return self, QuadExt(other, 0, self.d)
         return None
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self.a, -self.b, self.d)
-
     def norm(self) -> Fraction:
         """The field norm a**2 - d * b**2."""
         return self.a * self.a - self.d * self.b * self.b

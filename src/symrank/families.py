@@ -23,6 +23,11 @@ from .designs import HadamardMatrix
 from .ensemble import LinearTheta
 from .linalg import Matrix
 
+# depth-first nodes the quarter-set completion in `hadamard_family` may visit
+QUARTER_NODE_CAP = 200_000
+# most candidate sets `search_bisection_closed` will branch over
+CANDIDATE_CAP = 5000
+
 
 class SetFamily:
     """A collection of distinct nonempty subsets of [ground_n] (points 1-based)."""
@@ -164,7 +169,7 @@ def _masks_to_family(n: int, masks) -> SetFamily:
     return SetFamily(n, sets)
 
 
-def _complete_quarter_sets(existing, pool, needed, node_cap=200_000):
+def _complete_quarter_sets(existing, pool, needed):
     """Pick `needed` pool masks pairwise compatible and compatible with existing.
 
     Deterministic first solution via depth-first search over the pool in
@@ -181,7 +186,7 @@ def _complete_quarter_sets(existing, pool, needed, node_cap=200_000):
             return True
         for idx in range(start, len(pool)):
             nodes += 1
-            if nodes > node_cap:
+            if nodes > QUARTER_NODE_CAP:
                 return False
             cand = pool[idx]
             if len(pool) - idx < needed - len(chosen):
@@ -220,14 +225,7 @@ def hadamard_family(h: HadamardMatrix) -> SetFamily:
         )
     if not h.normalized:
         raise UnsupportedParameterError("Hadamard matrix must be normalized")
-    supports = []
-    for i in range(1, n):
-        mask = 0
-        row = h.entries[i]
-        for j in range(n):
-            if row[j] == 1:
-                mask |= 1 << j
-        supports.append(mask)
+    supports = h.row_masks[1:]
     row2 = supports[0]
     quarter_base = []
     seen = set()
@@ -305,7 +303,6 @@ def search_bisection_closed(
     seed: SetFamily,
     time_budget: float = 60.0,
     max_set_size: int | None = None,
-    candidate_cap: int = 5000,
 ) -> SetFamily:
     """Best bisection-closed extension of `seed` over [n] found by backtracking.
 
@@ -337,9 +334,9 @@ def search_bisection_closed(
                 continue
             if all(_mask_compatible(mask, s, half) for s in seed_masks):
                 candidates.append(mask)
-    if len(candidates) > candidate_cap:
+    if len(candidates) > CANDIDATE_CAP:
         raise UnsupportedParameterError(
-            f"{len(candidates)} candidate sets exceed the cap {candidate_cap}; "
+            f"{len(candidates)} candidate sets exceed the cap {CANDIDATE_CAP}; "
             "seed the search with a larger family"
         )
 

@@ -276,6 +276,48 @@ _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
         pytest.param(
             ["theorem1-verify", "--samples", "3", "--max-n", "0"], None, "--max-n", id="max-n-0"
         ),
+        pytest.param(
+            ["theorem1-verify", "--samples", "-3"],
+            None,
+            "--samples must be >= 0 (0 means exhaustive), got -3",
+            id="verify-samples-negative",
+        ),
+        pytest.param(
+            ["random-rank-stats", "--n", "4", "--samples", "0"],
+            None,
+            "--samples must be >= 1, got 0",
+            id="stats-samples-0",
+        ),
+        pytest.param(
+            ["random-rank-stats", "--n", "4", "--samples", "-2"],
+            None,
+            "--samples must be >= 1, got -2",
+            id="stats-samples-negative",
+        ),
+        pytest.param(
+            ["family-build", "--kind", "hadamard", "--order", "0"],
+            None,
+            "--order must be a power of two, got 0",
+            id="build-order-0",
+        ),
+        pytest.param(
+            ["family-build", "--kind", "hadamard", "--order", "12"],
+            None,
+            "--order must be a power of two, got 12",
+            id="build-order-12",
+        ),
+        pytest.param(
+            ["family-build", "--kind", "hadamard", "--order", "-4"],
+            None,
+            "--order must be a power of two, got -4",
+            id="build-order-negative",
+        ),
+        pytest.param(
+            ["family-search", "--n", "8", "--seed-kind", "hadamard", "--order", "0"],
+            None,
+            "--order must be a power of two, got 0",
+            id="search-order-0",
+        ),
     ],
 )
 def test_malformed_input_exits_two_naming_the_value(tmp_path, capsys, argv, infile, named):

@@ -26,8 +26,24 @@ from oracle import coprime_pairs_brute
 HALF = Fraction(1, 2)
 
 
+def _masks(rows):
+    """Bitmask rows of a +1/-1 matrix: bit j set for a +1 in column j."""
+    return [sum(1 << j for j, v in enumerate(row) if v == 1) for row in rows]
+
+
+def _dot_products_ok(rows):
+    """The +1/-1 oracle: H H^T = n I by plain dot products."""
+    n = len(rows)
+    return all(
+        sum(a * b for a, b in zip(rows[i], rows[j])) == (n if i == j else 0)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
 def test_sylvester():
-    assert sylvester(0).entries == [[1]]
+    assert sylvester(0).rows() == [[1]]
+    assert sylvester(0).row_masks == [1]
     assert sylvester(2).order == 4
     h3 = sylvester(3)
     assert h3.order == 8 and h3.normalized
@@ -37,14 +53,17 @@ def test_sylvester():
 
 def test_hadamard_validation_rejects_order_six():
     with pytest.raises(UnsupportedParameterError):
-        HadamardMatrix([[1] * 6 for _ in range(6)])
+        HadamardMatrix([0b111111] * 6)
 
 
 def test_hadamard_validation_rejects_non_orthogonal():
     with pytest.raises(VerificationError):
-        HadamardMatrix([[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        HadamardMatrix([[1, 0], [1, -1]])
+        HadamardMatrix(_masks([[1, 1], [1, 1]]))
+    # a mask with a bit beyond the last column, or a negative one, is not a row
+    with pytest.raises(ValueError, match="row 0"):
+        HadamardMatrix([0b101, 0b01])
+    with pytest.raises(ValueError, match="row 1"):
+        HadamardMatrix([0b11, -1])
 
 
 def test_paley_constructions():
@@ -62,8 +81,8 @@ def test_paley_constructions():
 
 def test_kron_hadamard():
     # the Sylvester matrix of order 4 is the Kronecker square of the order-2 one
-    h2 = sylvester(1).entries
-    assert sylvester(2).entries == [[a * b for a in r1 for b in r2] for r1 in h2 for r2 in h2]
+    h2 = sylvester(1).rows()
+    assert sylvester(2).rows() == [[a * b for a in r1 for b in r2] for r1 in h2 for r2 in h2]
 
 
 def _bordered_paley_normalized(q):
@@ -82,9 +101,9 @@ def test_paley_validates_once_and_matches_the_bordered_construction(monkeypatch)
     init = HadamardMatrix.__init__
     calls = []
 
-    def counting_init(self, entries):
+    def counting_init(self, row_masks):
         calls.append(1)
-        init(self, entries)
+        init(self, row_masks)
 
     monkeypatch.setattr(HadamardMatrix, "__init__", counting_init)
     for q in (3, 7, 11, 19, 23, 43):
@@ -92,13 +111,13 @@ def test_paley_validates_once_and_matches_the_bordered_construction(monkeypatch)
         h = paley(q)
         assert len(calls) == 1
         assert h.normalized
-        assert h.entries == _bordered_paley_normalized(q)
+        assert h.rows() == _bordered_paley_normalized(q)
 
 
 def test_hadamard_csv_roundtrip():
     h = paley(7)
     rows = [[int(cell) for cell in line.split(",")] for line in h.to_csv().splitlines()]
-    assert HadamardMatrix(rows) == h
+    assert HadamardMatrix(_masks(rows)) == h
 
 
 def test_hadamard_design_parameters():
@@ -108,9 +127,15 @@ def test_hadamard_design_parameters():
     assert (d24.v, d24.k, d24.lam) == (23, 11, 5)
     with pytest.raises(UnsupportedParameterError):
         hadamard_design(sylvester(2))  # order 4 is degenerate
-    denormalized = HadamardMatrix([[-v for v in row] for row in sylvester(3).entries])
+    denormalized = HadamardMatrix([0xFF ^ m for m in sylvester(3).row_masks])
     with pytest.raises(UnsupportedParameterError):
         hadamard_design(denormalized)
+    # first row all +1, but row 1 negated: column 0 is not all +1
+    masks = sylvester(3).row_masks
+    row_negated = HadamardMatrix([masks[0], 0xFF ^ masks[1]] + masks[2:])
+    assert not row_negated.normalized
+    with pytest.raises(UnsupportedParameterError):
+        hadamard_design(row_negated)
 
 
 def test_fano_and_complement():
@@ -237,7 +262,30 @@ def test_random_hadamard_invariant():
         k = rng.randint(0, 4)
         h = sylvester(k)
         n = h.order
+        rows = h.rows()
         for i in range(n):
             for j in range(n):
-                dot = sum(a * b for a, b in zip(h.entries[i], h.entries[j]))
+                dot = sum(a * b for a, b in zip(rows[i], rows[j]))
                 assert dot == (n if i == j else 0)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [sylvester(k) for k in range(5)] + [paley(q) for q in (3, 7, 11, 19)],
+    ids=[f"sylvester-{k}" for k in range(5)] + [f"paley-{q}" for q in (3, 7, 11, 19)],
+)
+def test_every_single_entry_flip_agrees_with_the_dot_product_oracle(h):
+    rows = h.rows()
+    assert _dot_products_ok(rows)
+    assert HadamardMatrix(_masks(rows)) == h
+    n = h.order
+    for i in range(n):
+        for j in range(n):
+            flipped = [list(row) for row in rows]
+            flipped[i][j] = -flipped[i][j]
+            if _dot_products_ok(flipped):
+                assert n == 1  # [[-1]] is the only Hadamard matrix one flip away
+                assert HadamardMatrix(_masks(flipped)).rows() == flipped
+            else:
+                with pytest.raises(VerificationError):
+                    HadamardMatrix(_masks(flipped))

@@ -100,7 +100,8 @@ def test_hadamard_family_rejects_small_orders():
     with pytest.raises(UnsupportedParameterError):
         hadamard_family(sylvester(2))
     denormalized = sylvester(3)
-    flipped = type(denormalized)([[-v for v in row] for row in denormalized.entries])
+    full = (1 << denormalized.order) - 1
+    flipped = type(denormalized)([full ^ m for m in denormalized.row_masks])
     with pytest.raises(UnsupportedParameterError):
         hadamard_family(flipped)
 
