@@ -1,10 +1,11 @@
 """symrank: exact rank computations for two-valued symmetric matrix ensembles.
 
 The package covers exact rational and quadratic-extension arithmetic,
-fraction-free rank, the tournament and bipartite-graph encodings of
-two-valued symmetric ensembles, eigenvalue-multiplicity rank bounds,
-Hadamard matrices and symmetric block designs, and bisection-closed set
-families with a backtracking extension search.
+exact rank (fraction-free, or certified full modulo a prime), the
+tournament and bipartite-graph encodings of two-valued symmetric
+ensembles, eigenvalue-multiplicity rank bounds, Hadamard matrices and
+symmetric block designs, and bisection-closed set families with a
+backtracking extension search.
 """
 
 from .errors import (

@@ -1,21 +1,34 @@
 """Exact dense linear algebra: matrices, their rank, and CSV text form.
 
 Matrices are dense and immutable by convention, with entries that are ints,
-Fractions, or QuadExt elements over a single discriminant.  Rank is computed
-by fraction-free (Bareiss-style) Gaussian elimination after clearing
-denominators row by row, so intermediate values stay minors of the original
-matrix instead of blowing up as free-form fractions.  Pivots are chosen as
-the first nonzero entry in column order, rows scanned top-down, which makes
-the elimination deterministic.
+Fractions, or QuadExt elements over a single discriminant.  Rank works on
+rows with denominators cleared row by row (`rank_int_rows` over Z,
+`rank_quad_rows` over Z[sqrt(d)]).
+
+Over Z, a matrix with k = min(rows, cols) has rank k when its rank modulo
+the word-sized prime RANK_PRIME is k: reduction mod p is a ring map, so a
+k x k minor that is nonzero mod p is nonzero over Z.  That pass packs each
+row into one int and eliminates with one bignum multiply-add per row.  It is
+skipped when k times (entry bits + bitlen k) is at most 62, because then
+every Bareiss intermediate fits in a machine word anyway.  Every other case,
+a rank below k mod p included, goes to fraction-free (Bareiss-style)
+Gaussian elimination, whose intermediate values stay minors of the matrix
+instead of blowing up as free-form fractions.  So the result never depends
+on the prime.  Bareiss pivots are the first nonzero entry in column order,
+rows scanned top-down, which makes the elimination deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .errors import FieldMismatchError
 from .exactfield import QuadExt, format_scalar, parse_scalar
+
+# the word-sized prime of the full-rank certificate in rank_int_rows
+RANK_PRIME = 2**31 - 1
 
 
 class Matrix:
@@ -92,7 +105,11 @@ class Matrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "Matrix":
-        """Parse CSV text; a bad cell raises ValueError naming its 1-based row and column."""
+        """Parse CSV text.
+
+        A bad cell raises ValueError naming its 1-based row and column, and a
+        row whose length differs from row 1's names the row and both lengths.
+        """
         rows = []
         for line in text.splitlines():
             line = line.strip()
@@ -104,6 +121,10 @@ class Matrix:
                     row.append(parse_scalar(cell))
                 except ValueError as exc:
                     raise ValueError(f"row {len(rows) + 1}, column {col}: {exc}") from None
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"row {len(rows) + 1} has length {len(row)}, expected {len(rows[0])} as row 1"
+                )
             rows.append(row)
         return cls.from_rows(rows)
 
@@ -154,7 +175,22 @@ def quad_scaled(values) -> list[tuple[int, int]]:
 
 
 def rank_int_rows(rows: list[list[int]]) -> int:
-    """Exact rank of a matrix given as integer rows, by fraction-free elimination."""
+    """Exact rank of a matrix given as integer rows.
+
+    Let k = min(rows, cols) and let every entry be below 2^b in absolute
+    value.  When k * (b + bitlen k) > 62, a row-packed elimination modulo
+    RANK_PRIME runs first, and a rank of k mod p certifies rank k: a k x k
+    minor that is nonzero mod p is nonzero over Z.  Otherwise, and whenever
+    the rank mod p is below k, fraction-free (Bareiss) elimination gives the
+    rank.  The result never depends on the prime; only the time does.
+    """
+    k = min(len(rows), len(rows[0])) if rows else 0
+    if k:
+        # Hadamard: every j x j minor of entries below 2^b is below 2^(j(b + log2(j)/2)),
+        # so below this size every Bareiss intermediate fits in a machine word
+        bits = max(map(int.bit_length, chain.from_iterable(rows)))
+        if k * (bits + k.bit_length()) > 62 and _full_rank_mod_p(rows, k):
+            return k
     pending = [row for row in rows if any(row)]
     rank = 0
     prev = 1
@@ -189,6 +225,56 @@ def rank_int_rows(rows: list[list[int]]) -> int:
         pending = nxt
         prev = p
     return rank
+
+
+def _full_rank_mod_p(rows: list[list[int]], k: int) -> bool:
+    """Whether the integer rows have rank k modulo RANK_PRIME.
+
+    Each row is one int of w-bit slots, column 0 in the lowest slot, starting
+    in [0, p).  The pivot row is reduced mod p and scaled to head 1; every
+    other row becomes (row >> w) + (p - x) * pivot_tail, where x is its head
+    mod p, or just row >> w when x is 0.  A row takes at most k - 1 such
+    steps, each adding at most (p-1)^2 to a slot, so slots stay non-negative
+    and w = bitlen((p-1) + (k-1)(p-1)^2) bits never carry.
+    """
+    p = RANK_PRIME
+    w = ((p - 1) * (1 + (k - 1) * (p - 1))).bit_length()
+    mask = (1 << w) - 1
+    pending = []
+    for row in rows:
+        packed = 0
+        for v in reversed(row):
+            packed = packed << w | v % p
+        if packed:
+            pending.append(packed)
+    rank = 0
+    for left in range(len(rows[0]), 0, -1):  # columns left, the head's included
+        if rank + min(left, len(pending)) < k:
+            return False
+        for idx, row in enumerate(pending):
+            head = (row & mask) % p  # a slot can be a nonzero multiple of p
+            if head:
+                break
+        else:
+            pending = [row >> w for row in pending]
+            continue
+        rank += 1
+        if rank == k:
+            return True
+        del pending[idx]
+        inv = pow(head, -1, p)
+        tail = row >> w
+        prow = 0
+        for shift in range((left - 2) * w, -1, -w):
+            prow = prow << w | (tail >> shift & mask) * inv % p
+        nxt = []
+        for row in pending:
+            x = (row & mask) % p
+            row = (row >> w) + (p - x) * prow if x else row >> w
+            if row:
+                nxt.append(row)
+        pending = nxt
+    return False
 
 
 def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:

@@ -135,8 +135,8 @@ def ensemble_rank(
     which is (p-1)xy(J - I) - u u^T + (p-1) C^T C with u = C^T 1,
     u_i = cp + d deg_i, expanded.  The rank is p + rank(S); x and y enter
     only as xy.  S is built from the pair's values scaled to integers, or to
-    Z[sqrt d] pairs, and ranked by fraction-free elimination.  m = n = 1 has
-    rank 2, or 0 when its one cross value is 0.
+    Z[sqrt d] pairs, and ranked by linalg.rank_int_rows or rank_quad_rows.
+    m = n = 1 has rank 2, or 0 when its one cross value is 0.
     """
     pair.require_good()
     if gram is None:

@@ -2,9 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symrank import linalg
 from symrank.exactfield import QuadExt
 from symrank.linalg import (
+    RANK_PRIME,
     Matrix,
     integer_scaled,
     quad_scaled,
@@ -178,3 +183,153 @@ def test_scaled_rows_keep_rank():
         rows.append([a + b for a, b in zip(rows[0], rows[1])])
         expected = rank_naive(Matrix.from_rows(rows))
         assert rank_int_rows([integer_scaled(r) for r in rows]) == expected
+
+
+# -- the mod-p certificate of full rank in rank_int_rows ------------------------
+#
+# Each case checks rank_int_rows against the textbook elimination in
+# oracle.rank_naive and against sympy's rank over ZZ.  (sympy's DomainMatrix
+# rank: Matrix.rank simplifies entry by entry and takes minutes on a 20x20
+# matrix of 64-bit entries.)
+
+
+def assert_rank(rows, expected=None):
+    rank = rank_int_rows(rows)
+    assert rank == rank_naive(Matrix.from_rows(rows))
+    assert rank == sympy.Matrix(rows).to_DM().rank()
+    if expected is not None:
+        assert rank == expected
+    return rank
+
+
+@pytest.fixture
+def modular_verdicts(monkeypatch):
+    """The verdict of every mod-p pass that rank_int_rows runs."""
+    verdicts = []
+    real = linalg._full_rank_mod_p
+
+    def spy(rows, k):
+        verdicts.append(real(rows, k))
+        return verdicts[-1]
+
+    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
+    return verdicts
+
+
+def gate_bits(k: int) -> int:
+    """The fewest entry bits b with k * (b + bitlen k) > 62, the modular pass's gate."""
+    return max(1, 62 // k - k.bit_length() + 1)
+
+
+@st.composite
+def gated_matrices(draw):
+    """Integer matrices up to 40x40 with entries large enough to pass the gate."""
+    r, c = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    bits = gate_bits(min(r, c)) + draw(st.integers(0, 6))
+    entry = st.integers(-(2**bits) + 1, 2**bits - 1)
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    rows[0][0] = draw(st.sampled_from((1, -1))) * 2 ** (bits - 1)  # one entry of `bits` bits
+    return rows
+
+
+@st.composite
+def known_rank_products(draw):
+    """([I; X] [I | Y], rank) with rows and columns shuffled: rank is exact over any field.
+
+    The product is scaled by 2^gate_bits(k), a unit mod p, so that it passes the gate.
+    """
+    r, c = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    k = min(r, c)
+    rank = k - draw(st.integers(0, min(2, k)) | st.integers(0, k))
+    bits = draw(st.integers(1, 40))
+    entry = st.integers(-(2**bits), 2**bits)
+
+    def block(height, width):
+        row = st.lists(entry, min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=height, max_size=height))
+
+    x, y = block(r - rank, rank), block(rank, c - rank)
+    top = [[int(i == j) for j in range(rank)] + y[i] for i in range(rank)]
+    bottom = [
+        xi + [sum(a * y[t][j] for t, a in enumerate(xi)) for j in range(c - rank)] for xi in x
+    ]
+    scale = 2 ** gate_bits(k)
+    order = draw(st.permutations(range(c)))
+    rows = [[scale * row[j] for j in order] for row in draw(st.permutations(top + bottom))]
+    return rows, rank
+
+
+@settings(max_examples=60)
+@given(gated_matrices())
+def test_certificate_agrees_with_oracles_on_drawn_matrices(rows):
+    assert_rank(rows)
+
+
+@settings(max_examples=60)
+@given(known_rank_products())
+def test_known_rank_products_fall_back_to_bareiss_exactly(case):
+    rows, rank = case
+    assert_rank(rows, rank)
+
+
+def test_gate_sends_only_wide_enough_entries_to_the_modular_pass(modular_verdicts):
+    rng = random.Random(61)
+    for k in range(1, 14):
+        below = 62 // k - k.bit_length()  # the most entry bits Bareiss takes directly
+        for bits, passes in ((below, 0), (below + 1, 1)):
+            if bits < 1:
+                continue
+            for cols in (k, k + 3):
+                low = 2 ** (bits - 1)
+                rows = [
+                    [rng.choice((1, -1)) * rng.randrange(low, 2 * low) for _ in range(cols)]
+                    for _ in range(k)
+                ]
+                for case in (rows, rows[:-1] + [[-a for a in rows[0]]]):
+                    del modular_verdicts[:]
+                    rank = assert_rank(case)
+                    assert len(modular_verdicts) == passes
+                    if passes:
+                        assert modular_verdicts == [rank == k]
+
+
+def test_unlucky_prime_falls_back_to_the_exact_rank(modular_verdicts):
+    p = RANK_PRIME
+    assert assert_rank([[p, 0], [0, 1]], 2) == 2
+    assert modular_verdicts == [False]
+    # a full-rank matrix with a nonzero row that is 0 mod p
+    rng = random.Random(62)
+    rows = [[rng.randint(-(2**20), 2**20) for _ in range(7)] for _ in range(6)]
+    rows[2] = [p * a for a in rows[2]]
+    del modular_verdicts[:]
+    assert_rank(rows, 6)
+    assert modular_verdicts == [False]
+
+
+def slot_growth_rows(k: int, cols: int) -> list[list[int]]:
+    """Rank k - 1 rows that fill the mod-p pass's slots about as far as they go.
+
+    Row r < k - 1 is the sum of rows 0..r of U, which has 1 on the diagonal
+    and -1 right of it.  In the pass every multiplier is then 1 and every
+    scaled pivot entry is -1 = p - 1, so each step adds (p - 1)^2 to a slot.
+    The last row is twice the one before it: multiplier 2 at each of its
+    k - 1 steps, after which it is 0 mod p with slots near (k-1)(p-1)^2.
+    """
+    u = [[(j == t) - (j > t) for j in range(cols)] for t in range(k - 1)]
+    rows = [[sum(u[t][j] for t in range(r + 1)) for j in range(cols)] for r in range(k - 1)]
+    return rows + [[2 * a for a in rows[-1]]]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 17, 32, 40])
+def test_slot_growth_stays_inside_the_slots(modular_verdicts, k):
+    p = RANK_PRIME
+    # every entry p - 1, plus a nonzero diagonal: I - J and diag(1..k) - J mod p, full rank
+    assert_rank([[p - 1 + (i == j) for j in range(k)] for i in range(k)], k)
+    assert_rank([[p - 1 + (i == j) * (i + 1) for j in range(k + 2)] for i in range(k)], k)
+    # scaling by p + 1 = 1 mod p keeps the rank and the pass, and passes the gate at every k;
+    # -J + 2I is singular mod p only when k = 2
+    assert_rank([[(p + 1) * (2 * (i == j) - 1) for j in range(k)] for i in range(k)])
+    for cols in (k, k + 2):
+        assert_rank([[(p + 1) * a for a in row] for row in slot_growth_rows(k, cols)], k - 1)
+    # the two full ones, -J + 2I (singular when k = 2), then the two rank-(k-1) cases
+    assert modular_verdicts == [True, True, k != 2, False, False]
