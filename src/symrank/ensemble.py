@@ -10,12 +10,18 @@ whose presence in a graph spectrum governs rank deficiency.
 
 Pair functions form a closed catalog: the linear form x + (1-2*theta)*y, the
 squared difference (x-y)^2, and an explicit 2x2 value table on {alpha, beta}.
+
+Values that are integers stay Python ints: the linear form keeps its
+coefficient 1 - 2*theta as an int when it is integral (theta = 1/2 gives 0),
+so int values give int entries and a rank that needs no denominators
+cleared.  Tournaments, like bipartite graphs, are stored as bitmasks: bit j
+of out[i] is set when i beats j.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -30,17 +36,25 @@ from .linalg import Matrix, integer_scaled, quad_discriminant, quad_scaled
 
 @dataclass(frozen=True)
 class LinearTheta:
-    """The linear form f(x, y) = x + (1 - 2*theta)*y for theta in (0, 1)."""
+    """The linear form f(x, y) = x + c*y, c = 1 - 2*theta, for theta in (0, 1).
+
+    c is computed once, and is an int when it is integral, so int arguments
+    give an int value whenever c is an int (theta = 1/2 among them).
+    """
 
     theta: Fraction
+    c: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", Fraction(self.theta))
-        if not 0 < self.theta < 1:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
+        theta = Fraction(self.theta)
+        if not 0 < theta < 1:
+            raise ValueError(f"theta must lie in (0, 1), got {theta}")
+        c = 1 - 2 * theta
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "c", c.numerator if c.denominator == 1 else c)
 
     def __call__(self, x, y):
-        return x + (1 - 2 * self.theta) * y
+        return x + self.c * y
 
 
 @dataclass(frozen=True)
@@ -133,7 +147,9 @@ class TwoValuePair:
             raise DegenerateEnsembleError(
                 "f(alpha, beta) == f(beta, alpha); the ensemble has a single member"
             )
-        value = vaa * vbb / (diff * diff)
+        den = diff * diff
+        # int / int is a float; an int denominator divides as a Fraction instead
+        value = vaa * vbb / (Fraction(den) if type(den) is int else den)
         if isinstance(value, QuadExt) and value.b == 0:
             return value.a
         return value
@@ -161,55 +177,91 @@ def mu_squared(pair: TwoValuePair):
 
 
 class Tournament:
-    """A complete orientation of the pairs of [n]; pair (i, j) means i beats j."""
+    """A complete orientation of the pairs of [n], stored as out-neighbour bitmasks.
 
-    __slots__ = ("n", "_wins")
+    Bit j of out[i] is set when i beats j.  The constructor takes the
+    oriented pairs (i, j), meaning i beats j, and raises ValueError naming a
+    pair that is not two ints, out of range, a self-loop, or oriented twice,
+    and when some pair is left unoriented.
+    """
+
+    __slots__ = ("n", "out")
 
     def __init__(self, n: int, oriented_pairs):
-        self.n = n
-        wins = set()
-        for i, j in oriented_pairs:
+        if type(n) is not int or n < 0:
+            raise ValueError(f"tournament size must be a nonnegative integer, got {n!r}")
+        out = [0] * n
+        count = 0
+        for i, j in map(_int_pair, oriented_pairs):
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"invalid oriented pair ({i}, {j}) for n={n}")
-            if (j, i) in wins or (i, j) in wins:
+            if out[i] >> j & 1 or out[j] >> i & 1:
                 raise ValueError(f"pair {{{i}, {j}}} oriented twice")
-            wins.add((i, j))
-        if len(wins) != n * (n - 1) // 2:
+            out[i] |= 1 << j
+            count += 1
+        if count != n * (n - 1) // 2:
             raise ValueError("orientation is not complete")
-        self._wins = frozenset(wins)
+        self.n = n
+        self.out = out
+
+    @classmethod
+    def _of_masks(cls, n: int, out: list[int]) -> "Tournament":
+        """A tournament from masks that are complete and antisymmetric by construction."""
+        t = cls.__new__(cls)
+        t.n = n
+        t.out = out
+        return t
 
     def beats(self, i: int, j: int) -> bool:
-        return (i, j) in self._wins
+        return bool(self.out[i] >> j & 1)
 
     def oriented_pairs(self) -> list[tuple[int, int]]:
-        return sorted(self._wins)
+        pairs = []
+        for i, mask in enumerate(self.out):
+            while mask:
+                low = mask & -mask
+                pairs.append((i, low.bit_length() - 1))
+                mask ^= low
+        return pairs
 
     def __eq__(self, other):
         if not isinstance(other, Tournament):
             return NotImplemented
-        return self.n == other.n and self._wins == other._wins
+        return self.n == other.n and self.out == other.out
 
     def __hash__(self):
-        return hash((self.n, self._wins))
+        return hash((self.n, tuple(self.out)))
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [[i + 1, j + 1] for i, j in self.oriented_pairs()]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tournament":
-        return cls(data["n"], [(i - 1, j - 1) for i, j in data["edges"]])
+        edges = data["edges"]
+        if not isinstance(edges, list):
+            raise ValueError(f"edges must be a list, got {edges!r}")
+        return cls(data["n"], [(i - 1, j - 1) for i, j in map(_int_pair, edges)])
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
-    """Each pair oriented by an independent fair coin; the seed fixes the outcome."""
+    """Each pair oriented by an independent fair coin; the seed fixes the outcome.
+
+    One getrandbits(1) per pair i < j, in row order; 1 means i beats j.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = random.Random(seed)
-    pairs = []
+    getrandbits = random.Random(seed).getrandbits
+    out = [0] * n
     for i in range(n):
+        bit_i = 1 << i
+        wins = 0
         for j in range(i + 1, n):
-            pairs.append((i, j) if rng.getrandbits(1) else (j, i))
-    return Tournament(n, pairs)
+            if getrandbits(1):
+                wins |= 1 << j
+            else:
+                out[j] |= bit_i
+        out[i] |= wins
+    return Tournament._of_masks(n, out)
 
 
 def _int_pair(edge) -> tuple[int, int]:
@@ -353,10 +405,12 @@ def matrix_from_tournament(f, values, tournament: Tournament) -> Matrix:
     if len(values) != n:
         raise ValueError(f"sequence length {len(values)} != tournament size {n}")
     entries = [0] * (n * n)
-    for i in range(n):
+    for i, wins in enumerate(tournament.out):
+        vi = values[i]
+        base = i * n
         for j in range(i + 1, n):
-            v = f(values[i], values[j]) if tournament.beats(i, j) else f(values[j], values[i])
-            entries[i * n + j] = v
+            v = f(vi, values[j]) if wins >> j & 1 else f(values[j], vi)
+            entries[base + j] = v
             entries[j * n + i] = v
     return Matrix(n, n, entries)
 

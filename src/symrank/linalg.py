@@ -3,7 +3,8 @@
 Matrices are dense and immutable by convention, with entries that are ints,
 Fractions, or QuadExt elements over a single discriminant.  Rank works on
 rows with denominators cleared row by row (`rank_int_rows` over Z,
-`rank_quad_rows` over Z[sqrt(d)]).
+`rank_quad_rows` over Z[sqrt(d)]); a matrix of ints goes to `rank_int_rows`
+as it is.  CSV cells that are integers parse straight to ints.
 
 Over Z, a matrix with k = min(rows, cols) has rank k when its rank modulo
 the word-sized prime RANK_PRIME is k: reduction mod p is a ring map, so a
@@ -20,6 +21,7 @@ rows scanned top-down, which makes the elimination deterministic.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -29,6 +31,9 @@ from .exactfield import QuadExt, format_scalar, parse_scalar
 
 # the word-sized prime of the full-rank certificate in rank_int_rows
 RANK_PRIME = 2**31 - 1
+
+# a stripped CSV cell that parse_scalar reads as the integer int() gives
+_INT_CELL_RE = re.compile(r"[+-]?\d+")
 
 
 class Matrix:
@@ -89,8 +94,10 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank, independent of row/column order."""
-        quad_d = quad_discriminant(self._e)
         rows = [self.row_list(i) for i in range(self.rows)]
+        if all(type(x) is int for x in self._e):
+            return rank_int_rows(rows)
+        quad_d = quad_discriminant(self._e)
         if quad_d is None:
             return rank_int_rows([integer_scaled(row) for row in rows])
         return rank_quad_rows([quad_scaled(row) for row in rows], quad_d)
@@ -107,8 +114,10 @@ class Matrix:
     def from_csv(cls, text: str) -> "Matrix":
         """Parse CSV text.
 
-        A bad cell raises ValueError naming its 1-based row and column, and a
-        row whose length differs from row 1's names the row and both lengths.
+        A cell whose stripped text is an optionally signed run of digits
+        becomes an int; every other cell goes through parse_scalar.  A bad
+        cell raises ValueError naming its 1-based row and column, and a row
+        whose length differs from row 1's names the row and both lengths.
         """
         rows = []
         for line in text.splitlines():
@@ -117,6 +126,10 @@ class Matrix:
                 continue
             row = []
             for col, cell in enumerate(line.split(","), 1):
+                digits = cell.strip()
+                if _INT_CELL_RE.fullmatch(digits):
+                    row.append(int(digits))
+                    continue
                 try:
                     row.append(parse_scalar(cell))
                 except ValueError as exc:

@@ -254,6 +254,12 @@ _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
             "row 2 has length 1, expected 2",
             id="csv-ragged-row",
         ),
+        pytest.param(
+            ["rank", "--in", "{path}"],
+            "1,2\n3,1_000\n",
+            "row 2, column 2: invalid rational literal: '1_000'",
+            id="csv-underscored-int",
+        ),
         pytest.param(["bigraph", "--in", "{path}"], "[1, 2]", "[1, 2]", id="bigraph-not-object"),
         pytest.param(
             ["bigraph", "--in", "{path}"], _BAD_GRAPH_EDGE, "[1, 'a']", id="bigraph-bad-edge"

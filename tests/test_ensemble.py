@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symrank.exactfield import QuadExt
 from symrank.errors import DegenerateEnsembleError, GoodPairError, NotInEnsembleError
 from symrank.ensemble import (
     BipartiteGraph,
@@ -18,6 +19,7 @@ from symrank.ensemble import (
     random_tournament,
     tournament_from_matrix,
 )
+from symrank.spectra import rank_sandwich
 
 HALF = Fraction(1, 2)
 
@@ -196,7 +198,124 @@ def test_mu_squared_invariance_properties():
 
 
 def test_serialization_roundtrips():
-    t = random_tournament(5, 9)
-    assert Tournament.from_dict(t.to_dict()) == t
     g = BipartiteGraph.from_edges(3, 4, [(0, 1), (2, 3)])
     assert BipartiteGraph.from_dict(g.to_dict()) == g
+    tournaments = [random_tournament(n, seed) for n in (1, 2, 3, 5, 9) for seed in range(6)]
+    for t in tournaments:
+        data = t.to_dict()
+        assert data["edges"] == sorted(data["edges"])
+        assert t.oriented_pairs() == sorted(t.oriented_pairs())
+        back = Tournament.from_dict(data)
+        assert back == t and hash(back) == hash(t)
+    # a set of tournaments dedups exactly as their serialized forms do
+    forms = {(t.n, tuple(map(tuple, t.to_dict()["edges"]))) for t in tournaments}
+    assert len(set(tournaments)) == len(forms) < len(tournaments)
+
+
+def _pair_list_tournament(n: int, seed: int) -> Tournament:
+    """The definition: one getrandbits(1) per pair i < j, in row order; 1 means i beats j."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pairs.append((i, j) if rng.getrandbits(1) else (j, i))
+    return Tournament(n, pairs)
+
+
+def test_random_tournament_draws_in_pair_order():
+    for n in (1, 2, 3, 7, 16, 40):
+        for seed in (0, 1, 5, 123, 10**9):
+            t = random_tournament(n, seed)
+            assert t == _pair_list_tournament(n, seed)
+            assert all(
+                t.beats(i, j) != t.beats(j, i) for i in range(n) for j in range(i + 1, n)
+            )
+
+
+@pytest.mark.parametrize(
+    "n, pairs, named",
+    [
+        pytest.param(3, [(0, 1), (1, 2), (0, 3)], "(0, 3)", id="out-of-range"),
+        pytest.param(3, [(0, 1), (-1, 2), (0, 2)], "(-1, 2)", id="negative"),
+        pytest.param(3, [(0, 1), (2, 2), (0, 2)], "(2, 2)", id="self-loop"),
+        pytest.param(3, [(0, 1), (1, 2), (2, 1)], "{2, 1}", id="oriented-twice"),
+        pytest.param(3, [(0, 1), (1, 2), (1, 2)], "{1, 2}", id="repeated"),
+        pytest.param(3, [(0, 1), (1, 2)], "not complete", id="incomplete"),
+        pytest.param(2.0, [(0, 1)], "2.0", id="float-size"),
+        pytest.param(2, [(0.0, 1.0)], "(0.0, 1.0)", id="float-pair"),
+    ],
+)
+def test_tournament_validation_names_the_pair(n, pairs, named):
+    with pytest.raises(ValueError) as exc:
+        Tournament(n, pairs)
+    assert named in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        pytest.param({"n": 2, "edges": [[1.0, 2.0]]}, "[1.0, 2.0]", id="float-edge"),
+        pytest.param({"n": 2, "edges": [[1, "2"]]}, "[1, '2']", id="string-endpoint"),
+        pytest.param({"n": 3, "edges": [[1, 2, 3]]}, "[1, 2, 3]", id="triple"),
+        pytest.param({"n": 2, "edges": 5}, "got 5", id="edges-not-a-list"),
+        pytest.param({"n": 2, "edges": [[1, 3]]}, "(0, 2)", id="out-of-range"),
+        pytest.param({"n": 3, "edges": [[1, 2], [2, 3]]}, "not complete", id="incomplete"),
+    ],
+)
+def test_tournament_from_dict_validates_edges(data, named):
+    with pytest.raises(ValueError) as exc:
+        Tournament.from_dict(data)
+    assert named in str(exc.value)
+
+
+_QUAD_VALUES = [QuadExt(1, 1, 3), 2, QuadExt(HALF, -1, 3), Fraction(5, 3), QuadExt(0, 2, 3)]
+
+
+@pytest.mark.parametrize("theta", [HALF, Fraction(1, 3), Fraction(1, 4), Fraction(3, 4)])
+@pytest.mark.parametrize(
+    "values",
+    [
+        pytest.param([1, 2, 3, 5, 8], id="int"),
+        pytest.param([Fraction(k, 4) for k in (2, 12, -7, 8, 9)], id="fraction"),
+        pytest.param(_QUAD_VALUES, id="quadext"),
+    ],
+)
+def test_tournament_entries_equal_the_pair_function(theta, values):
+    f = LinearTheta(theta)
+    exact = [v if isinstance(v, QuadExt) else Fraction(v) for v in values]
+    n = len(values)
+    for seed in range(4):
+        t = random_tournament(n, seed)
+        m = matrix_from_tournament(f, values, t)
+        for i in range(n):
+            assert m.entry(i, i) == 0
+            for j in range(n):
+                if i != j:
+                    x, y = (exact[i], exact[j]) if t.beats(i, j) else (exact[j], exact[i])
+                    assert m.entry(i, j) == x + (1 - 2 * theta) * y
+
+
+def test_half_theta_keeps_int_values_int():
+    f = LinearTheta(HALF)
+    assert f.c == 0 and type(f.c) is int
+    assert type(LinearTheta(Fraction(1, 4)).c) is Fraction
+    for n, seed in ((1, 0), (6, 1), (25, 2)):
+        m = matrix_from_tournament(f, range(1, n + 1), random_tournament(n, seed))
+        assert all(type(x) is int for x in m.entries())
+
+
+def test_int_valued_pairs_give_exact_mu_squared_and_sandwich():
+    int_table = TwoValuePair.table(1, 2, 5, 6, 7, 8)
+    frac_table = TwoValuePair.table(*(Fraction(v) for v in (1, 2, 5, 6, 7, 8)))
+    int_linear = TwoValuePair.linear(HALF, 1, 3)
+    frac_linear = TwoValuePair.linear(HALF, Fraction(1), Fraction(3))
+    for int_pair, frac_pair in ((int_table, frac_table), (int_linear, frac_linear)):
+        mu2 = mu_squared(int_pair)
+        assert type(mu2) is Fraction and mu2 == mu_squared(frac_pair)
+        for g in (
+            BipartiteGraph.complete(2, 3),
+            BipartiteGraph.from_edges(3, 3, [(0, 0), (1, 1), (2, 0)]),
+            BipartiteGraph(4, 2, [1, 2, 3, 0]),
+        ):
+            assert rank_sandwich(int_pair, g).to_dict() == rank_sandwich(frac_pair, g).to_dict()
+    assert mu_squared(int_table) == 40

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import linalg
-from symrank.exactfield import QuadExt
+from symrank.exactfield import QuadExt, parse_scalar
 from symrank.linalg import (
     RANK_PRIME,
     Matrix,
@@ -157,6 +158,92 @@ def test_csv_roundtrip():
     assert again == m
     zero5 = Matrix(5, 5, [0] * 25)
     assert Matrix.from_csv(zero5.to_csv()).rank() == 0
+
+
+# cells near the integer form: signs, padding, underscores, hex, exponents, inner
+# spaces (parse_scalar drops them), a non-ASCII decimal digit, a superscript digit
+# (str.isdigit but not int), empty, 1/1, Q(sqrt 3)
+_CELL_CASES = [" +7 ", "-0", "1_000", "0x10", "1e3", "3 4", "\u0663", "", "1/1", "2+1*sqrt(3)"]
+_CELL_CASES += ["++7", "+-7", "+ 7", "7-", "\u00b2", "\u0663\u0660"]
+_CELL_PIECES = list("0123456789+-/_ex* \t\u00a0\u0663\u00b2") + ["sqrt(3)", "sqrt(4)", "00"]
+
+
+def _padded_int(left, sign, digits, right):
+    return f"{left}{sign}{digits}{right}"
+
+
+csv_cells = st.one_of(
+    st.sampled_from(_CELL_CASES),
+    st.builds(
+        _padded_int,
+        st.sampled_from(["", " ", "\t", "\u00a0"]),
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 10**30),
+        st.sampled_from(["", " ", "\t", "\u2003"]),
+    ),
+    st.lists(st.sampled_from(_CELL_PIECES), max_size=6).map("".join),
+)
+
+
+@settings(max_examples=400)
+@given(csv_cells)
+def test_csv_cells_parse_like_parse_scalar(cell):
+    try:
+        expected = parse_scalar(cell)
+    except ValueError as exc:
+        expected = exc
+    try:
+        got = Matrix.from_csv("0," + cell).entry(0, 1)
+    except ValueError as exc:
+        assert isinstance(expected, ValueError), f"{cell!r} parses to {expected}"
+        assert str(exc).startswith("row 1, column 2: ")
+        return
+    assert not isinstance(expected, ValueError), f"{cell!r} should be rejected"
+    assert got == expected
+    # an optionally signed run of digits is an int; everything else keeps parse_scalar's type
+    is_int_cell = re.fullmatch(r"[+-]?\d+", cell.strip()) is not None
+    assert (type(got) is int) == is_int_cell
+    if not is_int_cell:
+        assert type(got) is type(expected)
+
+
+@st.composite
+def csv_matrices(draw):
+    """Small matrices of ints, of Fractions, or of Q(sqrt d) values mixed with rationals."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["int", "fraction", "quad"]))
+    ints = st.integers(-(10**20), 10**20)
+    fractions = st.fractions(max_denominator=10**6)
+    if kind == "int":
+        entries = ints
+    elif kind == "fraction":
+        entries = fractions
+    else:
+        d = draw(st.sampled_from([2, 3, 5, 7]))
+        small = st.fractions(min_value=-50, max_value=50, max_denominator=9)
+        entries = st.one_of(ints, fractions, st.builds(lambda a, b: QuadExt(a, b, d), small, small))
+    matrix = Matrix(r, c, draw(st.lists(entries, min_size=r * c, max_size=r * c)))
+    return kind, matrix
+
+
+@given(csv_matrices())
+def test_csv_roundtrip_property(case):
+    kind, m = case
+    again = Matrix.from_csv(m.to_csv())
+    assert again == m
+    if kind == "int":
+        assert all(type(x) is int for x in again.entries())
+
+
+def test_int_matrix_ranks_without_rescaling(monkeypatch):
+    def rescaled(values):
+        raise AssertionError("an int matrix was rescaled")
+
+    monkeypatch.setattr(linalg, "integer_scaled", rescaled)
+    assert squared_difference_matrix(6).rank() == 3
+    assert Matrix.from_csv("2,4,6\n1,2,3\n-1,0,1\n").rank() == 2
+    with pytest.raises(AssertionError):
+        Matrix(1, 2, [Fraction(1, 2), 1]).rank()
 
 
 def test_row_rank_entry_points():
