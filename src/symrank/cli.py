@@ -44,15 +44,7 @@ def _read_json_object(path: str) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        lines = []
-        for key, value in sorted(report.items()):
-            if isinstance(value, (dict, list)):
-                value = json.dumps(value, sort_keys=True)
-            lines.append(f"{key},{value}")
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -325,7 +317,7 @@ def _cmd_family_search(args) -> dict:
     return {
         "command": "family-search",
         "config": _config(args, ("n", "seed_kind", "seed_file", "budget", "max_set_size")),
-        "seed_size": len(seed.sets),
+        "seed_size": len(seed),
         "size": len(result),
         "beats_bound": len(result) > 3 * args.n // 2 - 2,
         "family": result.to_dict(),
@@ -361,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, seed=False):
         p.add_argument("--out", default=None, help="write the JSON report to a file")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
         if seed:
             p.add_argument("--seed", type=int, default=0)
 

@@ -15,7 +15,13 @@ incidence graphs.
 from __future__ import annotations
 
 from .errors import UnsupportedParameterError, VerificationError
-from .ensemble import BipartiteGraph, TwoValuePair
+from .ensemble import (
+    BipartiteGraph,
+    TwoValuePair,
+    mask_to_points,
+    points_to_mask,
+    transpose_masks,
+)
 from .spectra import SpectralReport, rank_sandwich
 
 
@@ -124,6 +130,9 @@ class SymmetricDesign:
     __slots__ = ("v", "k", "lam", "row_masks")
 
     def __init__(self, v: int, k: int, lam: int, row_masks):
+        for name, value in (("v", v), ("k", k), ("lambda", lam)):
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         row_masks = list(row_masks)
         if len(row_masks) != v:
             raise ValueError(f"expected {v} blocks, got {len(row_masks)}")
@@ -131,24 +140,19 @@ class SymmetricDesign:
             raise VerificationError(
                 f"parameters 2-({v},{k},{lam}) violate lambda(v-1) = k(k-1)"
             )
-        full = (1 << v) - 1
-        col_counts = [0] * v
         for i, mask in enumerate(row_masks):
-            if mask & ~full:
+            if mask < 0 or mask >> v:
                 raise ValueError(f"block {i} uses points outside [1..{v}]")
             if mask.bit_count() != k:
                 raise VerificationError(f"block {i} has size {mask.bit_count()}, not {k}")
-            for j in range(v):
-                if (mask >> j) & 1:
-                    col_counts[j] += 1
-        if any(c != k for c in col_counts):
+        if any(col.bit_count() != k for col in transpose_masks(row_masks, v)):
             raise VerificationError("some point does not lie on exactly k blocks")
-        for i in range(v):
+        for i, row in enumerate(row_masks):
             for j in range(i + 1, v):
-                if (row_masks[i] & row_masks[j]).bit_count() != lam:
+                shared = (row & row_masks[j]).bit_count()
+                if shared != lam:
                     raise VerificationError(
-                        f"blocks {i} and {j} share {(row_masks[i] & row_masks[j]).bit_count()} "
-                        f"points, expected {lam}"
+                        f"blocks {i} and {j} share {shared} points, expected {lam}"
                     )
         self.v = v
         self.k = k
@@ -157,35 +161,24 @@ class SymmetricDesign:
 
     @classmethod
     def from_blocks(cls, v: int, k: int, lam: int, blocks) -> "SymmetricDesign":
-        masks = []
-        for block in blocks:
-            mask = 0
-            for point in block:
-                if not 1 <= point <= v:
-                    raise ValueError(f"point {point} outside [1..{v}]")
-                mask |= 1 << (point - 1)
-            masks.append(mask)
-        return cls(v, k, lam, masks)
+        """Blocks as 1-based point lists, made masks only after the constructor checks v."""
+        return cls(v, k, lam, (points_to_mask(block, v) for block in blocks))
 
     def blocks(self) -> list[list[int]]:
-        out = []
-        for mask in self.row_masks:
-            block = []
-            j = 0
-            while mask:
-                if mask & 1:
-                    block.append(j + 1)
-                mask >>= 1
-                j += 1
-            out.append(block)
-        return out
+        return [mask_to_points(mask) for mask in self.row_masks]
 
     def to_dict(self) -> dict:
         return {"v": self.v, "k": self.k, "lambda": self.lam, "blocks": self.blocks()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SymmetricDesign":
-        return cls.from_blocks(data["v"], data["k"], data["lambda"], data["blocks"])
+        blocks = data["blocks"]
+        if not isinstance(blocks, list):
+            raise ValueError(f"blocks must be a list, got {blocks!r}")
+        for block in blocks:
+            if not isinstance(block, list):
+                raise ValueError(f"block {block!r} is not a list of points")
+        return cls.from_blocks(data["v"], data["k"], data["lambda"], blocks)
 
     def __eq__(self, other):
         if not isinstance(other, SymmetricDesign):

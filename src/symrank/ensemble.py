@@ -16,6 +16,9 @@ coefficient 1 - 2*theta as an int when it is integral (theta = 1/2 gives 0),
 so int values give int entries and a rank that needs no denominators
 cleared.  Tournaments, like bipartite graphs, are stored as bitmasks: bit j
 of out[i] is set when i beats j.
+
+The mask helpers below are the package's one conversion between bitmasks
+and position lists or 1-based point lists (bit j is point j + 1).
 """
 
 from __future__ import annotations
@@ -176,6 +179,46 @@ def mu_squared(pair: TwoValuePair):
     return pair.mu_squared
 
 
+def set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of a nonnegative mask, ascending."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return bits
+
+
+def transpose_masks(masks, width: int) -> list[int]:
+    """Column masks of row masks over `width` columns: bit i of column j is row i's bit j."""
+    cols = [0] * width
+    for i, mask in enumerate(masks):
+        bit = 1 << i
+        while mask:
+            low = mask & -mask
+            cols[low.bit_length() - 1] |= bit
+            mask ^= low
+    return cols
+
+
+def points_to_mask(points, n: int) -> int:
+    """The mask of 1-based points; ValueError naming a point that is not an
+    int (a bool is not) or lies outside [1..n]."""
+    mask = 0
+    for point in points:
+        if type(point) is not int:
+            raise ValueError(f"point {point!r} is not an integer")
+        if not 1 <= point <= n:
+            raise ValueError(f"point {point} outside [1..{n}]")
+        mask |= 1 << (point - 1)
+    return mask
+
+
+def mask_to_points(mask: int) -> list[int]:
+    """The 1-based points of a nonnegative mask, ascending."""
+    return [j + 1 for j in set_bits(mask)]
+
+
 class Tournament:
     """A complete orientation of the pairs of [n], stored as out-neighbour bitmasks.
 
@@ -216,13 +259,7 @@ class Tournament:
         return bool(self.out[i] >> j & 1)
 
     def oriented_pairs(self) -> list[tuple[int, int]]:
-        pairs = []
-        for i, mask in enumerate(self.out):
-            while mask:
-                low = mask & -mask
-                pairs.append((i, low.bit_length() - 1))
-                mask ^= low
-        return pairs
+        return [(i, j) for i, mask in enumerate(self.out) for j in set_bits(mask)]
 
     def __eq__(self, other):
         if not isinstance(other, Tournament):
@@ -313,26 +350,13 @@ class BipartiteGraph:
         return bool(self.row_masks[i] >> j & 1)
 
     def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for i, mask in enumerate(self.row_masks):
-            while mask:
-                low = mask & -mask
-                out.append((i, low.bit_length() - 1))
-                mask ^= low
-        return out
+        return [(i, j) for i, mask in enumerate(self.row_masks) for j in set_bits(mask)]
 
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.row_masks)
 
     def column_masks(self) -> list[int]:
-        cols = [0] * self.n
-        for i, mask in enumerate(self.row_masks):
-            bit = 1 << i
-            while mask:
-                low = mask & -mask
-                cols[low.bit_length() - 1] |= bit
-                mask ^= low
-        return cols
+        return transpose_masks(self.row_masks, self.n)
 
     def degrees(self) -> list[int]:
         """Degrees of all m + n vertices, left part first."""
@@ -352,19 +376,13 @@ class BipartiteGraph:
         frontier_right = 0
         while frontier_left or frontier_right:
             new_right = 0
-            mask = frontier_left
-            while mask:
-                low = mask & -mask
-                new_right |= self.row_masks[low.bit_length() - 1]
-                mask ^= low
+            for i in set_bits(frontier_left):
+                new_right |= self.row_masks[i]
             new_right &= ~seen_right
             seen_right |= new_right
             new_left = 0
-            mask = frontier_right | new_right
-            while mask:
-                low = mask & -mask
-                new_left |= cols[low.bit_length() - 1]
-                mask ^= low
+            for j in set_bits(frontier_right | new_right):
+                new_left |= cols[j]
             new_left &= ~seen_left
             seen_left |= new_left
             frontier_left, frontier_right = new_left, new_right

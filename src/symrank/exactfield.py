@@ -304,6 +304,7 @@ def solve_monic_quadratic(p, q):
 
 # -- text form ------------------------------------------------------------
 
+_INT_RE = re.compile(r"[+-]?\d+")
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 _QUAD_RE = re.compile(
     r"^([+-]?\d+(?:/\d+)?)"  # a
@@ -346,8 +347,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_scalar(text: str):
-    """Parse the text form back into a Fraction or QuadExt."""
-    s = text.strip().replace(" ", "")
+    """Parse the text form back into an int, a Fraction or a QuadExt.
+
+    Stripped text that is a signed run of digits is an int; inner spaces are
+    dropped only after that test, so "3 4" is Fraction(34).
+    """
+    s = text.strip()
+    if _INT_RE.fullmatch(s):
+        return int(s)
+    s = s.replace(" ", "")
     m = _QUAD_RE.match(s)
     if m:
         return QuadExt(parse_rational(m.group(1)), parse_rational(m.group(2)), int(m.group(3)))

@@ -8,8 +8,9 @@ family over [8] that extends the sunflower by four 4-sets), maps families to
 ensemble matrices, and searches for extensions beating the 3n/2 - 2 size by
 branch-and-bound over compatible even-sized candidate sets.
 
-Sets are handled as bitmasks internally; the JSON form lists each set as an
-ascending point list.
+A family stores each set as a bitmask (bit j is point j + 1), as every 0/1
+structure of the package does; the JSON form lists each set as an ascending
+point list.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import combinations
 
 from .errors import ConstructionFailedError, UnsupportedParameterError
 from .designs import HadamardMatrix
-from .ensemble import LinearTheta
+from .ensemble import LinearTheta, mask_to_points, points_to_mask
 from .linalg import Matrix
 
 # depth-first nodes the quarter-set completion in `hadamard_family` may visit
@@ -30,60 +31,67 @@ CANDIDATE_CAP = 5000
 
 
 class SetFamily:
-    """A collection of distinct nonempty subsets of [ground_n] (points 1-based)."""
+    """A collection of distinct nonempty subsets of [ground_n], stored as bitmasks.
 
-    __slots__ = ("ground_n", "sets")
+    Bit j of a mask is point j + 1.  The constructor takes 1-based point
+    lists and `from_masks` takes masks; both check that the sets are
+    nonempty, inside [1..ground_n] and distinct.  Point lists, ascending,
+    are made from the masks only for reports and error messages.
+    """
+
+    __slots__ = ("ground_n", "masks")
 
     def __init__(self, ground_n: int, sets):
         if type(ground_n) is not int or ground_n < 1:
             raise ValueError(f"ground_n must be an integer >= 1, got {ground_n!r}")
-        canonical = []
-        seen = set()
+        masks = []
         for s in sets:
-            if any(type(x) is not int for x in s):
-                raise ValueError(f"set {s!r} has a point that is not an integer")
-            fs = frozenset(s)
-            if not fs:
+            try:
+                masks.append(points_to_mask(s, ground_n))
+            except ValueError as exc:
+                raise ValueError(f"set {s!r}: {exc}") from None
+        self._store(ground_n, masks)
+
+    @classmethod
+    def from_masks(cls, ground_n: int, masks) -> "SetFamily":
+        """The family of the given masks, with the constructor's checks."""
+        family = cls(ground_n, ())  # checks ground_n
+        family._store(ground_n, masks)
+        return family
+
+    def _store(self, ground_n: int, masks) -> None:
+        masks = tuple(masks)
+        seen = set()
+        for mask in masks:
+            if mask < 0:
+                raise ValueError(f"set mask {mask} is negative")
+            if not mask:
                 raise ValueError("families contain nonempty sets only")
-            if any(not 1 <= x <= ground_n for x in fs):
-                raise ValueError(f"set {sorted(fs)} has points outside [1..{ground_n}]")
-            if fs in seen:
-                raise ValueError(f"duplicate set {sorted(fs)}")
-            seen.add(fs)
-            canonical.append(fs)
+            if mask >> ground_n:
+                raise ValueError(f"set {mask_to_points(mask)} has points outside [1..{ground_n}]")
+            if mask in seen:
+                raise ValueError(f"duplicate set {mask_to_points(mask)}")
+            seen.add(mask)
         self.ground_n = ground_n
-        self.sets = tuple(canonical)
+        self.masks = masks
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self.masks)
 
     def __eq__(self, other):
         if not isinstance(other, SetFamily):
             return NotImplemented
-        return self.ground_n == other.ground_n and set(self.sets) == set(other.sets)
-
-    def masks(self) -> list[int]:
-        out = []
-        for s in self.sets:
-            mask = 0
-            for x in s:
-                mask |= 1 << (x - 1)
-            out.append(mask)
-        return out
+        return self.ground_n == other.ground_n and set(self.masks) == set(other.masks)
 
     def sizes(self) -> list[int]:
-        return [len(s) for s in self.sets]
+        return [mask.bit_count() for mask in self.masks]
 
     def with_ground(self, ground_n: int) -> "SetFamily":
-        """The same sets viewed over a larger ground set."""
-        if ground_n < self.ground_n:
-            for s in self.sets:
-                if max(s) > ground_n:
-                    raise ValueError(f"set {sorted(s)} does not fit in [1..{ground_n}]")
-        return SetFamily(ground_n, self.sets)
+        """The same sets viewed over another ground set they fit in."""
+        return SetFamily.from_masks(ground_n, self.masks)
 
     def to_dict(self) -> dict:
-        return {"n": self.ground_n, "sets": sorted(sorted(s) for s in self.sets)}
+        return {"n": self.ground_n, "sets": sorted(map(mask_to_points, self.masks))}
 
     @classmethod
     def from_dict(cls, data: dict) -> "SetFamily":
@@ -96,7 +104,7 @@ class SetFamily:
         return cls(data["n"], sets)
 
     def __repr__(self):
-        return f"SetFamily(n={self.ground_n}, size={len(self.sets)})"
+        return f"SetFamily(n={self.ground_n}, size={len(self.masks)})"
 
 
 def _mask_compatible(a: int, b: int, theta: Fraction) -> bool:
@@ -110,11 +118,11 @@ def theta_violation(family: SetFamily, theta) -> tuple[list[int], list[int]] | N
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    masks = family.masks()
+    masks = family.masks
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if not _mask_compatible(masks[i], masks[j], theta):
-                return sorted(family.sets[i]), sorted(family.sets[j])
+                return mask_to_points(masks[i]), mask_to_points(masks[j])
     return None
 
 
@@ -153,20 +161,6 @@ _FANO_FAMILY_SETS = (
 def fano_family() -> SetFamily:
     """The explicit 14-set bisection-closed family over [8]."""
     return SetFamily(8, _FANO_FAMILY_SETS)
-
-
-def _masks_to_family(n: int, masks) -> SetFamily:
-    sets = []
-    for mask in masks:
-        s = []
-        j = 0
-        while mask:
-            if mask & 1:
-                s.append(j + 1)
-            mask >>= 1
-            j += 1
-        sets.append(tuple(s))
-    return SetFamily(n, sets)
 
 
 def _complete_quarter_sets(existing, pool, needed):
@@ -249,12 +243,12 @@ def hadamard_family(h: HadamardMatrix) -> SetFamily:
                 pool.append(t)
     extra = _complete_quarter_sets(larges + quarter_base, pool, n // 2 - len(quarter_base))
     if extra is not None:
-        family = _masks_to_family(n, larges + quarter_base + extra)
+        family = SetFamily.from_masks(n, larges + quarter_base + extra)
         if len(family) == target_total and is_theta_intersecting(family, half):
             return family
 
     # fallback profile: all n-1 row supports plus the distinct intersections
-    family = _masks_to_family(n, supports + quarter_base)
+    family = SetFamily.from_masks(n, supports + quarter_base)
     if len(family) == target_total and is_theta_intersecting(family, half):
         return family
     raise ConstructionFailedError(
@@ -274,7 +268,7 @@ def family_matrix(family: SetFamily, theta) -> Matrix:
     if violation is not None:
         raise ValueError(f"family is not theta-intersecting: {violation[0]} vs {violation[1]}")
     f = LinearTheta(theta)
-    masks = family.masks()
+    masks = family.masks
     sizes = [Fraction(m.bit_count()) for m in masks]
     count = len(masks)
     entries = [Fraction(0)] * (count * count)
@@ -321,15 +315,15 @@ def search_bisection_closed(
         raise ValueError(f"seed is not bisection-closed: {violation[0]} vs {violation[1]}")
     limit = max_set_size if max_set_size is not None else n
     limit = min(limit, n)
-    seed_masks = seed.masks()
+    seed_masks = list(seed.masks)
     seed_lookup = set(seed_masks)
 
+    # sums of distinct single bits, in the lexicographic order of the point subsets
+    bits = [1 << j for j in range(n)]
     candidates = []
     for size in range(2, limit + 1, 2):
-        for combo in combinations(range(1, n + 1), size):
-            mask = 0
-            for x in combo:
-                mask |= 1 << (x - 1)
+        for combo in combinations(bits, size):
+            mask = sum(combo)
             if mask in seed_lookup:
                 continue
             if all(_mask_compatible(mask, s, half) for s in seed_masks):
@@ -381,4 +375,4 @@ def search_bisection_closed(
     if count:
         expand((1 << count) - 1)
     extension = [candidates[i] for i in best]
-    return _masks_to_family(n, seed_masks + extension)
+    return SetFamily.from_masks(n, seed_masks + extension)

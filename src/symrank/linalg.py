@@ -4,7 +4,7 @@ Matrices are dense and immutable by convention, with entries that are ints,
 Fractions, or QuadExt elements over a single discriminant.  Rank works on
 rows with denominators cleared row by row (`rank_int_rows` over Z,
 `rank_quad_rows` over Z[sqrt(d)]); a matrix of ints goes to `rank_int_rows`
-as it is.  CSV cells that are integers parse straight to ints.
+as it is.  CSV cells that are integers parse to ints.
 
 Over Z, a matrix with k = min(rows, cols) has rank k when its rank modulo
 the word-sized prime RANK_PRIME is k: reduction mod p is a ring map, so a
@@ -21,7 +21,6 @@ rows scanned top-down, which makes the elimination deterministic.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -31,9 +30,6 @@ from .exactfield import QuadExt, format_scalar, parse_scalar
 
 # the word-sized prime of the full-rank certificate in rank_int_rows
 RANK_PRIME = 2**31 - 1
-
-# a stripped CSV cell that parse_scalar reads as the integer int() gives
-_INT_CELL_RE = re.compile(r"[+-]?\d+")
 
 
 class Matrix:
@@ -112,12 +108,10 @@ class Matrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "Matrix":
-        """Parse CSV text.
+        """Parse CSV text, each cell with parse_scalar.
 
-        A cell whose stripped text is an optionally signed run of digits
-        becomes an int; every other cell goes through parse_scalar.  A bad
-        cell raises ValueError naming its 1-based row and column, and a row
-        whose length differs from row 1's names the row and both lengths.
+        A bad cell raises ValueError naming its 1-based row and column, and a
+        row whose length differs from row 1's names the row and both lengths.
         """
         rows = []
         for line in text.splitlines():
@@ -126,10 +120,6 @@ class Matrix:
                 continue
             row = []
             for col, cell in enumerate(line.split(","), 1):
-                digits = cell.strip()
-                if _INT_CELL_RE.fullmatch(digits):
-                    row.append(int(digits))
-                    continue
                 try:
                     row.append(parse_scalar(cell))
                 except ValueError as exc:

@@ -11,6 +11,9 @@ import time
 import warnings
 from fractions import Fraction
 
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+
 from symrank.designs import (
     complement_design,
     design_rank_instance,
@@ -173,12 +176,16 @@ def test_criterion_05_hadamard_design_instance():
 
 
 def test_criterion_06_squared_difference_low_rank():
+    # the oracle is sympy's rank over ZZ, built directly as a DomainMatrix
+    # (building a sympy.Matrix first and converting it costs more than the rank)
     start = time.monotonic()
     for n in range(3, 201):
-        m = Matrix(n, n, [(i - j) ** 2 for i in range(n) for j in range(n)])
+        rows = [[(i - j) ** 2 for j in range(n)] for i in range(n)]
+        m = Matrix(n, n, [x for row in rows for x in row])
         r = m.rank()
         assert r <= 3
-        assert rank_naive(m) == 3 == r
+        oracle = DomainMatrix([[ZZ(x) for x in row] for row in rows], (n, n), ZZ).rank()
+        assert oracle == 3 == r
     report(6, "squared-difference matrix has rank exactly 3 for n in 3..200, "
               "oracle-confirmed", time.monotonic() - start, 60)
 

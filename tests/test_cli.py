@@ -3,6 +3,7 @@ import json
 import pytest
 
 from symrank.cli import main
+from symrank.ensemble import matrix_from_tournament
 from symrank.linalg import Matrix
 
 
@@ -59,6 +60,24 @@ def test_tournament_with_values(capsys):
     )
     assert code == 0
     assert json.loads(out)["rank"] >= 5
+
+
+def test_tournament_values_typed_as_integers_rank_an_int_matrix(capsys, monkeypatch):
+    import symrank.cli as cli
+
+    built = []
+
+    def recording(f, values, tournament):
+        built.append(matrix_from_tournament(f, values, tournament))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "matrix_from_tournament", recording)
+    values = ",".join(str(v) for v in range(1, 41))
+    code, out = run_cli(capsys, "tournament", "--n", "40", "--seed", "3", "--values", values)
+    assert code == 0
+    (matrix,) = built
+    assert all(type(x) is int for x in matrix.entries())
+    assert json.loads(out)["rank"] == matrix.rank()
 
 
 def test_bigraph_matrix_output(tmp_path, capsys):
@@ -188,6 +207,7 @@ def test_family_search(capsys):
     )
     assert code == 0
     report = json.loads(out)
+    assert report["seed_size"] == 14
     assert report["size"] > 13
     assert report["beats_bound"] is True
 
@@ -208,16 +228,13 @@ def test_random_rank_stats(capsys):
     assert len(report["ranks"]) == 10
 
 
-def test_out_file_and_csv_format(tmp_path, capsys):
+def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, _ = run_cli(
         capsys, "mu", "--theta", "1/2", "--alpha", "1", "--beta", "2", "--out", str(path)
     )
     assert code == 0
     assert json.loads(path.read_text())["mu_squared"] == "2"
-    code, out = run_cli(capsys, "mu", "--theta", "1/2", "--alpha", "1", "--beta", "2", "--format", "csv")
-    assert code == 0
-    assert "mu_squared,2" in out
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):
@@ -230,6 +247,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
     with pytest.raises(SystemExit) as exc:
         main(["random-rank-stats", "--threads", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["mu", "--format", "csv"])
     assert exc.value.code == 2
 
 

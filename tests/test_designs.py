@@ -155,6 +155,47 @@ def test_design_validation_catches_bad_blocks():
         SymmetricDesign.from_blocks(7, 3, 2, fano().blocks())
 
 
+def test_design_point_counts_are_checked_before_block_intersections():
+    blocks = fano().blocks()
+    blocks[0] = [1, 2, 4]  # point 3 now lies on 2 blocks, point 4 on 4
+    with pytest.raises(VerificationError, match="some point does not lie on exactly k blocks"):
+        SymmetricDesign.from_blocks(7, 3, 1, blocks)
+    # every block of size 3, but point 7 on no block and point 1 on four
+    blocks = [[1, 2, 3], [1, 4, 5], [1, 2, 6], [2, 4, 6], [1, 5, 6], [3, 4, 5], [3, 5, 6]]
+    with pytest.raises(VerificationError, match="some point does not lie on exactly k blocks"):
+        SymmetricDesign.from_blocks(7, 3, 1, blocks)
+
+
+def _fano_dict(**changes):
+    return {"v": 7, "k": 3, "lambda": 1, "blocks": fano().blocks()} | changes
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        pytest.param(
+            _fano_dict(blocks=[[True, 2, 3]] + fano().blocks()[1:]), "True", id="bool-point"
+        ),
+        pytest.param(
+            _fano_dict(blocks=[[1.0, 2, 3]] + fano().blocks()[1:]), "1.0", id="float-point"
+        ),
+        pytest.param(_fano_dict(blocks="abc"), "'abc'", id="blocks-a-string"),
+        pytest.param(_fano_dict(v=7.0), "7.0", id="float-v"),
+        pytest.param(_fano_dict(blocks=[[0, 2, 3]] + fano().blocks()[1:]), "point 0", id="point-0"),
+        pytest.param(_fano_dict(blocks=[5] + fano().blocks()[1:]), "block 5", id="block-an-int"),
+    ],
+)
+def test_design_from_dict_names_a_bad_value(data, named):
+    with pytest.raises(ValueError) as exc:
+        SymmetricDesign.from_dict(data)
+    assert named in str(exc.value)
+
+
+def test_design_dict_roundtrip():
+    for design in (fano(), complement_design(fano()), hadamard_design(paley(23))):
+        assert SymmetricDesign.from_dict(design.to_dict()) == design
+
+
 def test_incidence_graphs():
     heawood = incidence_bigraph(fano())
     assert heawood.m + heawood.n == 14

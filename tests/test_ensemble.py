@@ -13,11 +13,15 @@ from symrank.ensemble import (
     Tournament,
     TwoValuePair,
     bigraph_from_matrix,
+    mask_to_points,
     matrix_from_bigraph,
     matrix_from_tournament,
     mu_squared,
+    points_to_mask,
     random_tournament,
+    set_bits,
     tournament_from_matrix,
+    transpose_masks,
 )
 from symrank.spectra import rank_sandwich
 
@@ -319,3 +323,35 @@ def test_int_valued_pairs_give_exact_mu_squared_and_sandwich():
         ):
             assert rank_sandwich(int_pair, g).to_dict() == rank_sandwich(frac_pair, g).to_dict()
     assert mu_squared(int_table) == 40
+
+
+def test_mask_helpers_match_a_bit_scan():
+    rng = random.Random(11)
+    for width in (0, 1, 5, 64, 130):
+        masks = [rng.getrandbits(width) if width else 0 for _ in range(7)]
+        for mask in masks:
+            bits = [j for j in range(width) if mask >> j & 1]
+            assert set_bits(mask) == bits
+            assert mask_to_points(mask) == [j + 1 for j in bits]
+            assert points_to_mask(mask_to_points(mask), max(width, 1)) == mask
+        cols = transpose_masks(masks, width)
+        assert len(cols) == width
+        for j, col in enumerate(cols):
+            assert set_bits(col) == [i for i, mask in enumerate(masks) if mask >> j & 1]
+    assert points_to_mask((3, 1, 3), 3) == 0b101
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([1, True], "point True is not an integer"),
+        ([1.0], "point 1.0 is not an integer"),
+        (["2"], "point '2' is not an integer"),
+        ([2, 0], "point 0 outside [1..4]"),
+        ([5], "point 5 outside [1..4]"),
+    ],
+)
+def test_points_to_mask_names_a_bad_point(points, message):
+    with pytest.raises(ValueError) as exc:
+        points_to_mask(points, 4)
+    assert str(exc.value) == message

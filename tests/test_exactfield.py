@@ -170,3 +170,21 @@ def test_text_form_roundtrip():
     assert parse_scalar(" -1/2 ") == Fraction(-1, 2)
     with pytest.raises(ValueError):
         parse_scalar("sqrt(banana)")
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("7", 7), (" -12 ", -12), ("+3", 3), ("-0", 0), ("\u0663", 3), ("10" * 20, int("10" * 20))],
+)
+def test_integer_text_parses_to_an_int(text, value):
+    got = parse_scalar(text)
+    assert type(got) is int and got == value
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("3 4", Fraction(34)), ("- 5", Fraction(-5)), ("4/2", Fraction(2)), ("6/1", Fraction(6))],
+)
+def test_other_rational_text_stays_a_fraction(text, value):
+    got = parse_scalar(text)
+    assert type(got) is Fraction and got == value

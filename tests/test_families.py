@@ -40,13 +40,54 @@ def test_set_family_validation():
         SetFamily(4, [()])
 
 
+def test_set_family_stores_masks():
+    fam = SetFamily(5, [(2, 1), [5], (3, 3, 4)])
+    assert fam.masks == (0b11, 0b10000, 0b1100)
+    assert fam.sizes() == [2, 1, 2]
+    assert fam.to_dict() == {"n": 5, "sets": [[1, 2], [3, 4], [5]]}
+    assert SetFamily.from_masks(5, [0b1100, 0b11, 0b10000]) == fam
+    assert SetFamily.from_masks(6, fam.masks) != fam
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ([(1, True)], "set (1, True): point True is not an integer"),
+        ([(1, 2.0)], "set (1, 2.0): point 2.0 is not an integer"),
+        ([(1, 5)], "set (1, 5): point 5 outside [1..4]"),
+        ([(1, 0)], "set (1, 0): point 0 outside [1..4]"),
+    ],
+)
+def test_set_family_rejections_name_the_set(sets, message):
+    with pytest.raises(ValueError) as exc:
+        SetFamily(4, sets)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "masks, message",
+    [
+        ([0], "families contain nonempty sets only"),
+        ([0b10011], "set [1, 2, 5] has points outside [1..4]"),
+        ([0b11, 0b11], "duplicate set [1, 2]"),
+        ([-1], "set mask -1 is negative"),
+    ],
+)
+def test_from_masks_checks(masks, message):
+    with pytest.raises(ValueError) as exc:
+        SetFamily.from_masks(4, masks)
+    assert str(exc.value) == message
+    with pytest.raises(ValueError, match="ground_n"):
+        SetFamily.from_masks(0, [1])
+
+
 def test_sunflower_family():
     f8 = sunflower_family(8)
     expected = {
         (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (1, 8),
         (1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8),
     }
-    assert {tuple(sorted(s)) for s in f8.sets} == expected
+    assert {tuple(sorted(s)) for s in f8.to_dict()["sets"]} == expected
     assert len(f8) == 10 == 3 * 8 // 2 - 2
     f4 = sunflower_family(4)
     assert len(f4) == 4 and is_theta_intersecting(f4, HALF)
@@ -181,6 +222,35 @@ def test_search_beats_bound_from_fano_seed():
         assert is_theta_intersecting(result, HALF)
 
 
+def _bisection_compatible(a, b):
+    return 2 * (a & b).bit_count() in (a.bit_count(), b.bit_count())
+
+
+def _largest_extension(size, pool):
+    """Size of the largest pairwise compatible family grown by members of `pool`."""
+    top = size
+    for i, a in enumerate(pool):
+        rest = [b for b in pool[i + 1:] if _bisection_compatible(a, b)]
+        top = max(top, _largest_extension(size + 1, rest))
+    return top
+
+
+@pytest.mark.parametrize("n, seed_set", [(6, (1, 2)), (6, (1, 2, 3, 4)), (7, (1, 2))])
+def test_completed_search_matches_brute_force(n, seed_set):
+    # the oracle tries every family of even-sized sets that contains the seed set
+    seed = SetFamily(n, [seed_set])
+    (s,) = seed.masks
+    result = search_bisection_closed(n, seed, time_budget=60)
+    pool = [
+        m
+        for m in range(1, 1 << n)
+        if m.bit_count() % 2 == 0 and m != s and _bisection_compatible(m, s)
+    ]
+    assert len(result) == _largest_extension(1, pool)
+    assert s in result.masks and all(m.bit_count() % 2 == 0 for m in result.masks)
+    assert is_theta_intersecting(result, HALF)
+
+
 def test_sunflower_over_10_is_maximal():
     # no even-sized set over [10] is compatible with the whole sunflower family,
     # so the search returns the seed itself
@@ -190,7 +260,8 @@ def test_sunflower_over_10_is_maximal():
 
 def _cross_class_graph(family):
     """Bipartite graph between the two size classes of a two-size family."""
-    ordered = SetFamily(family.ground_n, sorted(family.sets, key=lambda s: (len(s), sorted(s))))
+    sets = family.to_dict()["sets"]
+    ordered = SetFamily(family.ground_n, sorted(sets, key=lambda s: (len(s), sorted(s))))
     sizes = ordered.sizes()
     small, large = sizes[0], sizes[-1]
     count_small = sizes.count(small)
@@ -228,15 +299,15 @@ def test_hadamard_and_sunflower_graphs_nearly_identical():
     # from the sunflower leaves families with isomorphic class graphs
     sunflower = sunflower_family(8)
     trimmed_sunflower = SetFamily(
-        8, [s for s in sunflower.sets if s != frozenset({1, 2})]
+        8, [s for s in sunflower.to_dict()["sets"] if s != [1, 2]]
     )
     target = _cross_class_graph(trimmed_sunflower)
     h8 = hadamard_family(sylvester(3))
     witnesses = []
-    for candidate in h8.sets:
+    for candidate in h8.to_dict()["sets"]:
         if len(candidate) != 2:
             continue
-        trimmed = SetFamily(8, [s for s in h8.sets if s != candidate])
+        trimmed = SetFamily(8, [s for s in h8.to_dict()["sets"] if s != candidate])
         if _bipartite_isomorphic(_cross_class_graph(trimmed), target):
             witnesses.append(sorted(candidate))
     assert witnesses, "no removable set yields the sunflower intersection pattern"
@@ -252,5 +323,5 @@ def test_family_json_roundtrip():
 def test_with_ground():
     fam = fano_family().with_ground(12)
     assert fam.ground_n == 12 and len(fam) == 14
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"set \[1, 7\] has points outside \[1\.\.6\]"):
         fano_family().with_ground(6)
