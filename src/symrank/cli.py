@@ -311,12 +311,10 @@ def _cmd_family_search(args) -> dict:
         seed = fam.SetFamily.from_dict(_read_json_object(args.seed_file))
     else:
         seed = _family_from_kind(args.seed_kind, args)
-    result = fam.search_bisection_closed(
-        args.n, seed, time_budget=args.budget, max_set_size=args.max_set_size
-    )
+    result = fam.search_bisection_closed(args.n, seed, time_budget=args.budget)
     return {
         "command": "family-search",
-        "config": _config(args, ("n", "seed_kind", "seed_file", "budget", "max_set_size")),
+        "config": _config(args, ("n", "seed_kind", "seed_file", "budget")),
         "seed_size": len(seed),
         "size": len(result),
         "beats_bound": len(result) > 3 * args.n // 2 - 2,
@@ -460,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-kind", choices=("sunflower", "fano", "hadamard"), default="sunflower")
     p.add_argument("--seed-file", default=None)
     p.add_argument("--budget", type=float, default=60.0)
-    p.add_argument("--max-set-size", type=int, default=None)
     p.add_argument("--order", type=int, default=8)
     common(p)
     p.set_defaults(handler=_cmd_family_search)

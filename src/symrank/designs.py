@@ -20,7 +20,6 @@ from .ensemble import (
     TwoValuePair,
     mask_to_points,
     points_to_mask,
-    transpose_masks,
 )
 from .spectra import SpectralReport, rank_sandwich
 
@@ -145,8 +144,11 @@ class SymmetricDesign:
                 raise ValueError(f"block {i} uses points outside [1..{v}]")
             if mask.bit_count() != k:
                 raise VerificationError(f"block {i} has size {mask.bit_count()}, not {k}")
-        if any(col.bit_count() != k for col in transpose_masks(row_masks, v)):
-            raise VerificationError("some point does not lie on exactly k blocks")
+        # The block checks imply that every point lies on exactly k blocks.  With
+        # N the v x v incidence matrix, N N^T = (k - lam) I + lam J, so
+        # N N^T 1 = (k - lam + lam v) 1 = k^2 1 = N (k 1) by lam(v-1) = k(k-1).
+        # N is invertible unless k is 0 or lam (det N N^T = (k - lam)^(v-1) k^2),
+        # so N^T 1 = k 1; for k in {0, lam} every block is empty or all of [v].
         for i, row in enumerate(row_masks):
             for j in range(i + 1, v):
                 shared = (row & row_masks[j]).bit_count()

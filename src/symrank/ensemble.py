@@ -33,7 +33,7 @@ from .errors import (
     GoodPairError,
     NotInEnsembleError,
 )
-from .exactfield import QuadExt, format_scalar
+from .exactfield import format_scalar
 from .linalg import Matrix, integer_scaled, quad_discriminant, quad_scaled
 
 
@@ -65,7 +65,8 @@ class SquaredDiff:
     """f(x, y) = (x - y)^2; vanishes on the diagonal, so never a good pair."""
 
     def __call__(self, x, y):
-        return (x - y) ** 2
+        diff = x - y
+        return diff * diff
 
 
 @dataclass(frozen=True)
@@ -152,10 +153,7 @@ class TwoValuePair:
             )
         den = diff * diff
         # int / int is a float; an int denominator divides as a Fraction instead
-        value = vaa * vbb / (Fraction(den) if type(den) is int else den)
-        if isinstance(value, QuadExt) and value.b == 0:
-            return value.a
-        return value
+        return vaa * vbb / (Fraction(den) if type(den) is int else den)
 
     def is_good(self) -> bool:
         vaa, _, _, vbb = self.values
@@ -170,7 +168,7 @@ class TwoValuePair:
 
 
 def mu_squared(pair: TwoValuePair):
-    """f(a,a) f(b,b) / (f(a,b) - f(b,a))^2, demoted to a Fraction when rational.
+    """f(a,a) f(b,b) / (f(a,b) - f(b,a))^2: a Fraction when rational, else a QuadExt.
 
     Computed once per pair.  Raises DegenerateEnsembleError when
     f(a,b) == f(b,a), in which case the ensemble contains a single matrix and

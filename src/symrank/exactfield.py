@@ -1,12 +1,13 @@
 """Exact scalars: arbitrary-precision rationals and quadratic extensions Q(sqrt(d)).
 
-Rationals are plain ``fractions.Fraction`` values, which are always stored
-reduced with a positive denominator, so everything in this package
-interoperates with the standard library.  :class:`QuadExt` adds exact
-arithmetic for numbers of the form ``a + b*sqrt(d)`` with rational ``a``,
-``b`` and a fixed square-free ``d >= 2``.  A single computation never mixes
-two different discriminants; embedding a rational into Q(sqrt(d)) (``b = 0``)
-is the only implicit conversion.
+Every exact number has one representation.  Rationals are ints or plain
+``fractions.Fraction`` values, which are always stored reduced with a
+positive denominator, so everything in this package interoperates with the
+standard library.  :class:`QuadExt` holds the irrational numbers
+``a + b*sqrt(d)``, with rational ``a``, nonzero rational ``b`` and a fixed
+square-free ``d >= 2``; an operation whose result is rational returns a
+Fraction.  A single computation never mixes two different discriminants; a
+rational operand combines with any of them.
 
 Text forms: ``"p/q"`` (or ``"p"``) for rationals, ``"a+b*sqrt(d)"`` for
 quadratic elements, with the same rational syntax for ``a`` and ``b``.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import FieldMismatchError, NoRealRootError
@@ -24,13 +26,16 @@ from .errors import FieldMismatchError, NoRealRootError
 SQUARE_FREE_TRIAL_BOUND = 10**6
 
 
+@lru_cache(maxsize=1024)
 def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int, int]:
     """Decompose ``n = s**2 * d`` with ``d`` square-free; returns ``(d, s)``.
 
-    Factoring is by trial division up to ``bound``.  A leftover cofactor is
-    accepted when it is certifiably prime (no divisor below its square root
-    was missed) or a perfect square; otherwise the input is rejected since
-    square-freeness of the cofactor cannot be certified at desk scale.
+    Factoring is by trial division up to ``bound``, once per argument: the
+    result is cached, since every element of Q(sqrt(d)) checks its d.  A
+    leftover cofactor is accepted when it is certifiably prime (no divisor
+    below its square root was missed) or a perfect square; otherwise the
+    input is rejected since square-freeness of the cofactor cannot be
+    certified at desk scale.
     """
     if n <= 0:
         raise ValueError(f"square_free_part requires a positive integer, got {n}")
@@ -65,135 +70,112 @@ def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int,
 
 
 class QuadExt:
-    """An element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)).
+    """An irrational element ``a + b*sqrt(d)`` of the real quadratic field Q(sqrt(d)).
 
     ``d`` must be a square-free integer >= 2 (perfect squares are rejected;
-    such values are plain rationals and must be represented as ``Fraction``).
-    Instances are immutable.  Arithmetic accepts ``int`` and ``Fraction``
-    operands through the ``b = 0`` embedding; combining two irrational
-    elements with different ``d`` raises :class:`FieldMismatchError`.
+    such values are plain rationals).  ``b`` is never 0: ``QuadExt(a, 0, d)``
+    returns ``Fraction(a)``, and so does every operation whose result is
+    rational, so a rational has one representation.  Instances are
+    immutable.  Arithmetic accepts ``int`` and ``Fraction`` operands;
+    combining elements with different ``d`` raises
+    :class:`FieldMismatchError`.  A ``QuadExt`` never equals a rational.
     """
 
     __slots__ = ("a", "b", "d")
 
-    def __init__(self, a, b, d: int):
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
+    def __new__(cls, a, b, d: int):
+        # d is checked first, so a zero b still names a bad d; __init__ then
+        # fills in an irrational element (bench/tracing.py counts those calls)
         if d < 2:
             raise ValueError(f"discriminant must be >= 2, got {d}")
         sf, sq = square_free_part(d)
         if sq != 1:
             raise ValueError(f"discriminant must be square-free, got {d} = {sq}**2 * {sf}")
+        if not b:
+            return Fraction(a)
+        return object.__new__(cls)
+
+    def __init__(self, a, b, d: int):
+        object.__setattr__(self, "a", Fraction(a))
+        object.__setattr__(self, "b", Fraction(b))
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
         raise AttributeError("QuadExt is immutable")
 
-    # -- coercion ---------------------------------------------------------
-
-    def _align(self, other) -> "tuple[QuadExt, QuadExt] | None":
-        """Both operands over one discriminant; rational-embedded values adapt."""
+    def _parts(self, other) -> "tuple[Fraction | int, Fraction | int] | None":
+        """other's (a, b) over this discriminant; None when other is no exact scalar."""
         if isinstance(other, QuadExt):
-            if other.d == self.d:
-                return self, other
-            if other.b == 0:
-                return self, QuadExt(other.a, 0, self.d)
-            if self.b == 0:
-                return QuadExt(self.a, 0, other.d), other
-            raise FieldMismatchError(
-                f"cannot mix sqrt({self.d}) and sqrt({other.d}) elements"
-            )
+            if other.d != self.d:
+                raise FieldMismatchError(
+                    f"cannot mix sqrt({self.d}) and sqrt({other.d}) elements"
+                )
+            return other.a, other.b
         if isinstance(other, (int, Fraction)):
-            return self, QuadExt(other, 0, self.d)
+            return other, 0
         return None
-
-    def norm(self) -> Fraction:
-        """The field norm a**2 - d * b**2."""
-        return self.a * self.a - self.d * self.b * self.b
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        pair = self._align(other)
-        if pair is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        x, y = pair
-        return QuadExt(x.a + y.a, x.b + y.b, x.d)
+        return QuadExt(self.a + parts[0], self.b + parts[1], self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._align(other)
-        if pair is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        x, y = pair
-        return QuadExt(x.a - y.a, x.b - y.b, x.d)
+        return QuadExt(self.a - parts[0], self.b - parts[1], self.d)
 
     def __rsub__(self, other):
-        pair = self._align(other)
-        if pair is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        x, y = pair
-        return QuadExt(y.a - x.a, y.b - x.b, x.d)
+        return QuadExt(parts[0] - self.a, parts[1] - self.b, self.d)
 
     def __neg__(self):
         return QuadExt(-self.a, -self.b, self.d)
 
     def __mul__(self, other):
-        pair = self._align(other)
-        if pair is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        x, y = pair
-        return QuadExt(
-            x.a * y.a + x.d * x.b * y.b,
-            x.a * y.b + x.b * y.a,
-            x.d,
-        )
+        a, b = parts
+        return QuadExt(self.a * a + self.d * self.b * b, self.a * b + self.b * a, self.d)
 
     __rmul__ = __mul__
 
-    def _inverse(self) -> "QuadExt":
-        n = self.norm()
+    def _quotient(self, num, den) -> "QuadExt | Fraction":
+        """num / den for (a, b) parts, one of them this element's: num * conj(den) / norm(den)."""
+        (xa, xb), (ya, yb) = num, den
+        d = self.d
+        # this element's parts are Fractions, so neither quotient is a float
+        n = ya * ya - d * yb * yb
         if n == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt(d))")
-        return QuadExt(self.a / n, -self.b / n, self.d)
+        return QuadExt((xa * ya - d * xb * yb) / n, (xb * ya - xa * yb) / n, d)
 
     def __truediv__(self, other):
-        pair = self._align(other)
-        if pair is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        x, y = pair
-        return x * y._inverse()
+        return self._quotient((self.a, self.b), parts)
 
     def __rtruediv__(self, other):
-        pair = self._align(other)
-        if pair is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        x, y = pair
-        return y * x._inverse()
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            return self._inverse() ** (-exponent)
-        result = QuadExt(1, 0, self.d)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return self._quotient(parts, (self.a, self.b))
 
     # -- comparisons ------------------------------------------------------
 
     def _sign(self) -> int:
         """Exact sign of a + b*sqrt(d)."""
         a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (1 if a > 0 else 0)
         if a == 0:
             return -1 if b < 0 else 1
         if a > 0 and b > 0:
@@ -201,7 +183,7 @@ class QuadExt:
         if a < 0 and b < 0:
             return -1
         # opposite signs: |a| vs |b|*sqrt(d), i.e. a**2 vs d*b**2 (never equal
-        # for b != 0 since d is not a square)
+        # since d is not a square)
         bigger_rational = a * a > self.d * b * b
         if a > 0:
             return 1 if bigger_rational else -1
@@ -209,25 +191,16 @@ class QuadExt:
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
-            if other.d == self.d:
-                return self.a == other.a and self.b == other.b
-            return self.b == 0 and other.b == 0 and self.a == other.a
+            return self.a == other.a and self.b == other.b and self.d == other.d
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return False
         return NotImplemented
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return not eq
-
     def _diff_sign(self, other) -> int:
-        pair = self._align(other)
-        if pair is None:
+        diff = self.__sub__(other)
+        if diff is NotImplemented:
             raise TypeError(f"cannot compare QuadExt with {type(other).__name__}")
-        x, y = pair
-        return (x - y)._sign()
+        return scalar_sign(diff)
 
     def __lt__(self, other):
         return self._diff_sign(other) < 0
@@ -241,12 +214,7 @@ class QuadExt:
     def __ge__(self, other):
         return self._diff_sign(other) >= 0
 
-    def __bool__(self):
-        return bool(self.a) or bool(self.b)
-
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
         return hash((self.a, self.b, self.d))
 
     def __repr__(self):
@@ -257,14 +225,12 @@ class QuadExt:
 
 
 def as_fraction(x) -> Fraction:
-    """Convert an exact scalar to a Fraction; ValueError if genuinely irrational."""
+    """Convert a rational scalar to a Fraction; ValueError for a QuadExt, which is irrational."""
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, QuadExt):
-        if x.b == 0:
-            return x.a
         raise ValueError(f"{x} is irrational")
     raise TypeError(f"not an exact scalar: {type(x).__name__}")
 
@@ -326,8 +292,6 @@ def format_scalar(x) -> str:
     if isinstance(x, (int, Fraction)):
         return format_rational(x)
     if isinstance(x, QuadExt):
-        if x.b == 0:
-            return format_rational(x.a)
         b = format_rational(x.b)
         if not b.startswith("-"):
             b = "+" + b

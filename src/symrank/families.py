@@ -296,7 +296,6 @@ def search_bisection_closed(
     n: int,
     seed: SetFamily,
     time_budget: float = 60.0,
-    max_set_size: int | None = None,
 ) -> SetFamily:
     """Best bisection-closed extension of `seed` over [n] found by backtracking.
 
@@ -313,15 +312,13 @@ def search_bisection_closed(
     violation = theta_violation(seed, half)
     if violation is not None:
         raise ValueError(f"seed is not bisection-closed: {violation[0]} vs {violation[1]}")
-    limit = max_set_size if max_set_size is not None else n
-    limit = min(limit, n)
     seed_masks = list(seed.masks)
     seed_lookup = set(seed_masks)
 
     # sums of distinct single bits, in the lexicographic order of the point subsets
     bits = [1 << j for j in range(n)]
     candidates = []
-    for size in range(2, limit + 1, 2):
+    for size in range(2, n + 1, 2):
         for combo in combinations(bits, size):
             mask = sum(combo)
             if mask in seed_lookup:

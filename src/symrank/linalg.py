@@ -1,10 +1,11 @@
 """Exact dense linear algebra: matrices, their rank, and CSV text form.
 
 Matrices are dense and immutable by convention, with entries that are ints,
-Fractions, or QuadExt elements over a single discriminant.  Rank works on
-rows with denominators cleared row by row (`rank_int_rows` over Z,
-`rank_quad_rows` over Z[sqrt(d)]); a matrix of ints goes to `rank_int_rows`
-as it is.  CSV cells that are integers parse to ints.
+Fractions, or QuadExt elements over a single discriminant.  A QuadExt is
+never rational, so a matrix is over Q(sqrt(d)) exactly when it has a QuadExt
+entry.  Rank works on rows with denominators cleared row by row
+(`rank_int_rows` over Z, `rank_quad_rows` over Z[sqrt(d)]); a matrix of ints
+goes to `rank_int_rows` as it is.  CSV cells that are integers parse to ints.
 
 Over Z, a matrix with k = min(rows, cols) has rank k when its rank modulo
 the word-sized prime RANK_PRIME is k: reduction mod p is a ring map, so a
@@ -136,13 +137,13 @@ class Matrix:
 
 
 def quad_discriminant(values) -> int | None:
-    """The d of the irrational Q(sqrt(d)) scalars among values; None if all are rational.
+    """The d of the QuadExt scalars among values; None if all are rational.
 
-    Raises FieldMismatchError when two irrational scalars have different d.
+    Raises FieldMismatchError when two of them have different d.
     """
     quad_d = None
     for x in values:
-        if isinstance(x, QuadExt) and x.b != 0:
+        if isinstance(x, QuadExt):
             if quad_d is None:
                 quad_d = x.d
             elif x.d != quad_d:
@@ -151,11 +152,7 @@ def quad_discriminant(values) -> int | None:
 
 
 def integer_scaled(values) -> list[int]:
-    """Rational scalars times the lcm of their denominators (scaling preserves rank).
-
-    QuadExt values must be rational-embedded (b == 0).
-    """
-    values = [v.a if isinstance(v, QuadExt) else v for v in values]
+    """Rational scalars times the lcm of their denominators (scaling preserves rank)."""
     scale = lcm(*(v.denominator for v in values))
     if scale == 1:
         return [v.numerator for v in values]

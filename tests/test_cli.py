@@ -251,6 +251,9 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["mu", "--format", "csv"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["family-search", "--n", "8", "--max-set-size", "4"])
+    assert exc.value.code == 2
 
 
 _BAD_GRAPH_EDGE = json.dumps({"m": 1, "n": 1, "edges": [[1, "a"]]})
@@ -262,6 +265,9 @@ _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
     "argv, infile, named",
     [
         pytest.param(["mu", "--alpha", "1/0"], None, "1/0", id="mu-zero-denominator"),
+        pytest.param(
+            ["mu", "--alpha", "1+0*sqrt(4)"], None, "got 4 = 2**2 * 1", id="mu-zero-b-square-d"
+        ),
         pytest.param(
             ["rank", "--in", "{path}"],
             "1,2\n3,1/0\n",

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from symrank.errors import UnsupportedParameterError, VerificationError
-from symrank.ensemble import TwoValuePair, mu_squared
+from symrank.ensemble import TwoValuePair, mu_squared, transpose_masks
 from symrank.designs import (
     HadamardMatrix,
     SymmetricDesign,
@@ -155,15 +156,35 @@ def test_design_validation_catches_bad_blocks():
         SymmetricDesign.from_blocks(7, 3, 2, fano().blocks())
 
 
-def test_design_point_counts_are_checked_before_block_intersections():
+def test_designs_with_uneven_point_counts_are_rejected_by_block_intersections():
     blocks = fano().blocks()
     blocks[0] = [1, 2, 4]  # point 3 now lies on 2 blocks, point 4 on 4
-    with pytest.raises(VerificationError, match="some point does not lie on exactly k blocks"):
+    with pytest.raises(VerificationError, match="blocks 0 and 1 share 2 points"):
         SymmetricDesign.from_blocks(7, 3, 1, blocks)
     # every block of size 3, but point 7 on no block and point 1 on four
     blocks = [[1, 2, 3], [1, 4, 5], [1, 2, 6], [2, 4, 6], [1, 5, 6], [3, 4, 5], [3, 5, 6]]
-    with pytest.raises(VerificationError, match="some point does not lie on exactly k blocks"):
+    with pytest.raises(VerificationError, match="blocks 0 and 2 share 2 points"):
         SymmetricDesign.from_blocks(7, 3, 1, blocks)
+
+
+def test_every_accepted_small_design_has_k_blocks_through_each_point():
+    # exhaustive over all 0/1 v x v incidence matrices, v <= 4, and every
+    # 0 <= lambda <= k <= v with lambda(v-1) = k(k-1)
+    accepted = 0
+    for v in range(1, 5):
+        params = [
+            (k, lam) for k in range(v + 1) for lam in range(k + 1) if lam * (v - 1) == k * (k - 1)
+        ]
+        for masks in product(range(1 << v), repeat=v):
+            for k, lam in params:
+                try:
+                    SymmetricDesign(v, k, lam, masks)
+                except VerificationError:
+                    continue
+                accepted += 1
+                assert [col.bit_count() for col in transpose_masks(masks, v)] == [k] * v
+    # permutation matrices and their complements, and the empty and full designs
+    assert accepted == 3 + 4 + 14 + 50
 
 
 def _fano_dict(**changes):

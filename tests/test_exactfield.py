@@ -73,8 +73,34 @@ def test_quadext_rejects_square_discriminant():
 def test_quadext_mixed_discriminants_error():
     with pytest.raises(FieldMismatchError):
         QuadExt(1, 1, 5) + QuadExt(1, 1, 2)
-    # rational-embedded values cross discriminants freely
+    # a b = 0 value is a Fraction, so it crosses discriminants freely
     assert QuadExt(3, 0, 5) + QuadExt(1, 1, 2) == QuadExt(4, 1, 2)
+    # irrational elements of different fields are never equal
+    assert QuadExt(1, 1, 5) != QuadExt(1, 1, 2)
+
+
+def test_a_rational_is_never_a_quadext():
+    assert type(QuadExt(Fraction(7, 3), 0, 5)) is Fraction
+    assert type(QuadExt(2, 0, 5)) is Fraction and QuadExt(2, 0, 5) == 2
+    root5 = QuadExt(0, 1, 5)
+    for value in (root5 * root5, root5 - root5, root5 / root5, (1 + root5) * (1 - root5)):
+        assert type(value) is Fraction
+    assert QuadExt(2, 1, 5) != 2 and QuadExt(2, 1, 5) != Fraction(2)
+    # the discriminant is checked before b, so a b = 0 value still names a square d
+    with pytest.raises(ValueError, match="got 4"):
+        QuadExt(1, 0, 4)
+    with pytest.raises(ValueError, match="got 4"):
+        parse_scalar("1+0*sqrt(4)")
+    assert type(parse_scalar("1+0*sqrt(3)")) is Fraction
+
+
+def test_each_discriminant_is_factored_once():
+    d = 999_999_999_989  # a prime: trial division runs to the bound of 10**6
+    misses = square_free_part.cache_info().misses
+    cells = [f"{i}+{j}*sqrt({d})" for i in range(1, 9) for j in range(1, 9)]
+    parsed = [parse_scalar(cell) for cell in cells]
+    assert all(x.d == d for x in parsed)
+    assert square_free_part.cache_info().misses == misses + 1
 
 
 def test_quadext_division_by_zero():
