@@ -43,8 +43,39 @@ def _read_json_object(path: str) -> dict:
     return data
 
 
+# the types json.dumps writes as one token
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def report_json(value, indent: str = "\n") -> str:
+    """The text of `json.dumps(value, sort_keys=True, indent=2)`, built faster.
+
+    With `indent` set, json.dumps runs its pure-Python encoder over every
+    value.  Here only dicts and lists are walked in Python: a list of scalars
+    is encoded in one C-level json.dumps call whose item separator carries
+    the indentation.  `indent` is the newline and indentation that precede
+    the value's closing bracket.  Dict keys must be strings, as in every
+    report.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (json.dumps(k) + ": " + report_json(v, inner) for k, v in sorted(value.items()))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= _JSON_SCALARS:
+            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
+        else:
+            body = ("," + inner).join(report_json(x, inner) for x in value)
+        return "[" + inner + body + indent + "]"
+    return json.dumps(value)
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = report_json(report) + "\n"
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

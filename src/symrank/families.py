@@ -6,7 +6,11 @@ theta = 1/2.  The module builds the named extremal families (the two-sunflower
 union, the one derived from a normalized Hadamard matrix, and the 14-set
 family over [8] that extends the sunflower by four 4-sets), maps families to
 ensemble matrices, and searches for extensions beating the 3n/2 - 2 size by
-branch-and-bound over compatible even-sized candidate sets.
+branch-and-bound over compatible even-sized candidate sets.  The search is a
+maximum-clique search on the candidates' compatibility graph, bounded by a
+greedy colouring of the candidates at each node (Tomita and Seki's MCQ, on
+bitsets as in San Segundo et al.'s BBMC): a clique meets each colour class,
+an independent set, at most once.
 
 A family stores each set as a bitmask (bit j is point j + 1), as every 0/1
 structure of the package does; the JSON form lists each set as an ascending
@@ -292,6 +296,33 @@ def rank_to_size_bound(c, n: int) -> Fraction:
     return (n + 1) / c
 
 
+def colour_class_tops(adjacency: list[int]):
+    """The function giving the tops of a greedy colouring of a vertex mask.
+
+    Bit j of adjacency[i] marks an edge i-j.  Each colour class is an
+    independent set that starts at the highest uncoloured vertex and takes,
+    downward, every uncoloured vertex adjacent to none of the class so far;
+    its top is that first vertex, so the tops come out decreasing.  A clique
+    among the vertices >= v has at most one vertex in each class, and only in
+    a class whose top is >= v.
+    """
+    # the vertices below v that a class holding v can still take
+    below_non_adjacent = [~adj & ((1 << v) - 1) for v, adj in enumerate(adjacency)]
+
+    def tops(mask: int) -> list[int]:
+        found = []
+        while mask:
+            found.append(mask.bit_length() - 1)
+            q = mask
+            while q:
+                v = q.bit_length() - 1
+                mask ^= 1 << v
+                q &= below_non_adjacent[v]
+        return found
+
+    return tops
+
+
 def search_bisection_closed(
     n: int,
     seed: SetFamily,
@@ -301,9 +332,16 @@ def search_bisection_closed(
 
     Candidates are the even-sized subsets of [n] compatible with every seed
     member, enumerated by size then lexicographically, so a completed search
-    is deterministic.  Branch-and-bound prunes on the candidate count and the
-    trivial 2n family bound; the time budget cuts long searches, returning
-    the best family found so far.  The result always passes the checker.
+    is deterministic.  Each node branches on its candidates lowest first,
+    after colouring them (`colour_class_tops` on the compatibility graph): a
+    family among the candidates >= v takes at most one set per class whose
+    top is >= v, and the node stops at the first v where that count cannot
+    beat the best family.  The bound only cuts branches that could not
+    improve on the best family, so a completed search returns the same
+    family as one pruning on the plain candidate count.  The search also
+    stops at the trivial 2n family bound; the time budget cuts long searches,
+    returning the best family found so far.  The result always passes the
+    checker.
     """
     half = Fraction(1, 2)
     if n > 20:
@@ -344,18 +382,24 @@ def search_bisection_closed(
     chosen: list[int] = []
     nodes = 0
     hard_cap = 2 * n - len(seed_masks)  # families never exceed 2n sets
+    class_tops = colour_class_tops(adjacency)
 
     def expand(cand_mask: int) -> bool:
         """Returns True when the search should unwind (budget hit or cap met)."""
         nonlocal nodes, best
+        tops = class_tops(cand_mask)
+        classes = len(tops)  # classes whose top is >= v
         while cand_mask:
-            if len(chosen) + cand_mask.bit_count() <= len(best):
+            low = cand_mask & -cand_mask
+            v = low.bit_length() - 1
+            while tops[classes - 1] < v:
+                classes -= 1
+            # a clique among the candidates >= v takes at most one vertex per class
+            if len(chosen) + classes <= len(best):
                 return False
             nodes += 1
             if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
                 return True
-            low = cand_mask & -cand_mask
-            v = low.bit_length() - 1
             cand_mask ^= low
             chosen.append(v)
             if len(chosen) > len(best):

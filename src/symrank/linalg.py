@@ -12,12 +12,17 @@ the word-sized prime RANK_PRIME is k: reduction mod p is a ring map, so a
 k x k minor that is nonzero mod p is nonzero over Z.  That pass packs each
 row into one int and eliminates with one bignum multiply-add per row.  It is
 skipped when k times (entry bits + bitlen k) is at most 62, because then
-every Bareiss intermediate fits in a machine word anyway.  Every other case,
-a rank below k mod p included, goes to fraction-free (Bareiss-style)
-Gaussian elimination, whose intermediate values stay minors of the matrix
-instead of blowing up as free-form fractions.  So the result never depends
-on the prime.  Bareiss pivots are the first nonzero entry in column order,
-rows scanned top-down, which makes the elimination deterministic.
+every Bareiss intermediate fits in a machine word anyway, and, without
+scanning the entries, when k is at most SMALL_RANK = 3: the scan alone
+costs about a third of a 3 x 3 Bareiss on small entries, and at that size
+Bareiss is as fast as the pass up to entries of a few hundred bits (wider
+ones make such a rank slower, never different; a 3 x 3 of 10^4-bit entries
+takes about 2 ms against 70 us).  Every other case, a rank below k mod p
+included, goes to fraction-free (Bareiss-style) Gaussian elimination, whose
+intermediate values stay minors of the matrix instead of blowing up as
+free-form fractions.  So the result never depends on the prime.  Bareiss
+pivots are the first nonzero entry in column order, rows scanned top-down,
+which makes the elimination deterministic.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .exactfield import QuadExt, format_scalar, parse_scalar
 
 # the word-sized prime of the full-rank certificate in rank_int_rows
 RANK_PRIME = 2**31 - 1
+# largest min(rows, cols) that rank_int_rows sends straight to Bareiss
+SMALL_RANK = 3
 
 
 class Matrix:
@@ -113,8 +120,11 @@ class Matrix:
 
         A bad cell raises ValueError naming its 1-based row and column, and a
         row whose length differs from row 1's names the row and both lengths.
+        The first cell over a second discriminant is a bad cell, so a mixed
+        matrix is rejected before the remaining cells are parsed and factored.
         """
         rows = []
+        quad_d = None
         for line in text.splitlines():
             line = line.strip()
             if not line:
@@ -122,9 +132,16 @@ class Matrix:
             row = []
             for col, cell in enumerate(line.split(","), 1):
                 try:
-                    row.append(parse_scalar(cell))
+                    x = parse_scalar(cell)
+                    if type(x) is QuadExt and x.d != quad_d:
+                        if quad_d is not None:
+                            raise FieldMismatchError(
+                                f"matrix mixes sqrt({quad_d}) and sqrt({x.d}) entries"
+                            )
+                        quad_d = x.d
                 except ValueError as exc:
                     raise ValueError(f"row {len(rows) + 1}, column {col}: {exc}") from None
+                row.append(x)
             if rows and len(row) != len(rows[0]):
                 raise ValueError(
                     f"row {len(rows) + 1} has length {len(row)}, expected {len(rows[0])} as row 1"
@@ -178,14 +195,15 @@ def rank_int_rows(rows: list[list[int]]) -> int:
     """Exact rank of a matrix given as integer rows.
 
     Let k = min(rows, cols) and let every entry be below 2^b in absolute
-    value.  When k * (b + bitlen k) > 62, a row-packed elimination modulo
-    RANK_PRIME runs first, and a rank of k mod p certifies rank k: a k x k
-    minor that is nonzero mod p is nonzero over Z.  Otherwise, and whenever
-    the rank mod p is below k, fraction-free (Bareiss) elimination gives the
-    rank.  The result never depends on the prime; only the time does.
+    value.  When k > SMALL_RANK and k * (b + bitlen k) > 62, a row-packed
+    elimination modulo RANK_PRIME runs first, and a rank of k mod p certifies
+    rank k: a k x k minor that is nonzero mod p is nonzero over Z.  (For
+    k <= SMALL_RANK, b is never computed.)  Otherwise, and whenever the rank
+    mod p is below k, fraction-free (Bareiss) elimination gives the rank.
+    The result never depends on the prime; only the time does.
     """
     k = min(len(rows), len(rows[0])) if rows else 0
-    if k:
+    if k > SMALL_RANK:
         # Hadamard: every j x j minor of entries below 2^b is below 2^(j(b + log2(j)/2)),
         # so below this size every Bareiss intermediate fits in a machine word
         bits = max(map(int.bit_length, chain.from_iterable(rows)))

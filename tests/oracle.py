@@ -1,13 +1,15 @@
 """Independent oracles used only by the test suite.
 
 These deliberately avoid the production code paths: rank is computed by
-plain exact-division Gaussian elimination on Fraction/QuadExt entries, and
-the coprime-pair scan is a brute-force enumeration.
+plain exact-division Gaussian elimination on Fraction/QuadExt entries, the
+coprime-pair scan is a brute-force enumeration, and the bisection-closed
+search prunes on the plain candidate count.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 
@@ -53,3 +55,55 @@ def coprime_pairs_brute(target: int, bound: int) -> list[tuple[int, int]]:
             if Fraction(alpha * beta, (alpha - beta) ** 2) == target:
                 out.append((alpha, beta))
     return out
+
+
+def _bisection_compatible(a: int, b: int) -> bool:
+    return 2 * (a & b).bit_count() in (a.bit_count(), b.bit_count())
+
+
+def search_plain_bound(n: int, seed_masks) -> list[int]:
+    """Masks of the bisection-closed family `search_bisection_closed` returns
+    for a completed search, by the same branching with a weaker bound.
+
+    Candidates are the even-sized masks over [n] compatible with every seed
+    mask, by size then lexicographically; branches take the lowest candidate
+    first, `best` changes only on strict improvement, and a node is cut when
+    the chosen sets plus every remaining candidate cannot beat `best`.
+    """
+    seed_masks = list(seed_masks)
+    bits = [1 << j for j in range(n)]
+    candidates = []
+    for size in range(2, n + 1, 2):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            if mask not in seed_masks and all(_bisection_compatible(mask, s) for s in seed_masks):
+                candidates.append(mask)
+    count = len(candidates)
+    adjacency = [
+        sum(1 << j for j, b in enumerate(candidates) if b != a and _bisection_compatible(a, b))
+        for a in candidates
+    ]
+    best: list[int] = []
+    chosen: list[int] = []
+    hard_cap = 2 * n - len(seed_masks)
+
+    def expand(cand_mask: int) -> bool:
+        nonlocal best
+        while cand_mask:
+            if len(chosen) + cand_mask.bit_count() <= len(best):
+                return False
+            low = cand_mask & -cand_mask
+            v = low.bit_length() - 1
+            cand_mask ^= low
+            chosen.append(v)
+            if len(chosen) > len(best):
+                best = chosen.copy()
+                if len(best) >= hard_cap:
+                    return True
+            if expand(cand_mask & adjacency[v]):
+                return True
+            chosen.pop()
+        return False
+
+    expand((1 << count) - 1)
+    return seed_masks + [candidates[i] for i in best]

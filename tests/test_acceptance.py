@@ -35,6 +35,7 @@ from symrank.ensemble import (
     random_tournament,
 )
 from symrank.families import (
+    SetFamily,
     fano_family,
     hadamard_family,
     is_theta_intersecting,
@@ -291,3 +292,12 @@ def test_criterion_11_oracle_equivalence():
     report(11, "fraction-free rank equals naive elimination on 10^4 random "
                "matrices up to 8x8 and all 3x3 over {-1,0,1}",
            time.monotonic() - start, 120)
+
+
+def test_criterion_12_pair_seeded_searches_complete():
+    start = time.monotonic()
+    for n, size in ((8, 14), (9, 15), (10, 16)):
+        best = search_bisection_closed(n, SetFamily(n, [(1, 2)]), time_budget=600)
+        assert len(best) == size and is_theta_intersecting(best, HALF)
+    report(12, "searches seeded from {1, 2} complete with sizes 14, 15, 16 "
+               "for n = 8, 9, 10", time.monotonic() - start, 30)

@@ -1,9 +1,13 @@
 import json
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
-from symrank.cli import main
+from symrank.cli import main, report_json
 from symrank.ensemble import matrix_from_tournament
+from symrank.exactfield import square_free_part
 from symrank.linalg import Matrix
 
 
@@ -235,6 +239,58 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(path.read_text())["mu_squared"] == "2"
+
+
+def test_second_discriminant_is_rejected_at_its_cell(capsys, tmp_path):
+    primes = [sympy.prevprime(10**12 - 10**7)]
+    while len(primes) < 16:
+        primes.append(sympy.prevprime(primes[-1]))
+    path = tmp_path / "mixed.csv"
+    path.write_text("".join(
+        ",".join(f"1+1*sqrt({p})" for p in primes[row:row + 4]) + "\n" for row in range(0, 16, 4)
+    ))
+    misses = square_free_part.cache_info().misses
+    assert main(["rank", "--in", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"row 1, column 2: matrix mixes sqrt({primes[0]}) and sqrt({primes[1]})" in err
+    # the cells after the second discriminant are never parsed, so never factored
+    assert square_free_part.cache_info().misses <= misses + 2
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\n", "a\"b\\c\nd", "\u00e9\u4e2d\U0001f600"])
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner) | st.dictionaries(st.text() | st.sampled_from('"\\\n'), inner),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+def test_report_json_matches_indented_json_dumps(value):
+    assert report_json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hadamard", "--construction", "paley", "--q", "19"],
+        ["design", "--design", "paley-hadamard", "--q", "11"],
+        ["family-build", "--kind", "fano"],
+        ["theorem1-verify", "--samples", "3", "--max-m", "2", "--max-n", "2", "--seed", "1"],
+    ],
+)
+def test_reports_are_indented_json_dumps(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

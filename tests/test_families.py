@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symrank.errors import UnsupportedParameterError
 from symrank.designs import sylvester
 from symrank.ensemble import TwoValuePair, bigraph_from_matrix
 from symrank.families import (
     SetFamily,
+    colour_class_tops,
     fano_family,
     family_matrix,
     hadamard_family,
@@ -17,6 +21,8 @@ from symrank.families import (
     theta_violation,
 )
 from symrank.spectra import bigraph_multiplicity
+
+from oracle import search_plain_bound
 
 HALF = Fraction(1, 2)
 
@@ -249,6 +255,67 @@ def test_completed_search_matches_brute_force(n, seed_set):
     assert len(result) == _largest_extension(1, pool)
     assert s in result.masks and all(m.bit_count() % 2 == 0 for m in result.masks)
     assert is_theta_intersecting(result, HALF)
+
+
+@st.composite
+def _graphs_and_masks(draw):
+    """(adjacency, vertex mask) of a drawn simple graph on up to 10 vertices."""
+    count = draw(st.integers(1, 10))
+    adjacency = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            if draw(st.booleans()):
+                adjacency[i] |= 1 << j
+                adjacency[j] |= 1 << i
+    return adjacency, draw(st.integers(0, (1 << count) - 1))
+
+
+def _largest_clique(vertices, adjacency):
+    cliques = [0]
+    for v in vertices:  # every clique of the vertices so far, extended by v where it fits
+        cliques += [c | 1 << v for c in cliques if c & adjacency[v] == c]
+    return max(c.bit_count() for c in cliques)
+
+
+@given(_graphs_and_masks())
+def test_colour_classes_bound_every_suffix_clique(case):
+    adjacency, mask = case
+    tops = colour_class_tops(adjacency)(mask)
+    assert tops == sorted(set(tops), reverse=True)
+    assert all(mask >> t & 1 for t in tops)
+    members = [v for v in range(len(adjacency)) if mask >> v & 1]
+    for v in members:
+        suffix = [u for u in members if u >= v]
+        assert _largest_clique(suffix, adjacency) <= sum(t >= v for t in tops)
+
+
+def _relabeled_sunflower(rng, k, n):
+    """The sunflower family over [k] on k random points of [n], drawn as the benchmark draws it."""
+    sets = [(1, j) for j in range(2, k + 1)]
+    sets += [(1, 2, 2 * j + 1, 2 * j + 2) for j in range(1, k // 2)]
+    points = rng.sample(range(1, n + 1), k)
+    return SetFamily(n, [sorted(points[x - 1] for x in s) for s in sets])
+
+
+def _search_seeds():
+    for n in range(6, 10):
+        yield pytest.param(n, SetFamily(n, [(1, 2)]), id=f"pair-n{n}")
+    for n in range(10, 14):
+        yield pytest.param(n, fano_family(), id=f"fano-n{n}")
+    for rng_seed in (1, 3, 7):
+        rng = random.Random(rng_seed)
+        for n in range(9, 14):
+            seed = _relabeled_sunflower(rng, 4 if n <= 11 else 6, n)
+            yield pytest.param(n, seed, id=f"sunflower-rng{rng_seed}-n{n}")
+
+
+@pytest.mark.parametrize("n, seed", _search_seeds())
+def test_colour_bound_returns_the_plain_bound_family(n, seed):
+    # the colour-class bound only cuts subtrees that could not improve the best
+    # family, so a completed search returns exactly what the plain bound finds
+    result = search_bisection_closed(n, seed, time_budget=600)
+    expected = SetFamily.from_masks(n, search_plain_bound(n, seed.with_ground(n).masks))
+    assert result.to_dict() == expected.to_dict()
 
 
 def test_sunflower_over_10_is_maximal():

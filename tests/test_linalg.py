@@ -11,6 +11,7 @@ from symrank import linalg
 from symrank.exactfield import QuadExt, parse_scalar
 from symrank.linalg import (
     RANK_PRIME,
+    SMALL_RANK,
     Matrix,
     integer_scaled,
     quad_scaled,
@@ -363,7 +364,7 @@ def test_gate_sends_only_wide_enough_entries_to_the_modular_pass(modular_verdict
     rng = random.Random(61)
     for k in range(1, 14):
         below = 62 // k - k.bit_length()  # the most entry bits Bareiss takes directly
-        for bits, passes in ((below, 0), (below + 1, 1)):
+        for bits, passes in ((below, 0), (below + 1, int(k > SMALL_RANK))):
             if bits < 1:
                 continue
             for cols in (k, k + 3):
@@ -382,7 +383,7 @@ def test_gate_sends_only_wide_enough_entries_to_the_modular_pass(modular_verdict
 
 def test_unlucky_prime_falls_back_to_the_exact_rank(modular_verdicts):
     p = RANK_PRIME
-    assert assert_rank([[p, 0], [0, 1]], 2) == 2
+    assert assert_rank([[p * (i == j == 0) + (i == j > 0) for j in range(4)] for i in range(4)], 4)
     assert modular_verdicts == [False]
     # a full-rank matrix with a nonzero row that is 0 mod p
     rng = random.Random(62)
@@ -407,7 +408,7 @@ def slot_growth_rows(k: int, cols: int) -> list[list[int]]:
     return rows + [[2 * a for a in rows[-1]]]
 
 
-@pytest.mark.parametrize("k", [2, 3, 5, 17, 32, 40])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 17, 32, 40])
 def test_slot_growth_stays_inside_the_slots(modular_verdicts, k):
     p = RANK_PRIME
     # every entry p - 1, plus a nonzero diagonal: I - J and diag(1..k) - J mod p, full rank
@@ -418,5 +419,19 @@ def test_slot_growth_stays_inside_the_slots(modular_verdicts, k):
     assert_rank([[(p + 1) * (2 * (i == j) - 1) for j in range(k)] for i in range(k)])
     for cols in (k, k + 2):
         assert_rank([[(p + 1) * a for a in row] for row in slot_growth_rows(k, cols)], k - 1)
-    # the two full ones, -J + 2I (singular when k = 2), then the two rank-(k-1) cases
-    assert modular_verdicts == [True, True, k != 2, False, False]
+    # the two full ones, -J + 2I (singular when k = 2), then the two rank-(k-1) cases;
+    # up to SMALL_RANK the pass does not run
+    expected = [True, True, k != 2, False, False] if k > SMALL_RANK else []
+    assert modular_verdicts == expected
+
+
+@pytest.mark.parametrize("k", range(1, SMALL_RANK + 1))
+def test_small_ranks_skip_the_modular_pass_at_any_entry_width(modular_verdicts, k):
+    rng = random.Random(63 + k)
+    for cols in (k, k + 2):
+        rows = [[rng.getrandbits(10**4) - 2 ** (10**4 - 1) for _ in range(cols)] for _ in range(k)]
+        assert_rank(rows, k)
+        deficient = rows[:-1] + [[3 * a for a in rows[0]]]
+        assert_rank(deficient, max(1, k - 1))
+        assert_rank([row[:k] for row in rows[:1]] * k, 1)
+    assert modular_verdicts == []
