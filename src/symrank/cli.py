@@ -22,6 +22,7 @@ from .ensemble import (
     BipartiteGraph,
     LinearTheta,
     TwoValuePair,
+    bigraph_classes,
     matrix_from_bigraph,
     matrix_from_tournament,
     mu_squared,
@@ -29,6 +30,9 @@ from .ensemble import (
 )
 from .linalg import Matrix
 from .spectra import low_rank_matching_instance, rank_sandwich
+
+# largest max-m x max-n an exhaustive theorem1-verify accepts (2^25 raw graphs in that cell)
+EXHAUSTIVE_ENTRY_CAP = 25
 
 
 def _read_text(path: str) -> str:
@@ -197,13 +201,18 @@ def _cmd_theorem1_verify(args) -> dict:
             rank_sandwich(_random_admissible_pair(rng), BipartiteGraph(m, n, masks))
             checked += 1
     else:
+        if min(args.max_m, args.max_n) > 0 and args.max_m * args.max_n > EXHAUSTIVE_ENTRY_CAP:
+            raise ValueError(
+                f"--max-m {args.max_m} x --max-n {args.max_n} exceeds the exhaustive "
+                f"limit of {EXHAUSTIVE_ENTRY_CAP} biadjacency entries"
+            )
         pair = _pair_from_args(args)
+        # rank and nu are invariant under S_m x S_n: rank one graph per class
         for m in range(1, args.max_m + 1):
             for n in range(1, args.max_n + 1):
-                for code in range(1 << (m * n)):
-                    masks = [(code >> (i * n)) & ((1 << n) - 1) for i in range(m)]
+                for masks, orbit_size in bigraph_classes(m, n):
                     rank_sandwich(pair, BipartiteGraph(m, n, masks))
-                    checked += 1
+                    checked += orbit_size
     return {
         "command": "theorem1-verify",
         "config": _config(args, ("max_m", "max_n", "samples", "seed")),
@@ -425,7 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem1-verify", help="verify the rank sandwich on batches")
     p.add_argument("--max-m", type=int, default=4)
     p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--samples", type=int, default=0, help="0 means exhaustive up to max sizes")
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=0,
+        help="0 means exhaustive up to max sizes: one graph per S_m x S_n class, "
+        "counted by its orbit size, with max-m x max-n <= 25",
+    )
     pair_flags(p)
     common(p, seed=True)
     p.set_defaults(handler=_cmd_theorem1_verify)

@@ -27,6 +27,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import permutations
+from math import factorial, prod
 
 from .errors import (
     DegenerateEnsembleError,
@@ -215,6 +217,47 @@ def points_to_mask(points, n: int) -> int:
 def mask_to_points(mask: int) -> list[int]:
     """The 1-based points of a nonnegative mask, ascending."""
     return [j + 1 for j in set_bits(mask)]
+
+
+def bigraph_classes(m: int, n: int):
+    """Yield (row_masks, orbit_size) once per S_m x S_n class of m x n biadjacency masks.
+
+    Orderly generation (Read 1978): the representative is the least sorted
+    row tuple over all column permutations, and a row prefix is extended
+    only while it is least itself, which is exact because the prefix of a
+    least tuple is least.  The permutations act on the smaller part (the
+    result is transposed back), so the cost grows with min(m, n)!.  The
+    orbit holds m!/prod(mult!) row orders of each of n!/#{column
+    permutations fixing the sorted tuple} sorted tuples.
+    """
+    if n > m:
+        for rows, orbit in bigraph_classes(n, m):
+            yield transpose_masks(rows, m), orbit
+        return
+    tables = [
+        [sum((mask >> j & 1) << p for j, p in enumerate(perm)) for mask in range(1 << n)]
+        for perm in permutations(range(n))
+    ]
+    rows = []
+
+    def extend(low):
+        for row in range(low, 1 << n):
+            rows.append(row)
+            fixing = 0
+            for table in tables:
+                image = sorted([table[r] for r in rows])
+                if image < rows:
+                    break
+                fixing += image == rows
+            else:
+                if len(rows) < m:
+                    yield from extend(row)
+                else:
+                    orders = factorial(m) // prod(factorial(rows.count(r)) for r in set(rows))
+                    yield rows.copy(), orders * (factorial(n) // fixing)
+            rows.pop()
+
+    yield from extend(0)
 
 
 class Tournament:

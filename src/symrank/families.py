@@ -353,16 +353,20 @@ def search_bisection_closed(
     seed_masks = list(seed.masks)
     seed_lookup = set(seed_masks)
 
-    # sums of distinct single bits, in the lexicographic order of the point subsets
+    # sums of distinct single bits, in the lexicographic order of the point subsets;
+    # at theta = 1/2, A and B are compatible when 2|A & B| is |A| or |B|
     bits = [1 << j for j in range(n)]
+    seed_sized = [(s, s.bit_count()) for s in seed_masks]
     candidates = []
+    sizes = []
     for size in range(2, n + 1, 2):
         for combo in combinations(bits, size):
             mask = sum(combo)
             if mask in seed_lookup:
                 continue
-            if all(_mask_compatible(mask, s, half) for s in seed_masks):
+            if all(2 * (mask & s).bit_count() in (size, ps) for s, ps in seed_sized):
                 candidates.append(mask)
+                sizes.append(size)
     if len(candidates) > CANDIDATE_CAP:
         raise UnsupportedParameterError(
             f"{len(candidates)} candidate sets exceed the cap {CANDIDATE_CAP}; "
@@ -371,9 +375,9 @@ def search_bisection_closed(
 
     count = len(candidates)
     adjacency = [0] * count
-    for i in range(count):
+    for i, (a, pa) in enumerate(zip(candidates, sizes)):
         for j in range(i + 1, count):
-            if _mask_compatible(candidates[i], candidates[j], half):
+            if 2 * (a & candidates[j]).bit_count() in (pa, sizes[j]):
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
 

@@ -30,6 +30,7 @@ from symrank.ensemble import (
     BipartiteGraph,
     LinearTheta,
     TwoValuePair,
+    bigraph_classes,
     matrix_from_tournament,
     mu_squared,
     random_tournament,
@@ -301,3 +302,19 @@ def test_criterion_12_pair_seeded_searches_complete():
         assert len(best) == size and is_theta_intersecting(best, HALF)
     report(12, "searches seeded from {1, 2} complete with sizes 14, 15, 16 "
                "for n = 8, 9, 10", time.monotonic() - start, 30)
+
+
+def test_criterion_13_sandwich_on_every_class_to_five():
+    start = time.monotonic()
+    pair = TwoValuePair.linear(HALF, 1, 2)
+    checked = classes = 0
+    for m in range(1, 6):
+        for n in range(1, 6):
+            for masks, orbit_size in bigraph_classes(m, n):
+                rep = rank_sandwich(pair, BipartiteGraph(m, n, masks))
+                assert rep.rank_lower <= rep.exact_rank <= rep.rank_upper
+                checked += orbit_size
+                classes += 1
+    assert (classes, checked) == (8820, 35794186)
+    report(13, f"sandwich on all {checked} graphs (m,n <= 5) through {classes} "
+               "S_m x S_n classes, zero violations", time.monotonic() - start, 30)

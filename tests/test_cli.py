@@ -118,6 +118,13 @@ def test_theorem1_verify_exhaustive_small(capsys):
     assert report["violations"] == 0
 
 
+def test_theorem1_verify_exhaustive_at_the_entry_limit(capsys):
+    # 1 x 25 entries is the limit; one graph per class makes its 2^25 graphs cheap
+    code, out = run_cli(capsys, "theorem1-verify", "--max-m", "1", "--max-n", "25")
+    assert code == 0
+    assert json.loads(out)["instances_checked"] == (1 << 26) - 2
+
+
 def test_theorem1_verify_sampled(capsys):
     code, out = run_cli(
         capsys,
@@ -369,6 +376,12 @@ _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
         ),
         pytest.param(
             ["theorem1-verify", "--samples", "3", "--max-n", "0"], None, "--max-n", id="max-n-0"
+        ),
+        pytest.param(
+            ["theorem1-verify", "--max-m", "6", "--max-n", "5"],
+            None,
+            "--max-m 6 x --max-n 5 exceeds the exhaustive limit of 25",
+            id="exhaustive-6x5",
         ),
         pytest.param(
             ["theorem1-verify", "--samples", "-3"],
