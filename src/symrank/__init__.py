@@ -6,132 +6,14 @@ tournament and bipartite-graph encodings of two-valued symmetric
 ensembles, eigenvalue-multiplicity rank bounds, Hadamard matrices and
 symmetric block designs, and bisection-closed set families with a
 backtracking extension search.
+
+Import from the layer modules, lowest first: `symrank.exactfield`
+(scalars), `symrank.linalg` (matrices and rank), `symrank.ensemble` (pair
+functions, tournaments, bipartite graphs), `symrank.spectra` (multiplicity
+and the rank sandwich), `symrank.designs` (Hadamard matrices and designs),
+`symrank.families` (set families and their search), `symrank.errors` and
+`symrank.cli`.  This module imports none of them, so `import symrank.cli`
+loads only what the CLI uses.
 """
-
-from .errors import (
-    ConstructionFailedError,
-    DegenerateEnsembleError,
-    FieldMismatchError,
-    GoodPairError,
-    NoRealRootError,
-    NotInEnsembleError,
-    UnsupportedParameterError,
-    VerificationError,
-)
-from .exactfield import (
-    QuadExt,
-    as_fraction,
-    format_scalar,
-    parse_scalar,
-    solve_monic_quadratic,
-    square_free_part,
-)
-from .linalg import Matrix
-from .ensemble import (
-    BipartiteGraph,
-    LinearTheta,
-    SquaredDiff,
-    TableFunction,
-    Tournament,
-    TwoValuePair,
-    bigraph_from_matrix,
-    matrix_from_bigraph,
-    matrix_from_tournament,
-    mu_squared,
-    random_tournament,
-    tournament_from_matrix,
-)
-from .spectra import (
-    RowlinsonReport,
-    SpectralReport,
-    bigraph_multiplicity,
-    complete_minus_matching,
-    ensemble_rank,
-    low_rank_matching_instance,
-    rank_sandwich,
-    rowlinson_check,
-)
-from .designs import (
-    HadamardMatrix,
-    SymmetricDesign,
-    complement_design,
-    design_rank_instance,
-    fano,
-    hadamard_design,
-    incidence_bigraph,
-    onebytwo_scan,
-    paley,
-    replicate_bigraph,
-    sylvester,
-)
-from .families import (
-    SetFamily,
-    fano_family,
-    family_matrix,
-    hadamard_family,
-    is_theta_intersecting,
-    rank_to_size_bound,
-    search_bisection_closed,
-    sunflower_family,
-    theta_violation,
-)
-
-__all__ = [
-    "BipartiteGraph",
-    "ConstructionFailedError",
-    "DegenerateEnsembleError",
-    "FieldMismatchError",
-    "GoodPairError",
-    "HadamardMatrix",
-    "LinearTheta",
-    "Matrix",
-    "NoRealRootError",
-    "NotInEnsembleError",
-    "QuadExt",
-    "RowlinsonReport",
-    "SetFamily",
-    "SpectralReport",
-    "SquaredDiff",
-    "SymmetricDesign",
-    "TableFunction",
-    "Tournament",
-    "TwoValuePair",
-    "UnsupportedParameterError",
-    "VerificationError",
-    "as_fraction",
-    "bigraph_from_matrix",
-    "bigraph_multiplicity",
-    "complement_design",
-    "complete_minus_matching",
-    "design_rank_instance",
-    "ensemble_rank",
-    "fano",
-    "fano_family",
-    "family_matrix",
-    "format_scalar",
-    "hadamard_design",
-    "hadamard_family",
-    "incidence_bigraph",
-    "is_theta_intersecting",
-    "low_rank_matching_instance",
-    "matrix_from_bigraph",
-    "matrix_from_tournament",
-    "mu_squared",
-    "onebytwo_scan",
-    "paley",
-    "parse_scalar",
-    "random_tournament",
-    "rank_sandwich",
-    "rank_to_size_bound",
-    "replicate_bigraph",
-    "rowlinson_check",
-    "search_bisection_closed",
-    "solve_monic_quadratic",
-    "square_free_part",
-    "sunflower_family",
-    "sylvester",
-    "theta_violation",
-    "tournament_from_matrix",
-]
 
 __version__ = "0.1.0"

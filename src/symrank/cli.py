@@ -189,10 +189,10 @@ def _cmd_theorem1_verify(args) -> dict:
     checked = 0
     if args.samples < 0:
         raise ValueError(f"--samples must be >= 0 (0 means exhaustive), got {args.samples}")
+    for flag, bound in (("--max-m", args.max_m), ("--max-n", args.max_n)):
+        if bound < 1:
+            raise ValueError(f"{flag} must be >= 1, got {bound}")
     if args.samples:
-        for flag, bound in (("--max-m", args.max_m), ("--max-n", args.max_n)):
-            if bound < 1:
-                raise ValueError(f"{flag} must be >= 1 with --samples, got {bound}")
         rng = random.Random(args.seed)
         for _ in range(args.samples):
             m = rng.randint(1, args.max_m)
@@ -201,7 +201,7 @@ def _cmd_theorem1_verify(args) -> dict:
             rank_sandwich(_random_admissible_pair(rng), BipartiteGraph(m, n, masks))
             checked += 1
     else:
-        if min(args.max_m, args.max_n) > 0 and args.max_m * args.max_n > EXHAUSTIVE_ENTRY_CAP:
+        if args.max_m * args.max_n > EXHAUSTIVE_ENTRY_CAP:
             raise ValueError(
                 f"--max-m {args.max_m} x --max-n {args.max_n} exceeds the exhaustive "
                 f"limit of {EXHAUSTIVE_ENTRY_CAP} biadjacency entries"

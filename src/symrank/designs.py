@@ -282,15 +282,3 @@ def onebytwo_scan(k_minus_lambda: int, bound: int) -> list[tuple[int, int]]:
         if product == k_minus_lambda:
             out.append((beta - 1, beta))
     return out
-
-
-def prime_powers_up_to(limit: int) -> list[int]:
-    """All prime powers p^m <= limit with m >= 1, ascending."""
-    out = set()
-    for p in range(2, limit + 1):
-        if is_prime(p):
-            value = p
-            while value <= limit:
-                out.add(value)
-                value *= p
-    return sorted(out)

@@ -8,8 +8,8 @@ members correspond to bipartite graphs between the alpha block and the beta
 block.  The scalar mu^2 = f(a,a) f(b,b) / (f(a,b) - f(b,a))^2 is the quantity
 whose presence in a graph spectrum governs rank deficiency.
 
-Pair functions form a closed catalog: the linear form x + (1-2*theta)*y, the
-squared difference (x-y)^2, and an explicit 2x2 value table on {alpha, beta}.
+Pair functions form a closed catalog: the linear form x + (1-2*theta)*y and
+an explicit 2x2 value table on {alpha, beta}.
 
 Values that are integers stay Python ints: the linear form keeps its
 coefficient 1 - 2*theta as an int when it is integral (theta = 1/2 gives 0),
@@ -24,22 +24,16 @@ and position lists or 1-based point lists (bit j is point j + 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 from math import factorial, prod
 
-from .errors import (
-    DegenerateEnsembleError,
-    GoodPairError,
-    NotInEnsembleError,
-)
+from .errors import DegenerateEnsembleError, GoodPairError
 from .exactfield import format_scalar
 from .linalg import Matrix, integer_scaled, quad_discriminant, quad_scaled
 
 
-@dataclass(frozen=True)
 class LinearTheta:
     """The linear form f(x, y) = x + c*y, c = 1 - 2*theta, for theta in (0, 1).
 
@@ -47,40 +41,39 @@ class LinearTheta:
     give an int value whenever c is an int (theta = 1/2 among them).
     """
 
-    theta: Fraction
-    c: object = field(init=False, repr=False, compare=False)
+    __slots__ = ("theta", "c")
 
-    def __post_init__(self):
-        theta = Fraction(self.theta)
+    def __init__(self, theta):
+        theta = Fraction(theta)
         if not 0 < theta < 1:
             raise ValueError(f"theta must lie in (0, 1), got {theta}")
         c = 1 - 2 * theta
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "c", c.numerator if c.denominator == 1 else c)
+        self.theta = theta
+        self.c = c.numerator if c.denominator == 1 else c
 
     def __call__(self, x, y):
         return x + self.c * y
 
 
-@dataclass(frozen=True)
-class SquaredDiff:
-    """f(x, y) = (x - y)^2; vanishes on the diagonal, so never a good pair."""
-
-    def __call__(self, x, y):
-        diff = x - y
-        return diff * diff
-
-
-@dataclass(frozen=True)
 class TableFunction:
-    """A pair function given by its four values on the alphabet {alpha, beta}."""
+    """A pair function given by its four values on the alphabet {alpha, beta}.
 
-    alpha: object
-    beta: object
-    f_aa: object
-    f_ab: object
-    f_ba: object
-    f_bb: object
+    The alphabet needs two distinct values; ValueError names the value otherwise.
+    """
+
+    __slots__ = ("alpha", "beta", "f_aa", "f_ab", "f_ba", "f_bb")
+
+    def __init__(self, alpha, beta, f_aa, f_ab, f_ba, f_bb):
+        if alpha == beta:
+            raise ValueError(
+                f"table pair needs alpha != beta, got {format_scalar(alpha)} for both"
+            )
+        self.alpha = alpha
+        self.beta = beta
+        self.f_aa = f_aa
+        self.f_ab = f_ab
+        self.f_ba = f_ba
+        self.f_bb = f_bb
 
     def __call__(self, x, y):
         if x == self.alpha:
@@ -98,13 +91,17 @@ class TableFunction:
         return (self.f_aa, self.f_ab, self.f_ba, self.f_bb)[vx * 2 + vy]
 
 
-@dataclass(frozen=True)
 class TwoValuePair:
-    """A pair function together with the two values (alpha, beta) it is fed."""
+    """A pair function together with the two values (alpha, beta) it is fed.
 
-    f: object
-    alpha: object
-    beta: object
+    The four values, their integral scaling and mu^2 are computed on first
+    use and kept in the instance dict.
+    """
+
+    def __init__(self, f, alpha, beta):
+        self.f = f
+        self.alpha = alpha
+        self.beta = beta
 
     @classmethod
     def linear(cls, theta, alpha, beta) -> "TwoValuePair":
@@ -399,36 +396,6 @@ class BipartiteGraph:
     def column_masks(self) -> list[int]:
         return transpose_masks(self.row_masks, self.n)
 
-    def degrees(self) -> list[int]:
-        """Degrees of all m + n vertices, left part first."""
-        left = [mask.bit_count() for mask in self.row_masks]
-        right = [mask.bit_count() for mask in self.column_masks()]
-        return left + right
-
-    def is_connected(self) -> bool:
-        """Connectivity of the bipartite graph (isolated vertices disconnect it)."""
-        total = self.m + self.n
-        if total <= 1:
-            return True
-        cols = self.column_masks()
-        seen_left = 1
-        seen_right = 0
-        frontier_left = 1
-        frontier_right = 0
-        while frontier_left or frontier_right:
-            new_right = 0
-            for i in set_bits(frontier_left):
-                new_right |= self.row_masks[i]
-            new_right &= ~seen_right
-            seen_right |= new_right
-            new_left = 0
-            for j in set_bits(frontier_right | new_right):
-                new_left |= cols[j]
-            new_left &= ~seen_left
-            seen_left |= new_left
-            frontier_left, frontier_right = new_left, new_right
-        return seen_left.bit_count() == self.m and seen_right.bit_count() == self.n
-
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
@@ -474,35 +441,6 @@ def matrix_from_tournament(f, values, tournament: Tournament) -> Matrix:
     return Matrix(n, n, entries)
 
 
-def tournament_from_matrix(m: Matrix, f, values) -> Tournament:
-    """Recover a tournament consistent with a matrix of the ensemble.
-
-    When f(a_i, a_j) == f(a_j, a_i) the orientation is ambiguous and the
-    canonical choice i -> j (for i < j) is made.  Entries matching neither
-    value raise NotInEnsembleError.
-    """
-    values = list(values)
-    n = len(values)
-    if m.rows != n or m.cols != n:
-        raise ValueError(f"matrix is {m.rows}x{m.cols}, sequence has length {n}")
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = m.entry(i, j)
-            forward = f(values[i], values[j])
-            backward = f(values[j], values[i])
-            if entry == forward:
-                pairs.append((i, j))
-            elif entry == backward:
-                pairs.append((j, i))
-            else:
-                raise NotInEnsembleError(
-                    f"entry ({i}, {j}) = {format_scalar(entry)} matches neither "
-                    f"{format_scalar(forward)} nor {format_scalar(backward)}"
-                )
-    return Tournament(n, pairs)
-
-
 def matrix_from_bigraph(pair: TwoValuePair, g: BipartiteGraph) -> Matrix:
     """The ensemble matrix of a bipartite graph over the two-valued sequence.
 
@@ -530,38 +468,3 @@ def matrix_from_bigraph(pair: TwoValuePair, g: BipartiteGraph) -> Matrix:
             if i != j:
                 entries[base + m + j] = vbb
     return Matrix(size, size, entries)
-
-
-def bigraph_from_matrix(m: Matrix, pair: TwoValuePair, left: int, right: int) -> BipartiteGraph:
-    """Inverse of matrix_from_bigraph; validates full ensemble membership."""
-    vaa, vab, vba, vbb = pair.values
-    if vab == vba:
-        raise DegenerateEnsembleError("f(alpha, beta) == f(beta, alpha)")
-    size = left + right
-    if m.rows != size or m.cols != size:
-        raise ValueError(f"matrix is {m.rows}x{m.cols}, expected {size}x{size}")
-    for i in range(size):
-        if m.entry(i, i) != 0:
-            raise NotInEnsembleError(f"nonzero diagonal entry at ({i}, {i})")
-    for i in range(left):
-        for j in range(left):
-            if i != j and m.entry(i, j) != vaa:
-                raise NotInEnsembleError(f"alpha-block entry ({i}, {j}) != f(alpha, alpha)")
-    for i in range(right):
-        for j in range(right):
-            if i != j and m.entry(left + i, left + j) != vbb:
-                raise NotInEnsembleError(f"beta-block entry ({i}, {j}) != f(beta, beta)")
-    masks = [0] * left
-    for i in range(left):
-        for j in range(right):
-            entry = m.entry(i, left + j)
-            if entry != m.entry(left + j, i):
-                raise NotInEnsembleError(f"matrix is not symmetric at ({i}, {left + j})")
-            if entry == vab:
-                masks[i] |= 1 << j
-            elif entry != vba:
-                raise NotInEnsembleError(
-                    f"cross entry ({i}, {j}) = {format_scalar(entry)} matches neither "
-                    f"f(alpha, beta) nor f(beta, alpha)"
-                )
-    return BipartiteGraph(left, right, masks)

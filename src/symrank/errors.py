@@ -13,10 +13,6 @@ class DegenerateEnsembleError(ValueError):
     """f(alpha, beta) == f(beta, alpha): the two-valued ensemble collapses to one matrix."""
 
 
-class NotInEnsembleError(ValueError):
-    """A matrix entry matches neither admissible value for its position."""
-
-
 class GoodPairError(ValueError):
     """f(a_i, a_i) == 0 for some i, so the pair is not usable."""
 

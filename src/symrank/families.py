@@ -4,13 +4,13 @@ A family F over [n] is theta-intersecting when every two distinct members
 A, B satisfy |A & B| = theta*|A| or theta*|B| exactly; bisection-closed means
 theta = 1/2.  The module builds the named extremal families (the two-sunflower
 union, the one derived from a normalized Hadamard matrix, and the 14-set
-family over [8] that extends the sunflower by four 4-sets), maps families to
-ensemble matrices, and searches for extensions beating the 3n/2 - 2 size by
-branch-and-bound over compatible even-sized candidate sets.  The search is a
-maximum-clique search on the candidates' compatibility graph, bounded by a
-greedy colouring of the candidates at each node (Tomita and Seki's MCQ, on
-bitsets as in San Segundo et al.'s BBMC): a clique meets each colour class,
-an independent set, at most once.
+family over [8] that extends the sunflower by four 4-sets), and searches for
+extensions beating the 3n/2 - 2 size by branch-and-bound over compatible
+even-sized candidate sets.  The search is a maximum-clique search on the
+candidates' compatibility graph, bounded by a greedy colouring of the
+candidates at each node (Tomita and Seki's MCQ, on bitsets as in San Segundo
+et al.'s BBMC): a clique meets each colour class, an independent set, at most
+once.
 
 A family stores each set as a bitmask (bit j is point j + 1), as every 0/1
 structure of the package does; the JSON form lists each set as an ascending
@@ -25,8 +25,7 @@ from itertools import combinations
 
 from .errors import ConstructionFailedError, UnsupportedParameterError
 from .designs import HadamardMatrix
-from .ensemble import LinearTheta, mask_to_points, points_to_mask
-from .linalg import Matrix
+from .ensemble import mask_to_points, points_to_mask
 
 # depth-first nodes the quarter-set completion in `hadamard_family` may visit
 QUARTER_NODE_CAP = 200_000
@@ -128,10 +127,6 @@ def theta_violation(family: SetFamily, theta) -> tuple[list[int], list[int]] | N
             if not _mask_compatible(masks[i], masks[j], theta):
                 return mask_to_points(masks[i]), mask_to_points(masks[j])
     return None
-
-
-def is_theta_intersecting(family: SetFamily, theta) -> bool:
-    return theta_violation(family, theta) is None
 
 
 def sunflower_family(n: int) -> SetFamily:
@@ -248,52 +243,16 @@ def hadamard_family(h: HadamardMatrix) -> SetFamily:
     extra = _complete_quarter_sets(larges + quarter_base, pool, n // 2 - len(quarter_base))
     if extra is not None:
         family = SetFamily.from_masks(n, larges + quarter_base + extra)
-        if len(family) == target_total and is_theta_intersecting(family, half):
+        if len(family) == target_total and theta_violation(family, half) is None:
             return family
 
     # fallback profile: all n-1 row supports plus the distinct intersections
     family = SetFamily.from_masks(n, supports + quarter_base)
-    if len(family) == target_total and is_theta_intersecting(family, half):
+    if len(family) == target_total and theta_violation(family, half) is None:
         return family
     raise ConstructionFailedError(
         f"no verified bisection-closed family of size {target_total} found for order {n}"
     )
-
-
-def family_matrix(family: SetFamily, theta) -> Matrix:
-    """The symmetric zero-diagonal matrix of a theta-intersecting family.
-
-    Entry (i, j) is f_theta(|A_i|, |A_j|) when |A_i & A_j| = theta*|A_j| and
-    f_theta(|A_j|, |A_i|) otherwise; for equal sizes both conditions agree
-    and the first branch applies.
-    """
-    theta = Fraction(theta)
-    violation = theta_violation(family, theta)
-    if violation is not None:
-        raise ValueError(f"family is not theta-intersecting: {violation[0]} vs {violation[1]}")
-    f = LinearTheta(theta)
-    masks = family.masks
-    sizes = [Fraction(m.bit_count()) for m in masks]
-    count = len(masks)
-    entries = [Fraction(0)] * (count * count)
-    for i in range(count):
-        for j in range(i + 1, count):
-            c = (masks[i] & masks[j]).bit_count()
-            if c == theta * sizes[j]:
-                v = f(sizes[i], sizes[j])
-            else:
-                v = f(sizes[j], sizes[i])
-            entries[i * count + j] = v
-            entries[j * count + i] = v
-    return Matrix(count, count, entries)
-
-
-def rank_to_size_bound(c, n: int) -> Fraction:
-    """The size bound (n + 1) / c implied by a rank >= c * m guarantee."""
-    c = Fraction(c)
-    if not 0 < c <= 1:
-        raise ValueError(f"c must lie in (0, 1], got {c}")
-    return (n + 1) / c
 
 
 def colour_class_tops(adjacency: list[int]):

@@ -82,18 +82,6 @@ class Matrix:
             and all(a == b for a, b in zip(self._e, other._e))
         )
 
-    def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(
-            self.entry(i, j) == self.entry(j, i)
-            for i in range(self.rows)
-            for j in range(i + 1, self.cols)
-        )
-
-    def has_zero_diagonal(self) -> bool:
-        return self.rows == self.cols and all(self.entry(i, i) == 0 for i in range(self.rows))
-
     # -- rank -------------------------------------------------------------
 
     def rank(self) -> int:

@@ -14,7 +14,6 @@ diagonal block, as in the proof of the rank theorem; see ensemble_rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateEnsembleError, GoodPairError, VerificationError
@@ -24,17 +23,19 @@ from .linalg import Matrix  # noqa: F401  kept bound: bench/test_bench.py reads 
 from .linalg import rank_int_rows, rank_quad_rows
 
 
-@dataclass
 class SpectralReport:
     """Exact rank of an ensemble matrix together with its multiplicity bounds."""
 
-    m: int
-    n: int
-    mu_squared: object
-    nu: int
-    rank_lower: int
-    rank_upper: int
-    exact_rank: int
+    __slots__ = ("m", "n", "mu_squared", "nu", "rank_lower", "rank_upper", "exact_rank")
+
+    def __init__(self, m, n, mu_squared, nu, rank_lower, rank_upper, exact_rank):
+        self.m = m
+        self.n = n
+        self.mu_squared = mu_squared
+        self.nu = nu
+        self.rank_lower = rank_lower
+        self.rank_upper = rank_upper
+        self.exact_rank = exact_rank
 
     def to_dict(self) -> dict:
         return {
@@ -210,73 +211,3 @@ def low_rank_matching_instance(theta, n: int, sign: str = "+") -> tuple[object, 
     beta = plus if sign == "+" else minus
     pair = TwoValuePair.linear(theta, Fraction(1), beta)
     return beta, rank_sandwich(pair, complete_minus_matching(n))
-
-
-@dataclass
-class RowlinsonReport:
-    """Result of the multiplicity-versus-degree bound checks."""
-
-    applicable: bool
-    reason: str | None
-    order: int
-    nu: int | None = None
-    max_degree: int | None = None
-    bound_a_holds: bool | None = None
-    bound_b_applicable: bool | None = None
-    bound_b_holds: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "order": self.order,
-            "nu": self.nu,
-            "max_degree": self.max_degree,
-            "bound_a_holds": self.bound_a_holds,
-            "bound_b_applicable": self.bound_b_applicable,
-            "bound_b_holds": self.bound_b_holds,
-        }
-
-
-def rowlinson_check(
-    g: BipartiteGraph, mu2, assume_positive_root: bool = False
-) -> RowlinsonReport:
-    """Check nu <= order - 1 - d and, on equality, nu <= d - 1.
-
-    Applies only to connected graphs of order > 5 with an eigenvalue mu not
-    in {-1, 0} of multiplicity nu > 1.  Since only mu^2 is supplied, mu2 == 1
-    is ambiguous between mu = 1 and mu = -1; it is treated as applicable only
-    when the caller asserts the positive root is intended.  Unmet
-    preconditions yield an inapplicable report, not a failure.
-    """
-    order = g.m + g.n
-    if not g.is_connected():
-        return RowlinsonReport(False, "graph is not connected", order)
-    if order <= 5:
-        return RowlinsonReport(False, "order must exceed 5", order)
-    sign = scalar_sign(mu2)
-    if sign == 0:
-        return RowlinsonReport(False, "mu == 0 is excluded", order)
-    if sign < 0:
-        return RowlinsonReport(False, "mu^2 < 0 has no real eigenvalue", order)
-    if mu2 == 1 and not assume_positive_root:
-        return RowlinsonReport(
-            False, "mu^2 == 1 is ambiguous between mu = 1 and mu = -1", order
-        )
-    nu = bigraph_multiplicity(g, mu2)
-    if nu <= 1:
-        return RowlinsonReport(False, f"multiplicity {nu} is not > 1", order, nu=nu)
-    d = max(g.degrees())
-    a_holds = nu <= order - 1 - d
-    b_applicable = nu == order - 1 - d
-    b_holds = nu <= d - 1 if b_applicable else None
-    return RowlinsonReport(
-        True,
-        None,
-        order,
-        nu=nu,
-        max_degree=d,
-        bound_a_holds=a_holds,
-        bound_b_applicable=b_applicable,
-        bound_b_holds=b_holds,
-    )

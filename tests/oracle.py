@@ -2,8 +2,9 @@
 
 These deliberately avoid the production code paths: rank is computed by
 plain exact-division Gaussian elimination on Fraction/QuadExt entries, the
-coprime-pair scan is a brute-force enumeration, and the bisection-closed
-search prunes on the plain candidate count.
+coprime-pair scan is a brute-force enumeration, prime powers are found by
+trial division, and the bisection-closed search prunes on the plain
+candidate count.
 """
 
 from __future__ import annotations
@@ -54,6 +55,19 @@ def coprime_pairs_brute(target: int, bound: int) -> list[tuple[int, int]]:
                 continue
             if Fraction(alpha * beta, (alpha - beta) ** 2) == target:
                 out.append((alpha, beta))
+    return out
+
+
+def prime_powers_up_to(limit: int) -> list[int]:
+    """All prime powers p^m <= limit with m >= 1, ascending (criterion 7's input)."""
+    out = []
+    for value in range(2, limit + 1):
+        p = next(d for d in range(2, value + 1) if value % d == 0)  # least prime factor
+        rest = value
+        while rest % p == 0:
+            rest //= p
+        if rest == 1:
+            out.append(value)
     return out
 
 

@@ -22,7 +22,6 @@ from symrank.designs import (
     incidence_bigraph,
     onebytwo_scan,
     paley,
-    prime_powers_up_to,
     replicate_bigraph,
     sylvester,
 )
@@ -39,9 +38,9 @@ from symrank.families import (
     SetFamily,
     fano_family,
     hadamard_family,
-    is_theta_intersecting,
     search_bisection_closed,
     sunflower_family,
+    theta_violation,
 )
 from symrank.linalg import Matrix
 from symrank.spectra import (
@@ -50,7 +49,7 @@ from symrank.spectra import (
     rank_sandwich,
 )
 
-from oracle import rank_naive
+from oracle import prime_powers_up_to, rank_naive
 
 HALF = Fraction(1, 2)
 
@@ -230,24 +229,24 @@ def test_criterion_09_families():
     for n in range(4, 66, 2):
         fam = sunflower_family(n)
         assert len(fam) == 3 * n // 2 - 2
-        assert is_theta_intersecting(fam, HALF)
+        assert theta_violation(fam, HALF) is None
 
     ff = fano_family()
-    assert len(ff) == 14 and is_theta_intersecting(ff, HALF)
+    assert len(ff) == 14 and theta_violation(ff, HALF) is None
 
     h8 = hadamard_family(sylvester(3))
-    assert len(h8) == 10 and is_theta_intersecting(h8, HALF)
+    assert len(h8) == 10 and theta_violation(h8, HALF) is None
     h16 = hadamard_family(sylvester(4))
-    assert len(h16) == 22 and is_theta_intersecting(h16, HALF)
+    assert len(h16) == 22 and theta_violation(h16, HALF) is None
 
     found = search_bisection_closed(8, sunflower_family(8), time_budget=60)
-    assert len(found) >= 14 and is_theta_intersecting(found, HALF)
+    assert len(found) >= 14 and theta_violation(found, HALF) is None
 
     # the full sunflower seed is maximal beyond n = 8, so the searches that
     # beat floor(3n/2) - 2 start from the 14-set family re-grounded
     for n in (10, 12):
         best = search_bisection_closed(n, fano_family(), time_budget=600)
-        assert is_theta_intersecting(best, HALF)
+        assert theta_violation(best, HALF) is None
         assert len(best) > 3 * n // 2 - 2
 
     # stretch goal, not build-failing: n up to 15
@@ -299,7 +298,7 @@ def test_criterion_12_pair_seeded_searches_complete():
     start = time.monotonic()
     for n, size in ((8, 14), (9, 15), (10, 16)):
         best = search_bisection_closed(n, SetFamily(n, [(1, 2)]), time_budget=600)
-        assert len(best) == size and is_theta_intersecting(best, HALF)
+        assert len(best) == size and theta_violation(best, HALF) is None
     report(12, "searches seeded from {1, 2} complete with sizes 14, 15, 16 "
                "for n = 8, 9, 10", time.monotonic() - start, 30)
 

@@ -105,7 +105,8 @@ def test_bigraph_matrix_output(tmp_path, capsys):
     )
     assert code == 0
     matrix = Matrix.from_csv(mpath.read_text())
-    assert matrix.rows == 4 and matrix.is_symmetric()
+    assert matrix.rows == 4
+    assert all(matrix.entry(i, j) == matrix.entry(j, i) for i in range(4) for j in range(i))
 
 
 def test_theorem1_verify_exhaustive_small(capsys):
@@ -376,6 +377,42 @@ _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
         ),
         pytest.param(
             ["theorem1-verify", "--samples", "3", "--max-n", "0"], None, "--max-n", id="max-n-0"
+        ),
+        pytest.param(
+            ["theorem1-verify", "--max-m", "0", "--max-n", "7"],
+            None,
+            "--max-m must be >= 1, got 0",
+            id="exhaustive-max-m-0",
+        ),
+        pytest.param(
+            ["theorem1-verify", "--max-n", "0"],
+            None,
+            "--max-n must be >= 1, got 0",
+            id="exhaustive-max-n-0",
+        ),
+        pytest.param(
+            ["theorem1-verify", "--max-m", "-6", "--max-n", "-6"],
+            None,
+            "--max-m must be >= 1, got -6",
+            id="exhaustive-negative-bounds",
+        ),
+        pytest.param(
+            ["mu", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
+            None,
+            "table pair needs alpha != beta, got 1 for both",
+            id="mu-table-equal-values",
+        ),
+        pytest.param(
+            ["design-rank", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
+            None,
+            "table pair needs alpha != beta, got 1 for both",
+            id="design-rank-table-equal-values",
+        ),
+        pytest.param(
+            ["theorem1-verify", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
+            None,
+            "table pair needs alpha != beta, got 1 for both",
+            id="verify-table-equal-values",
         ),
         pytest.param(
             ["theorem1-verify", "--max-m", "6", "--max-n", "5"],

@@ -2,17 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from symrank.exactfield import QuadExt
-from symrank.errors import DegenerateEnsembleError, GoodPairError, NotInEnsembleError
+from symrank.errors import DegenerateEnsembleError, GoodPairError
 from symrank.ensemble import (
     BipartiteGraph,
     LinearTheta,
-    SquaredDiff,
     TableFunction,
     Tournament,
     TwoValuePair,
-    bigraph_from_matrix,
     mask_to_points,
     matrix_from_bigraph,
     matrix_from_tournament,
@@ -20,12 +20,16 @@ from symrank.ensemble import (
     points_to_mask,
     random_tournament,
     set_bits,
-    tournament_from_matrix,
     transpose_masks,
 )
 from symrank.spectra import rank_sandwich
 
 HALF = Fraction(1, 2)
+
+
+def squared_diff(x, y):
+    """f(x, y) = (x - y)^2: it vanishes on the diagonal, so it is never a good pair."""
+    return (x - y) ** 2
 
 
 def test_mu_squared_reference_values():
@@ -42,7 +46,7 @@ def test_mu_squared_table_pair():
 
 def test_good_pair_check():
     assert TwoValuePair(LinearTheta(HALF), 1, 2).is_good()
-    assert not TwoValuePair(SquaredDiff(), 1, 2).is_good()
+    assert not TwoValuePair(squared_diff, 1, 2).is_good()
     assert not TwoValuePair(LinearTheta(HALF), 0, 1).is_good()
 
 
@@ -58,6 +62,22 @@ def test_table_function_domain():
     assert f(1, 1) == 5 and f(1, 2) == 6 and f(2, 1) == 7 and f(2, 2) == 8
     with pytest.raises(ValueError):
         f(3, 1)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, named",
+    [
+        pytest.param(1, 1, "1", id="int"),
+        pytest.param(Fraction(3, 2), Fraction(6, 4), "3/2", id="fraction"),
+        pytest.param(2, Fraction(2), "2", id="int-and-fraction"),
+        pytest.param(QuadExt(1, 1, 2), QuadExt(1, 1, 2), "1+1*sqrt(2)", id="quadext"),
+    ],
+)
+def test_table_function_needs_two_values(alpha, beta, named):
+    # with alpha == beta every argument selects f_aa, whatever the table says
+    with pytest.raises(ValueError) as exc:
+        TableFunction(alpha, beta, 5, 6, 7, 8)
+    assert str(exc.value) == f"table pair needs alpha != beta, got {named} for both"
 
 
 def test_matrix_from_tournament_small():
@@ -76,7 +96,7 @@ def test_matrix_from_tournament_small():
 def test_squared_difference_tournament_is_rank_three():
     for seed in range(5):
         t = random_tournament(4, seed)
-        m = matrix_from_tournament(SquaredDiff(), [1, 2, 3, 4], t)
+        m = matrix_from_tournament(squared_diff, [1, 2, 3, 4], t)
         assert m.entry(0, 3) == 9
         assert m.rank() == 3
 
@@ -88,32 +108,8 @@ def test_matrix_symmetric_zero_diagonal_invariant():
         n = rng.randint(1, 8)
         values = [Fraction(rng.randint(1, 9)) for _ in range(n)]
         m = matrix_from_tournament(f, values, random_tournament(n, rng.randint(0, 999)))
-        assert m.is_symmetric() and m.has_zero_diagonal()
-
-
-def test_tournament_roundtrip():
-    f = LinearTheta(HALF)
-    t = random_tournament(6, 77)
-    values = [Fraction(k) for k in (1, 2, 3, 4, 5, 6)]
-    m = matrix_from_tournament(f, values, t)
-    assert tournament_from_matrix(m, f, values) == t
-
-
-def test_tournament_tie_break_canonical():
-    # squared differences are symmetric, so every pair resolves to i -> j
-    t = random_tournament(4, 3)
-    m = matrix_from_tournament(SquaredDiff(), [1, 2, 3, 4], t)
-    back = tournament_from_matrix(m, SquaredDiff(), [1, 2, 3, 4])
-    assert all(back.beats(i, j) for i in range(4) for j in range(i + 1, 4))
-
-
-def test_tournament_from_matrix_rejects_foreign_entries():
-    f = LinearTheta(HALF)
-    t = Tournament(2, [(0, 1)])
-    m = matrix_from_tournament(f, [Fraction(1), Fraction(2)], t)
-    bad = type(m)(2, 2, [0, Fraction(99), Fraction(99), 0])
-    with pytest.raises(NotInEnsembleError):
-        tournament_from_matrix(bad, f, [Fraction(1), Fraction(2)])
+        assert all(m.entry(i, i) == 0 for i in range(n))
+        assert all(m.entry(i, j) == m.entry(j, i) for i in range(n) for j in range(i))
 
 
 def test_random_tournament_contract():
@@ -141,29 +137,6 @@ def test_matrix_from_bigraph_requires_good_pair():
     bad = TwoValuePair.table(1, 2, Fraction(0), Fraction(1), Fraction(2), Fraction(3))
     with pytest.raises(GoodPairError):
         matrix_from_bigraph(bad, BipartiteGraph.empty(2, 2))
-
-
-def test_bigraph_roundtrip_random():
-    rng = random.Random(17)
-    pair = TwoValuePair.linear(HALF, 1, 2)
-    for _ in range(50):
-        m, n = rng.randint(1, 8), rng.randint(1, 8)
-        g = BipartiteGraph(m, n, [rng.getrandbits(n) for _ in range(m)])
-        assert bigraph_from_matrix(matrix_from_bigraph(pair, g), pair, m, n) == g
-
-
-def test_bigraph_from_matrix_errors():
-    pair = TwoValuePair.linear(HALF, 1, 2)
-    g = BipartiteGraph.empty(2, 2)
-    m = matrix_from_bigraph(pair, g)
-    # all-f(beta,alpha) cross block decodes to the empty graph
-    assert bigraph_from_matrix(m, pair, 2, 2).edge_count() == 0
-    bad = type(m)(4, 4, list(m.entries()))
-    bad._e[2] = Fraction(99)
-    with pytest.raises(NotInEnsembleError):
-        bigraph_from_matrix(bad, pair, 2, 2)
-    with pytest.raises(DegenerateEnsembleError):
-        bigraph_from_matrix(m, TwoValuePair.linear(HALF, 1, 1), 2, 2)
 
 
 def test_tournament_and_bigraph_constructions_agree():
@@ -214,6 +187,24 @@ def test_serialization_roundtrips():
     # a set of tournaments dedups exactly as their serialized forms do
     forms = {(t.n, tuple(map(tuple, t.to_dict()["edges"]))) for t in tournaments}
     assert len(set(tournaments)) == len(forms) < len(tournaments)
+
+
+@given(st.integers(1, 40), st.integers(0, 2**32))
+def test_tournament_dict_roundtrip_property(n, seed):
+    t = random_tournament(n, seed)
+    assert Tournament.from_dict(t.to_dict()) == t
+
+
+@st.composite
+def _bipartite_graphs(draw):
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    return BipartiteGraph(m, n, rows)
+
+
+@given(_bipartite_graphs())
+def test_bigraph_dict_roundtrip_property(g):
+    assert BipartiteGraph.from_dict(g.to_dict()) == g
 
 
 def _pair_list_tournament(n: int, seed: int) -> Tournament:

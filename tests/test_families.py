@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from symrank.errors import UnsupportedParameterError
 from symrank.designs import sylvester
-from symrank.ensemble import TwoValuePair, bigraph_from_matrix
+from symrank.ensemble import BipartiteGraph, mask_to_points
 from symrank.families import (
     SetFamily,
     colour_class_tops,
     fano_family,
-    family_matrix,
     hadamard_family,
-    is_theta_intersecting,
-    rank_to_size_bound,
     search_bisection_closed,
     sunflower_family,
     theta_violation,
@@ -28,11 +25,10 @@ HALF = Fraction(1, 2)
 
 
 def test_checker_examples():
-    assert is_theta_intersecting(fano_family(), HALF)
+    assert theta_violation(fano_family(), HALF) is None
     bad = SetFamily(4, [(1, 2), (3, 4)])
-    assert not is_theta_intersecting(bad, HALF)
     assert theta_violation(bad, HALF) == ([1, 2], [3, 4])
-    assert is_theta_intersecting(SetFamily(4, [(1, 2, 3)]), HALF)
+    assert theta_violation(SetFamily(4, [(1, 2, 3)]), HALF) is None
     with pytest.raises(ValueError):
         theta_violation(bad, Fraction(3, 2))
 
@@ -96,11 +92,11 @@ def test_sunflower_family():
     assert {tuple(sorted(s)) for s in f8.to_dict()["sets"]} == expected
     assert len(f8) == 10 == 3 * 8 // 2 - 2
     f4 = sunflower_family(4)
-    assert len(f4) == 4 and is_theta_intersecting(f4, HALF)
+    assert len(f4) == 4 and theta_violation(f4, HALF) is None
     for n in range(4, 66, 2):
         fam = sunflower_family(n)
         assert len(fam) == 3 * n // 2 - 2
-        assert is_theta_intersecting(fam, HALF)
+        assert theta_violation(fam, HALF) is None
     with pytest.raises(ValueError):
         sunflower_family(7)
 
@@ -108,14 +104,14 @@ def test_sunflower_family():
 def test_fano_family():
     ff = fano_family()
     assert len(ff) == 14
-    assert is_theta_intersecting(ff, HALF)
+    assert theta_violation(ff, HALF) is None
     assert 14 > 3 * 8 // 2 - 2
 
 
 def test_hadamard_family_order_8():
     fam = hadamard_family(sylvester(3))
     assert len(fam) == 10
-    assert is_theta_intersecting(fam, HALF)
+    assert theta_violation(fam, HALF) is None
     sizes = sorted(fam.sizes())
     assert sizes.count(4) == 6 and sizes.count(2) == 4
 
@@ -123,7 +119,7 @@ def test_hadamard_family_order_8():
 def test_hadamard_family_order_16():
     fam = hadamard_family(sylvester(4))
     assert len(fam) == 22
-    assert is_theta_intersecting(fam, HALF)
+    assert theta_violation(fam, HALF) is None
     assert set(fam.sizes()) == {8, 4}
 
 
@@ -133,10 +129,10 @@ def test_hadamard_family_other_sources():
 
     # the order-8 quadratic-residue matrix also completes to the 6 + 4 profile
     fam = hadamard_family(paley(7))
-    assert len(fam) == 10 and is_theta_intersecting(fam, HALF)
+    assert len(fam) == 10 and theta_violation(fam, HALF) is None
     # order 32 works through the row-support fallback
     fam32 = hadamard_family(sylvester(5))
-    assert len(fam32) == 46 and is_theta_intersecting(fam32, HALF)
+    assert len(fam32) == 46 and theta_violation(fam32, HALF) is None
     # order-24 row supports have non-uniform triple intersections: the
     # construction must fail loudly rather than return an unverified family
     with pytest.raises(ConstructionFailedError):
@@ -153,65 +149,30 @@ def test_hadamard_family_rejects_small_orders():
         hadamard_family(flipped)
 
 
-def test_family_matrix_fano():
-    m = family_matrix(fano_family(), HALF)
-    assert m.rows == m.cols == 14
-    assert m.is_symmetric() and m.has_zero_diagonal()
-    # the family lists seven 2-sets then seven 4-sets, so the matrix lies in
-    # the two-valued ensemble over (2^(7), 4^(7)); decode its bipartite graph
-    pair = TwoValuePair.linear(HALF, Fraction(2), Fraction(4))
-    graph = bigraph_from_matrix(m, pair, 7, 7)
+def test_fano_family_cross_graph_is_heawood():
+    # the family is seven 2-sets and seven 4-sets; its cross-class graph has
+    # the eigenvalue sqrt(2) six times
+    graph = _cross_class_graph(fano_family())
+    assert graph.m == graph.n == 7
     assert bigraph_multiplicity(graph, Fraction(2)) == 6
     # the family is the 2-(7,3,1) design in disguise: its graph is 3-regular
     # on 14 vertices with 21 edges, the Heawood graph
-    assert set(graph.degrees()) == {3}
-    assert graph.edge_count() == 21 and graph.is_connected()
-
-
-def test_family_matrix_small():
-    single = family_matrix(SetFamily(4, [(1, 2)]), HALF)
-    assert single.rows == 1 and single.entry(0, 0) == 0
-    m = family_matrix(sunflower_family(8), HALF)
-    assert m.rank() <= 10
-    with pytest.raises(ValueError):
-        family_matrix(SetFamily(4, [(1, 2), (3, 4)]), HALF)
-
-
-def test_family_matrix_entries_come_from_the_size_alphabet():
-    from symrank.ensemble import LinearTheta
-
-    fam = fano_family()
-    f = LinearTheta(HALF)
-    sizes = set(fam.sizes())
-    admissible = {f(Fraction(s), Fraction(t)) for s in sizes for t in sizes}
-    m = family_matrix(fam, HALF)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            if i != j:
-                assert m.entry(i, j) in admissible
-
-
-def test_rank_to_size_bound():
-    assert rank_to_size_bound(1, 7) == 8
-    assert rank_to_size_bound(Fraction(2, 3), 8) == Fraction(27, 2)
-    assert rank_to_size_bound(HALF, 15) == 32
-    with pytest.raises(ValueError):
-        rank_to_size_bound(0, 7)
-    with pytest.raises(ValueError):
-        rank_to_size_bound(-1, 7)
+    assert {mask.bit_count() for mask in graph.row_masks + graph.column_masks()} == {3}
+    # connected, since a k-regular graph has eigenvalue k once per component
+    assert graph.edge_count() == 21 and bigraph_multiplicity(graph, 9) == 1
 
 
 def test_search_extends_sunflower_over_8():
     result = search_bisection_closed(8, sunflower_family(8), time_budget=60)
     assert len(result) >= 14
-    assert is_theta_intersecting(result, HALF)
+    assert theta_violation(result, HALF) is None
 
 
 def test_search_monotone_and_verified():
     seed = sunflower_family(4)
     result = search_bisection_closed(4, seed, time_budget=0.001)
     assert len(result) >= len(seed)
-    assert is_theta_intersecting(result, HALF)
+    assert theta_violation(result, HALF) is None
 
 
 def test_search_rejects_bad_input():
@@ -225,7 +186,7 @@ def test_search_beats_bound_from_fano_seed():
     for n in (10, 12):
         result = search_bisection_closed(n, fano_family(), time_budget=30)
         assert len(result) > 3 * n // 2 - 2
-        assert is_theta_intersecting(result, HALF)
+        assert theta_violation(result, HALF) is None
 
 
 def _bisection_compatible(a, b):
@@ -254,7 +215,7 @@ def test_completed_search_matches_brute_force(n, seed_set):
     ]
     assert len(result) == _largest_extension(1, pool)
     assert s in result.masks and all(m.bit_count() % 2 == 0 for m in result.masks)
-    assert is_theta_intersecting(result, HALF)
+    assert theta_violation(result, HALF) is None
 
 
 @st.composite
@@ -326,20 +287,22 @@ def test_sunflower_over_10_is_maximal():
 
 
 def _cross_class_graph(family):
-    """Bipartite graph between the two size classes of a two-size family."""
-    sets = family.to_dict()["sets"]
-    ordered = SetFamily(family.ground_n, sorted(sets, key=lambda s: (len(s), sorted(s))))
-    sizes = ordered.sizes()
-    small, large = sizes[0], sizes[-1]
-    count_small = sizes.count(small)
-    m = family_matrix(ordered, HALF)
-    pair = TwoValuePair.linear(HALF, Fraction(small), Fraction(large))
-    return bigraph_from_matrix(m, pair, count_small, len(sizes) - count_small)
+    """Bipartite graph between the two size classes of a two-size family.
+
+    Each class is listed in ascending point order; a small set A and a large
+    set B are adjacent when 2|A & B| = |B|.
+    """
+    ordered = sorted(family.masks, key=lambda s: (s.bit_count(), mask_to_points(s)))
+    small = [s for s in ordered if s.bit_count() == ordered[0].bit_count()]
+    large = ordered[len(small):]
+    rows = [
+        sum(1 << j for j, b in enumerate(large) if 2 * (a & b).bit_count() == b.bit_count())
+        for a in small
+    ]
+    return BipartiteGraph(len(small), len(large), rows)
 
 
 def _transposed(g):
-    from symrank.ensemble import BipartiteGraph
-
     return BipartiteGraph.from_edges(g.n, g.m, [(j, i) for i, j in g.edges()])
 
 
@@ -385,6 +348,33 @@ def test_family_json_roundtrip():
     data = fam.to_dict()
     assert data["n"] == 8 and len(data["sets"]) == 14
     assert SetFamily.from_dict(data) == fam
+
+
+_BISECTION_CLOSED = [
+    sunflower_family(4),
+    sunflower_family(10),
+    fano_family(),
+    hadamard_family(sylvester(3)),
+    hadamard_family(sylvester(4)),
+]
+
+
+@st.composite
+def _relabelled_subfamilies(draw):
+    """A drawn subset of a bisection-closed family, its points sent injectively into [n]."""
+    family = draw(st.sampled_from(_BISECTION_CLOSED))
+    n = draw(st.integers(family.ground_n, 20))
+    image = draw(st.permutations(range(n)))
+    masks = draw(st.lists(st.sampled_from(family.masks), unique=True))
+    relabelled = [sum(1 << image[j] for j in range(family.ground_n) if m >> j & 1) for m in masks]
+    return SetFamily.from_masks(n, relabelled)
+
+
+@given(_relabelled_subfamilies())
+def test_family_dict_roundtrip_property(family):
+    back = SetFamily.from_dict(family.to_dict())
+    assert back == family and back.ground_n == family.ground_n
+    assert theta_violation(back, HALF) is None
 
 
 def test_with_ground():

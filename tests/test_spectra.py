@@ -11,7 +11,6 @@ from symrank.spectra import (
     complete_minus_matching,
     low_rank_matching_instance,
     rank_sandwich,
-    rowlinson_check,
 )
 
 from oracle import rank_naive
@@ -59,7 +58,7 @@ def test_complete_minus_matching_shape():
     assert g1.edge_count() == 0
     g3 = complete_minus_matching(3)
     assert g3.edge_count() == 6
-    assert all(d == 2 for d in g3.degrees())
+    assert all(mask.bit_count() == 2 for mask in g3.row_masks + g3.column_masks())
     with pytest.raises(ValueError):
         complete_minus_matching(0)
 
@@ -147,36 +146,6 @@ def test_low_rank_matching_validation():
         low_rank_matching_instance(Fraction(3, 2), 4, "+")
     with pytest.raises(ValueError):
         low_rank_matching_instance(HALF, 4, "?")
-
-
-def test_rowlinson_heawood():
-    from symrank.designs import fano, incidence_bigraph
-
-    report = rowlinson_check(incidence_bigraph(fano()), Fraction(2))
-    assert report.applicable
-    assert report.nu == 6 and report.max_degree == 3 and report.order == 14
-    assert report.bound_a_holds  # 6 <= 14 - 1 - 3
-    assert not report.bound_b_applicable
-
-
-def test_rowlinson_matching_complement():
-    for n in (4, 6):
-        g = complete_minus_matching(n)
-        report = rowlinson_check(g, Fraction(1), assume_positive_root=True)
-        assert report.applicable
-        assert report.nu == n - 1 and report.max_degree == n - 1
-        assert report.bound_a_holds  # n-1 <= 2n-1-(n-1) = n
-        assert not report.bound_b_applicable
-
-
-def test_rowlinson_inapplicable_cases():
-    disconnected = BipartiteGraph.empty(4, 4)
-    assert not rowlinson_check(disconnected, Fraction(2)).applicable
-    small = complete_minus_matching(2)
-    assert not rowlinson_check(small, Fraction(1), assume_positive_root=True).applicable
-    ambiguous = complete_minus_matching(6)
-    report = rowlinson_check(ambiguous, Fraction(1))
-    assert not report.applicable and "ambiguous" in report.reason
 
 
 def test_report_serialization():
