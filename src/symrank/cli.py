@@ -3,12 +3,14 @@
 Every subcommand emits a JSON report (stdout or --out) that echoes its full
 configuration, so identical invocations with identical seeds are
 byte-identical.  Exit codes: 0 success, 1 mathematical verification failure,
-2 usage error.
+2 usage error.  The argument parser is built once per process, on the first
+call to main, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -59,7 +61,8 @@ def report_json(value, indent: str = "\n") -> str:
     is encoded in one C-level json.dumps call whose item separator carries
     the indentation.  `indent` is the newline and indentation that precede
     the value's closing bracket.  Dict keys must be strings, as in every
-    report.
+    report.  A HadamardMatrix is written as the list of its +1/-1 rows,
+    straight from its row masks.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -74,6 +77,11 @@ def report_json(value, indent: str = "\n") -> str:
             body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
         else:
             body = ("," + inner).join(report_json(x, inner) for x in value)
+        return "[" + inner + body + indent + "]"
+    if isinstance(value, dsg.HadamardMatrix):
+        entry = inner + "  "
+        rows = value.entry_text("," + entry)
+        body = ("," + inner).join("[" + entry + row + inner + "]" for row in rows)
         return "[" + inner + body + indent + "]"
     return json.dumps(value)
 
@@ -252,7 +260,7 @@ def _cmd_hadamard(args) -> dict:
         "config": _config(args, ("construction", "k", "q")),
         "order": h.order,
         "normalized": h.normalized,
-        "rows": h.rows(),
+        "rows": h,
     }
     if args.matrix_out:
         with open(args.matrix_out, "w", encoding="utf-8") as fh:
@@ -382,7 +390,9 @@ def _cmd_random_rank_stats(args) -> dict:
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="symrank",
         description="Exact rank experiments on two-valued symmetric ensembles",
@@ -519,8 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         report = args.handler(args)
     except (VerificationError, ConstructionFailedError) as exc:

@@ -3,7 +3,8 @@
 Hadamard matrices come from a small construction catalog (Sylvester powers
 and the quadratic-residue construction for primes q = 3 mod 4).  Like the
 designs, they store each row as a bitmask (bit j set for a +1 in column j);
-the +1/-1 lists exist only in reports and CSV output.  Every constructed
+reports and CSV output write the +1/-1 entries as text straight from the
+masks, so no +1/-1 list is ever built.  Every constructed
 matrix is validated once against H H^T = order * I: two rows are orthogonal
 exactly when they differ in half of the columns, popcount(r_i ^ r_j) = n/2.
 A normalized matrix of order 4t yields a symmetric 2-(4t-1, 2t-1, t-1)
@@ -54,13 +55,21 @@ class HadamardMatrix:
         full = (1 << self.order) - 1
         return self.row_masks[0] == full and all(m & 1 for m in self.row_masks)
 
-    def rows(self) -> list[list[int]]:
-        """The matrix as lists of +1/-1 entries."""
-        n = self.order
-        return [[1 if (m >> j) & 1 else -1 for j in range(n)] for m in self.row_masks]
+    def entry_text(self, sep: str) -> list[str]:
+        """Each row's +1/-1 entries as text, joined by `sep` (which holds no '0').
+
+        The mask's binary digits, reversed, list columns 0..n-1 in order;
+        each digit becomes `sep` and its entry, and the first `sep` is cut off.
+        """
+        width = f"0{self.order}b"
+        one, minus_one, cut = sep + "1", sep + "-1", len(sep)
+        return [
+            format(mask, width)[::-1].replace("1", one).replace("0", minus_one)[cut:]
+            for mask in self.row_masks
+        ]
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.rows()) + "\n"
+        return "\n".join(self.entry_text(",")) + "\n"
 
     def __eq__(self, other):
         if not isinstance(other, HadamardMatrix):
@@ -113,12 +122,12 @@ def paley(q: int) -> HadamardMatrix:
     if q % 4 != 3:
         raise UnsupportedParameterError(f"q = {q} is not congruent to 3 mod 4")
     residues = {(x * x) % q for x in range(1, q)}
-    chi = [0] * q
-    for x in range(1, q):
-        chi[x] = 1 if x in residues else -1
-    n = q + 1
-    masks = [(1 << n) - 1] + [
-        1 | sum(1 << j for j in range(1, n) if chi[(i - j) % q] < 0) for i in range(1, n)
+    # core row i has bit c = j - 1 set when i - j is a non-square, i.e. c - (i - 1)
+    # lies in -(non-squares): row i is the mask of that set rotated by i - 1 in q bits
+    base = sum(1 << (-x % q) for x in range(1, q) if x not in residues)
+    full = (1 << q) - 1
+    masks = [(1 << (q + 1)) - 1] + [
+        1 | ((base << r | base >> (q - r)) & full) << 1 for r in range(q)
     ]
     return HadamardMatrix(masks)
 

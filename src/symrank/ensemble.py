@@ -148,22 +148,22 @@ class TwoValuePair:
         diff = vab - vba
         if diff == 0:
             raise DegenerateEnsembleError(
-                "f(alpha, beta) == f(beta, alpha); the ensemble has a single member"
+                f"f(alpha, beta) == f(beta, alpha) == {format_scalar(vab)} at "
+                f"alpha = {format_scalar(self.alpha)}, beta = {format_scalar(self.beta)}; "
+                "the ensemble has a single member"
             )
         den = diff * diff
         # int / int is a float; an int denominator divides as a Fraction instead
         return vaa * vbb / (Fraction(den) if type(den) is int else den)
 
-    def is_good(self) -> bool:
-        vaa, _, _, vbb = self.values
-        return vaa != 0 and vbb != 0
-
     def require_good(self):
-        if not self.is_good():
-            raise GoodPairError(
-                f"f({format_scalar(self.alpha)}, .) or f({format_scalar(self.beta)}, .) "
-                "vanishes on the diagonal"
-            )
+        vaa, _, _, vbb = self.values
+        for name, value, diagonal in (("alpha", self.alpha, vaa), ("beta", self.beta, vbb)):
+            if diagonal == 0:
+                raise GoodPairError(
+                    f"f({name}, {name}) == 0 at {name} = {format_scalar(value)}; "
+                    "a good pair needs both diagonal values nonzero"
+                )
 
 
 def mu_squared(pair: TwoValuePair):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateEnsembleError, GoodPairError, VerificationError
+from .errors import VerificationError
 from .exactfield import as_fraction, format_scalar, scalar_sign, solve_monic_quadratic
 from .ensemble import BipartiteGraph, TwoValuePair, mu_squared
 from .linalg import Matrix  # noqa: F401  kept bound: bench/test_bench.py reads spectra.Matrix
@@ -158,15 +158,12 @@ def ensemble_rank(
 def rank_sandwich(pair: TwoValuePair, g: BipartiteGraph) -> SpectralReport:
     """Exact rank of the ensemble matrix of g, verified against its nu bounds.
 
-    Requires f(a,a), f(b,b) and f(a,b) - f(b,a) all nonzero.  Raises
+    Requires f(a,a), f(b,b) and f(a,b) - f(b,a) all nonzero (GoodPairError
+    and DegenerateEnsembleError from the pair's own checks).  Raises
     VerificationError if the computed rank ever escapes the sandwich, which
     would indicate a genuine bug.
     """
-    if not pair.is_good():
-        raise GoodPairError("rank sandwich requires f(a,a) != 0 and f(b,b) != 0")
-    _, vab, vba, _ = pair.values
-    if vab == vba:
-        raise DegenerateEnsembleError("rank sandwich requires f(a,b) != f(b,a)")
+    pair.require_good()
     mu2 = mu_squared(pair)
     gram = _gram_smaller_side(g)
     nu = bigraph_multiplicity(g, mu2, gram)

@@ -3,8 +3,8 @@
 These deliberately avoid the production code paths: rank is computed by
 plain exact-division Gaussian elimination on Fraction/QuadExt entries, the
 coprime-pair scan is a brute-force enumeration, prime powers are found by
-trial division, and the bisection-closed search prunes on the plain
-candidate count.
+trial division, Hadamard entries are read one bit at a time, and the
+bisection-closed search prunes on the plain candidate count.
 """
 
 from __future__ import annotations
@@ -56,6 +56,17 @@ def coprime_pairs_brute(target: int, bound: int) -> list[tuple[int, int]]:
             if Fraction(alpha * beta, (alpha - beta) ** 2) == target:
                 out.append((alpha, beta))
     return out
+
+
+def hadamard_rows(h) -> list[list[int]]:
+    """The +1/-1 entries of a HadamardMatrix, one bit test per entry."""
+    n = h.order
+    return [[1 if (mask >> j) & 1 else -1 for j in range(n)] for mask in h.row_masks]
+
+
+def hadamard_csv(rows) -> str:
+    """+1/-1 rows as CSV text, one str() per entry."""
+    return "\n".join(",".join(str(v) for v in row) for row in rows) + "\n"
 
 
 def prime_powers_up_to(limit: int) -> list[int]:

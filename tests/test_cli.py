@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import sympy
@@ -6,9 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symrank.cli import main, report_json
+from symrank.designs import paley, sylvester
 from symrank.ensemble import matrix_from_tournament
 from symrank.exactfield import square_free_part
 from symrank.linalg import Matrix
+
+from oracle import hadamard_csv, hadamard_rows
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -301,6 +310,56 @@ def test_reports_are_indented_json_dumps(capsys, argv):
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
 
+@pytest.mark.parametrize(
+    "argv, h",
+    [(["--construction", "sylvester", "--k", str(k)], sylvester(k)) for k in (0, 1, 2, 3, 8)]
+    + [(["--construction", "paley", "--q", str(q)], paley(q)) for q in (11, 19, 307)],
+    ids=[f"order-{n}" for n in (1, 2, 4, 8, 256, 12, 20, 308)],
+)
+def test_hadamard_report_and_csv_match_the_oracle_text(tmp_path, capsys, argv, h):
+    path = tmp_path / "h.csv"
+    code, out = run_cli(capsys, "hadamard", *argv, "--matrix-out", str(path))
+    assert code == 0
+    rows = hadamard_rows(h)
+    report = json.loads(out)
+    assert len(report["rows"]) == h.order
+    report["rows"] = rows
+    # compared as lists of lines (split() inverts join()): pytest's diff of two
+    # long strings takes minutes
+    expected = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert out.split("\n") == expected.split("\n")
+    assert path.read_bytes().decode().split("\n") == hadamard_csv(rows).split("\n")
+
+
+def _fresh_interpreter(argv):
+    result = subprocess.run(
+        [sys.executable, "-m", "symrank", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    return result.returncode, result.stdout
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    calls = [
+        ["mu", "--alpha", "1", "--beta", "2", "--table", "1", "2", "3", "5"],
+        ["mu", "--alpha", "1", "--beta", "2"],  # --table must not carry over
+        ["mu", "--table", "1", "2"],  # argparse rejects it: SystemExit(2)
+        ["hadamard", "--construction", "paley", "--q", "7"],
+        ["mu", "--theta", "1/3"],
+    ]
+    outputs = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        outputs.append(capsys.readouterr().out)
+        assert (code, outputs[-1]) == _fresh_interpreter(argv)
+    assert json.loads(outputs[1])["config"]["table"] is None
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--bogus-flag"])
@@ -413,6 +472,24 @@ _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
             None,
             "table pair needs alpha != beta, got 1 for both",
             id="verify-table-equal-values",
+        ),
+        pytest.param(
+            ["design-rank", "--alpha", "1", "--beta", "1"],
+            None,
+            "f(alpha, beta) == f(beta, alpha) == 1 at alpha = 1, beta = 1",
+            id="design-rank-equal-values",
+        ),
+        pytest.param(
+            ["design-rank", "--alpha", "0", "--beta", "1"],
+            None,
+            "f(alpha, alpha) == 0 at alpha = 0",
+            id="design-rank-zero-diagonal",
+        ),
+        pytest.param(
+            ["theorem1-verify", "--alpha", "2", "--beta", "2", "--max-m", "2", "--max-n", "2"],
+            None,
+            "f(alpha, beta) == f(beta, alpha) == 2 at alpha = 2, beta = 2",
+            id="verify-equal-values",
         ),
         pytest.param(
             ["theorem1-verify", "--max-m", "6", "--max-n", "5"],

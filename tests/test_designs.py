@@ -23,7 +23,7 @@ from symrank.designs import (
 )
 from symrank.spectra import bigraph_multiplicity, rank_sandwich
 
-from oracle import coprime_pairs_brute, prime_powers_up_to
+from oracle import coprime_pairs_brute, hadamard_csv, hadamard_rows, prime_powers_up_to
 
 HALF = Fraction(1, 2)
 
@@ -44,7 +44,7 @@ def _dot_products_ok(rows):
 
 
 def test_sylvester():
-    assert sylvester(0).rows() == [[1]]
+    assert hadamard_rows(sylvester(0)) == [[1]]
     assert sylvester(0).row_masks == [1]
     assert sylvester(2).order == 4
     h3 = sylvester(3)
@@ -83,8 +83,10 @@ def test_paley_constructions():
 
 def test_kron_hadamard():
     # the Sylvester matrix of order 4 is the Kronecker square of the order-2 one
-    h2 = sylvester(1).rows()
-    assert sylvester(2).rows() == [[a * b for a in r1 for b in r2] for r1 in h2 for r2 in h2]
+    h2 = hadamard_rows(sylvester(1))
+    assert hadamard_rows(sylvester(2)) == [
+        [a * b for a in r1 for b in r2] for r1 in h2 for r2 in h2
+    ]
 
 
 def _bordered_paley_normalized(q):
@@ -108,18 +110,21 @@ def test_paley_validates_once_and_matches_the_bordered_construction(monkeypatch)
         init(self, row_masks)
 
     monkeypatch.setattr(HadamardMatrix, "__init__", counting_init)
-    for q in (3, 7, 11, 19, 23, 43):
+    primes = [q for q in range(3, 200, 4) if all(q % d for d in range(2, q))]
+    assert primes[:6] == [3, 7, 11, 19, 23, 31] and primes[-1] == 199
+    for q in primes:
         calls.clear()
         h = paley(q)
         assert len(calls) == 1
         assert h.normalized
-        assert h.rows() == _bordered_paley_normalized(q)
+        assert hadamard_rows(h) == _bordered_paley_normalized(q)
 
 
 def test_hadamard_csv_roundtrip():
     h = paley(7)
     rows = [[int(cell) for cell in line.split(",")] for line in h.to_csv().splitlines()]
     assert HadamardMatrix(_masks(rows)) == h
+    assert h.to_csv() == hadamard_csv(hadamard_rows(h))
 
 
 def test_hadamard_design_parameters():
@@ -340,7 +345,7 @@ def test_random_hadamard_invariant():
         k = rng.randint(0, 4)
         h = sylvester(k)
         n = h.order
-        rows = h.rows()
+        rows = hadamard_rows(h)
         for i in range(n):
             for j in range(n):
                 dot = sum(a * b for a, b in zip(rows[i], rows[j]))
@@ -353,7 +358,7 @@ def test_random_hadamard_invariant():
     ids=[f"sylvester-{k}" for k in range(5)] + [f"paley-{q}" for q in (3, 7, 11, 19)],
 )
 def test_every_single_entry_flip_agrees_with_the_dot_product_oracle(h):
-    rows = h.rows()
+    rows = hadamard_rows(h)
     assert _dot_products_ok(rows)
     assert HadamardMatrix(_masks(rows)) == h
     n = h.order
@@ -363,7 +368,7 @@ def test_every_single_entry_flip_agrees_with_the_dot_product_oracle(h):
             flipped[i][j] = -flipped[i][j]
             if _dot_products_ok(flipped):
                 assert n == 1  # [[-1]] is the only Hadamard matrix one flip away
-                assert HadamardMatrix(_masks(flipped)).rows() == flipped
+                assert hadamard_rows(HadamardMatrix(_masks(flipped))) == flipped
             else:
                 with pytest.raises(VerificationError):
                     HadamardMatrix(_masks(flipped))

@@ -45,9 +45,13 @@ def test_mu_squared_table_pair():
 
 
 def test_good_pair_check():
-    assert TwoValuePair(LinearTheta(HALF), 1, 2).is_good()
-    assert not TwoValuePair(squared_diff, 1, 2).is_good()
-    assert not TwoValuePair(LinearTheta(HALF), 0, 1).is_good()
+    TwoValuePair(LinearTheta(HALF), 1, 2).require_good()
+    with pytest.raises(GoodPairError, match=r"f\(alpha, alpha\) == 0 at alpha = 1;"):
+        TwoValuePair(squared_diff, 1, 2).require_good()
+    with pytest.raises(GoodPairError, match=r"f\(alpha, alpha\) == 0 at alpha = 0;"):
+        TwoValuePair(LinearTheta(HALF), 0, 1).require_good()
+    with pytest.raises(GoodPairError, match=r"f\(beta, beta\) == 0 at beta = 2/3;"):
+        TwoValuePair.table(1, Fraction(2, 3), 1, 2, 3, 0).require_good()
 
 
 def test_linear_theta_validation():

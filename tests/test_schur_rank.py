@@ -52,6 +52,11 @@ nonzero_rationals = rationals.filter(lambda x: x != 0)
 thetas = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: 0 < t < 1)
 
 
+def _is_good(pair: TwoValuePair) -> bool:
+    vaa, _, _, vbb = pair.values
+    return vaa != 0 and vbb != 0
+
+
 def linear_pair(draw, alpha, betas) -> TwoValuePair:
     theta = draw(thetas)
     # beta = -alpha / (1 - 2 theta) makes f(alpha, beta) = 0
@@ -60,7 +65,7 @@ def linear_pair(draw, alpha, betas) -> TwoValuePair:
     else:
         beta = draw(betas)
     pair = TwoValuePair.linear(theta, alpha, beta)
-    return draw(st.just(pair).filter(TwoValuePair.is_good))
+    return draw(st.just(pair).filter(_is_good))
 
 
 @st.composite
@@ -99,7 +104,7 @@ def quadratic_pairs(draw) -> TwoValuePair:
         f_aa, f_ab, f_bb = (draw(values) for _ in range(3))
         f_ba = draw(st.one_of(st.just(Fraction(0)), values))
         pair = TwoValuePair.table(Fraction(1), Fraction(2), f_aa, f_ab, f_ba, f_bb)
-    return draw(st.just(pair).filter(TwoValuePair.is_good))
+    return draw(st.just(pair).filter(_is_good))
 
 
 @given(linear_pairs(), graphs())
