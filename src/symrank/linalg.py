@@ -7,37 +7,55 @@ entry.  Rank works on rows with denominators cleared row by row
 (`rank_int_rows` over Z, `rank_quad_rows` over Z[sqrt(d)]); a matrix of ints
 goes to `rank_int_rows` as it is.  CSV cells that are integers parse to ints.
 
-Over Z, a matrix with k = min(rows, cols) has rank k when its rank modulo
-the word-sized prime RANK_PRIME is k: reduction mod p is a ring map, so a
-k x k minor that is nonzero mod p is nonzero over Z.  That pass packs each
-row into one int and eliminates with one bignum multiply-add per row.  It is
-skipped when k times (entry bits + bitlen k) is at most 62, because then
-every Bareiss intermediate fits in a machine word anyway, and, without
-scanning the entries, when k is at most SMALL_RANK = 3: the scan alone
-costs about a third of a 3 x 3 Bareiss on small entries, and at that size
-Bareiss is as fast as the pass up to entries of a few hundred bits (wider
-ones make such a rank slower, never different; a 3 x 3 of 10^4-bit entries
-takes about 2 ms against 70 us).  Every other case, a rank below k mod p
-included, goes to fraction-free (Bareiss-style) Gaussian elimination, whose
-intermediate values stay minors of the matrix instead of blowing up as
-free-form fractions.  So the result never depends on the prime.  Bareiss
-pivots are the first nonzero entry in column order, rows scanned top-down,
-which makes the elimination deterministic.
+A matrix with k = min(rows, cols) has rank k when its image modulo a prime p
+has rank k: reduction mod p is a ring map, so a k x k minor that is nonzero
+mod p is nonzero over the ring.  Over Z, p is RANK_PRIME = 2^26 - 5; over
+Z[sqrt(d)], a + b*sqrt(d) maps to a + b*s mod p, where p is the first prime
+= 3 mod 4 counting down from RANK_PRIME for which d is a square mod p and
+s^2 = d mod p (s = 0 when p divides d), which is again a ring map.  One pass,
+`_full_rank_mod_p`, serves both rings: it stores each row as one int of
+64-bit slots, packed from one array of the whole matrix's residues, and
+eliminates with one bignum multiply-add per row.  Since p < 2^26, a slot
+never carries for k up to SLOT_BOUND = 4097; a larger k goes straight to
+Bareiss.
+
+The pass is skipped when k is at most SMALL_RANK = 3: at that size Bareiss
+is as fast as the pass up to entries of a few hundred bits (wider ones make
+such a rank slower, never different; a 3 x 3 of 10^4-bit entries takes about
+2 ms against 70 us), and over Z the scan of the entries alone costs about a
+third of a 3 x 3 Bareiss on small entries.  Over Z it is also skipped when
+k times (entry bits + bitlen k) is at most 62, because then every Bareiss
+intermediate fits in a machine word anyway.  Every other case, a rank below
+k mod p included, goes to fraction-free (Bareiss-style) Gaussian
+elimination, whose intermediate values stay minors of the matrix instead of
+blowing up as free-form fractions.  So the result never depends on the
+prime.  Bareiss pivots are the first nonzero entry in column order, rows
+scanned top-down, which makes the elimination deterministic.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
-from itertools import chain
-from math import lcm
+from functools import lru_cache
+from itertools import chain, islice
+from math import isqrt, lcm
 
 from .errors import FieldMismatchError
 from .exactfield import QuadExt, format_scalar, parse_scalar
 
-# the word-sized prime of the full-rank certificate in rank_int_rows
-RANK_PRIME = 2**31 - 1
-# largest min(rows, cols) that rank_int_rows sends straight to Bareiss
+# the prime of the full-rank certificate over Z, and the first one tried over
+# Z[sqrt(d)]; = 3 mod 4, so that a square root mod p is one pow
+RANK_PRIME = 2**26 - 5
+# largest min(rows, cols) whose elimination mod a prime p <= RANK_PRIME stays
+# inside 64-bit slots: (p - 1)(1 + (k - 1)(p - 1)) < 2^64
+SLOT_BOUND = (2**64 - RANK_PRIME) // (RANK_PRIME - 1) ** 2 + 1
+_SLOT = 2**64 - 1
+# largest min(rows, cols) that goes straight to Bareiss
 SMALL_RANK = 3
+# how many primes _quad_root tries before leaving a Z[sqrt(d)] rank to Bareiss
+QUAD_PRIME_TRIES = 32
 
 
 class Matrix:
@@ -104,10 +122,13 @@ class Matrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "Matrix":
-        """Parse CSV text, each cell with parse_scalar.
+        """Parse CSV text, each cell as parse_scalar reads it.
 
-        A bad cell raises ValueError naming its 1-based row and column, and a
-        row whose length differs from row 1's names the row and both lengths.
+        A line without "_" is first read with one int() per cell, which
+        accepts exactly the cells parse_scalar reads as ints once "_" is ruled
+        out; any other line goes cell by cell through parse_scalar.  A bad
+        cell raises ValueError naming its 1-based row and column, and a row
+        whose length differs from row 1's names the row and both lengths.
         The first cell over a second discriminant is a bad cell, so a mixed
         matrix is rejected before the remaining cells are parsed and factored.
         """
@@ -117,19 +138,27 @@ class Matrix:
             line = line.strip()
             if not line:
                 continue
-            row = []
-            for col, cell in enumerate(line.split(","), 1):
+            cells = line.split(",")
+            row = None
+            if "_" not in line:  # int() reads "1_000"; parse_scalar rejects it
                 try:
-                    x = parse_scalar(cell)
-                    if type(x) is QuadExt and x.d != quad_d:
-                        if quad_d is not None:
-                            raise FieldMismatchError(
-                                f"matrix mixes sqrt({quad_d}) and sqrt({x.d}) entries"
-                            )
-                        quad_d = x.d
-                except ValueError as exc:
-                    raise ValueError(f"row {len(rows) + 1}, column {col}: {exc}") from None
-                row.append(x)
+                    row = list(map(int, cells))
+                except ValueError:
+                    pass
+            if row is None:
+                row = []
+                for col, cell in enumerate(cells, 1):
+                    try:
+                        x = parse_scalar(cell)
+                        if type(x) is QuadExt and x.d != quad_d:
+                            if quad_d is not None:
+                                raise FieldMismatchError(
+                                    f"matrix mixes sqrt({quad_d}) and sqrt({x.d}) entries"
+                                )
+                            quad_d = x.d
+                    except ValueError as exc:
+                        raise ValueError(f"row {len(rows) + 1}, column {col}: {exc}") from None
+                    row.append(x)
             if rows and len(row) != len(rows[0]):
                 raise ValueError(
                     f"row {len(rows) + 1} has length {len(row)}, expected {len(rows[0])} as row 1"
@@ -183,20 +212,23 @@ def rank_int_rows(rows: list[list[int]]) -> int:
     """Exact rank of a matrix given as integer rows.
 
     Let k = min(rows, cols) and let every entry be below 2^b in absolute
-    value.  When k > SMALL_RANK and k * (b + bitlen k) > 62, a row-packed
-    elimination modulo RANK_PRIME runs first, and a rank of k mod p certifies
-    rank k: a k x k minor that is nonzero mod p is nonzero over Z.  (For
-    k <= SMALL_RANK, b is never computed.)  Otherwise, and whenever the rank
-    mod p is below k, fraction-free (Bareiss) elimination gives the rank.
-    The result never depends on the prime; only the time does.
+    value.  When SMALL_RANK < k <= SLOT_BOUND and k * (b + bitlen k) > 62,
+    elimination modulo RANK_PRIME = 2^26 - 5 runs first, and a rank of k mod
+    p certifies rank k: a k x k minor that is nonzero mod p is nonzero over
+    Z.  (Outside that range of k, b is never computed.)  Otherwise, and
+    whenever the rank mod p is below k, fraction-free (Bareiss) elimination
+    gives the rank.  The result never depends on the prime; only the time
+    does.
     """
     k = min(len(rows), len(rows[0])) if rows else 0
-    if k > SMALL_RANK:
+    if SMALL_RANK < k <= SLOT_BOUND:
         # Hadamard: every j x j minor of entries below 2^b is below 2^(j(b + log2(j)/2)),
         # so below this size every Bareiss intermediate fits in a machine word
         bits = max(map(int.bit_length, chain.from_iterable(rows)))
-        if k * (bits + k.bit_length()) > 62 and _full_rank_mod_p(rows, k):
-            return k
+        if k * (bits + k.bit_length()) > 62:
+            p = RANK_PRIME
+            if _full_rank_mod_p([v % p for row in rows for v in row], len(rows[0]), k, p):
+                return k
     pending = [row for row in rows if any(row)]
     rank = 0
     prev = 1
@@ -233,58 +265,96 @@ def rank_int_rows(rows: list[list[int]]) -> int:
     return rank
 
 
-def _full_rank_mod_p(rows: list[list[int]], k: int) -> bool:
-    """Whether the integer rows have rank k modulo RANK_PRIME.
+def _full_rank_mod_p(residues: list[int], cols: int, k: int, p: int) -> bool:
+    """Whether a matrix has rank k = min(rows, cols) modulo the prime p.
 
-    Each row is one int of w-bit slots, column 0 in the lowest slot, starting
-    in [0, p).  The pivot row is reduced mod p and scaled to head 1; every
-    other row becomes (row >> w) + (p - x) * pivot_tail, where x is its head
-    mod p, or just row >> w when x is 0.  A row takes at most k - 1 such
-    steps, each adding at most (p-1)^2 to a slot, so slots stay non-negative
-    and w = bitlen((p-1) + (k-1)(p-1)^2) bits never carry.
+    `residues` holds its entries reduced mod p, row-major, `cols` to a row.
+    They are packed in one array of 64-bit slots, and each row is read from
+    it as one int: column 0 in the lowest slot on a little-endian machine,
+    in the highest on a big-endian one, which only reverses the order in
+    which the columns are eliminated.  The pivot row is reduced mod p and
+    scaled to head 1 by one unpack and one pack; every other row becomes
+    (row >> 64) + (p - x) * pivot_tail, where x is its head mod p, or just
+    row >> 64 when x is 0.  A row takes at most k - 1 such steps, each adding
+    at most (p-1)^2 to a slot, so a slot stays below
+    (p-1)(1 + (k-1)(p-1)) < 2^64 and never carries while k <= SLOT_BOUND
+    and p <= RANK_PRIME.
     """
-    p = RANK_PRIME
-    w = ((p - 1) * (1 + (k - 1) * (p - 1))).bit_length()
-    mask = (1 << w) - 1
+    width = 8 * cols
+    packed = array("Q", residues).tobytes()
     pending = []
-    for row in rows:
-        packed = 0
-        for v in reversed(row):
-            packed = packed << w | v % p
-        if packed:
-            pending.append(packed)
+    for start in range(0, len(packed), width):
+        row = int.from_bytes(packed[start : start + width], sys.byteorder)
+        if row:
+            pending.append(row)
     rank = 0
-    for left in range(len(rows[0]), 0, -1):  # columns left, the head's included
+    for left in range(cols, 0, -1):  # columns left, the head's included
         if rank + min(left, len(pending)) < k:
             return False
         for idx, row in enumerate(pending):
-            head = (row & mask) % p  # a slot can be a nonzero multiple of p
+            head = (row & _SLOT) % p  # a slot can be a nonzero multiple of p
             if head:
                 break
         else:
-            pending = [row >> w for row in pending]
+            pending = [row >> 64 for row in pending]
             continue
         rank += 1
         if rank == k:
             return True
         del pending[idx]
         inv = pow(head, -1, p)
-        tail = row >> w
-        prow = 0
-        for shift in range((left - 2) * w, -1, -w):
-            prow = prow << w | (tail >> shift & mask) * inv % p
+        tail = array("Q", (row >> 64).to_bytes(8 * (left - 1), sys.byteorder))
+        prow = int.from_bytes(array("Q", [v * inv % p for v in tail]).tobytes(), sys.byteorder)
         nxt = []
         for row in pending:
-            x = (row & mask) % p
-            row = (row >> w) + (p - x) * prow if x else row >> w
+            x = (row & _SLOT) % p
+            row = (row >> 64) + (p - x) * prow if x else row >> 64
             if row:
                 nxt.append(row)
         pending = nxt
     return False
 
 
+@lru_cache(maxsize=64)
+def _quad_root(d: int) -> tuple[int, int] | None:
+    """(p, s) with s^2 = d mod p, for the first prime p = 3 mod 4 counting down
+    from RANK_PRIME for which d is a square mod p; None when none of the first
+    QUAD_PRIME_TRIES such primes has one.  s = 0 when p divides d.
+    """
+    for p in islice(_primes_3_mod_4(), QUAD_PRIME_TRIES):
+        s = pow(d, (p + 1) // 4, p)  # a square root of d whenever d has one
+        if (s * s - d) % p == 0:
+            return p, s
+    return None
+
+
+def _primes_3_mod_4():
+    """The primes = 3 mod 4 from RANK_PRIME down, by trial division."""
+    n = RANK_PRIME
+    while n > 2:
+        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
+            yield n
+        n -= 4
+
+
 def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
-    """Exact rank of a matrix given as rows of Z[sqrt(d)] pairs (a, b) = a + b*sqrt(d)."""
+    """Exact rank of a matrix given as rows of Z[sqrt(d)] pairs (a, b) = a + b*sqrt(d).
+
+    When SMALL_RANK < k = min(rows, cols) <= SLOT_BOUND, each entry is first
+    mapped to (a + b*s) mod p, where (p, s) = _quad_root(d): a ring map from
+    Z[sqrt(d)] to the integers mod p, since s^2 = d mod p.  So a rank of k
+    mod p certifies rank k over Q(sqrt(d)).  Otherwise, and whenever the rank
+    mod p is below k or no prime was found, fraction-free elimination over
+    Z[sqrt(d)] gives the rank.  The result never depends on the prime.
+    """
+    k = min(len(rows), len(rows[0])) if rows else 0
+    if SMALL_RANK < k <= SLOT_BOUND:
+        root = _quad_root(d)
+        if root is not None:
+            p, s = root
+            residues = [(a + b * s) % p for row in rows for a, b in row]
+            if _full_rank_mod_p(residues, len(rows[0]), k, p):
+                return k
     pending = [row for row in rows if any(a or b for a, b in row)]
     rank = 0
     prev = (1, 0)

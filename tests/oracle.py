@@ -3,8 +3,9 @@
 These deliberately avoid the production code paths: rank is computed by
 plain exact-division Gaussian elimination on Fraction/QuadExt entries, the
 coprime-pair scan is a brute-force enumeration, prime powers are found by
-trial division, Hadamard entries are read one bit at a time, and the
-bisection-closed search prunes on the plain candidate count.
+trial division, Hadamard entries are read one bit at a time, the
+bisection-closed search prunes on the plain candidate count, and the rank of
+a replicated symmetric design is a closed form.
 """
 
 from __future__ import annotations
@@ -44,6 +45,31 @@ def _lift(x):
     if isinstance(x, int):
         return Fraction(x)
     return x
+
+
+def replicated_design_rank(v: int, k: int, lam: int, copies: int, values) -> tuple[int, int]:
+    """(rank, nu) of the ensemble matrix of `copies` disjoint incidence graphs
+    of a symmetric 2-(v, k, lam) design, in closed form.
+
+    values = (f(a,a), f(a,b), f(b,a), f(b,b)) = (x, f_ab, g, y), delta = f_ab - g.
+    The incidence matrix N has N N^T = N^T N = (k - lam) I + lam J and N 1 = k 1,
+    so with n = copies * v the matrix splits into invariant subspaces:
+    copies * (v - 1) pairs of vectors orthogonal to every copy's all-ones,
+    copies - 1 pairs of differences of the copies' all-ones, and the global
+    all-ones pair.  Each pair block is singular exactly when
+    xy = delta^2 * (eigenvalue of N N^T), and the global block is the 2 x 2
+    [[x(n-1), gn + delta k], [gn + delta k, y(n-1)]].  nu counts the same
+    coincidences: mu^2 = xy / delta^2 equals k - lam, or k^2.
+    """
+    x, f_ab, g, y = values
+    delta = f_ab - g
+    n = copies * v
+    on_design = x * y == delta * delta * (k - lam)
+    on_copies = x * y == delta * delta * k * k
+    a, b, c = x * (n - 1), g * n + delta * k, y * (n - 1)
+    global_rank = 2 if a * c != b * b else int(any((a, b, c)))
+    rank = copies * (v - 1) * (2 - on_design) + (copies - 1) * (2 - on_copies) + global_rank
+    return rank, copies * (v - 1) * on_design + copies * on_copies
 
 
 def coprime_pairs_brute(target: int, bound: int) -> list[tuple[int, int]]:

@@ -6,8 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symrank.errors import UnsupportedParameterError, VerificationError
-from symrank.ensemble import TwoValuePair, mu_squared, transpose_masks
+from symrank.errors import (
+    DegenerateEnsembleError,
+    GoodPairError,
+    UnsupportedParameterError,
+    VerificationError,
+)
+from symrank.ensemble import TwoValuePair, matrix_from_bigraph, mu_squared, transpose_masks
 from symrank.designs import (
     HadamardMatrix,
     SymmetricDesign,
@@ -23,7 +28,14 @@ from symrank.designs import (
 )
 from symrank.spectra import bigraph_multiplicity, rank_sandwich
 
-from oracle import coprime_pairs_brute, hadamard_csv, hadamard_rows, prime_powers_up_to
+from oracle import (
+    coprime_pairs_brute,
+    hadamard_csv,
+    hadamard_rows,
+    prime_powers_up_to,
+    rank_naive,
+    replicated_design_rank,
+)
 
 HALF = Fraction(1, 2)
 
@@ -318,6 +330,60 @@ def test_replicate_bigraph():
     assert replicate_bigraph(BipartiteGraph.empty(2, 2), 3).edge_count() == 0
     with pytest.raises(ValueError):
         replicate_bigraph(heawood, 0)
+
+
+def _replication_pairs():
+    """theta = 1/2 ladder pairs (beta - 1, beta), then random linear and table pairs."""
+    rng = random.Random(71)
+    pairs = [TwoValuePair.linear(HALF, beta - 1, beta) for beta in (2, 3, 4, 5)]
+    while len(pairs) < 10:
+        theta = Fraction(rng.randint(1, 9), 10)
+        pairs.append(TwoValuePair.linear(theta, rng.randint(-6, 6), rng.randint(-6, 6)))
+        values = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(4)]
+        pairs.append(TwoValuePair.table(0, 1, *values))
+    good = []
+    for pair in pairs:
+        try:
+            pair.require_good()
+            mu_squared(pair)
+        except (GoodPairError, DegenerateEnsembleError):
+            continue
+        good.append(pair)
+    return good
+
+
+def test_replicated_designs_match_the_closed_form():
+    designs = [
+        fano(),
+        complement_design(fano()),
+        hadamard_design(paley(23)),
+        hadamard_design(paley(43)),
+        hadamard_design(sylvester(4)),
+    ]
+    pairs = _replication_pairs()
+    assert len(pairs) >= 8
+    low_rank = 0
+    for design in designs:
+        for copies in (1, 2, 3):
+            g = replicate_bigraph(incidence_bigraph(design), copies)
+            for pair in pairs:
+                want = replicated_design_rank(design.v, design.k, design.lam, copies, pair.values)
+                if copies == 1:
+                    report = design_rank_instance(design, pair)
+                else:
+                    report = rank_sandwich(pair, g)
+                assert (report.exact_rank, report.nu) == want, (design, copies, pair.values)
+                low_rank += report.nu > 0
+    assert low_rank >= 6  # the ladder meets k - lambda on Fano, its complement and Paley(23)
+
+
+def test_replicated_design_closed_form_matches_textbook_elimination():
+    for design in (fano(), complement_design(fano())):
+        for copies in (1, 2):
+            g = replicate_bigraph(incidence_bigraph(design), copies)
+            for pair in _replication_pairs()[:6]:
+                want, _ = replicated_design_rank(design.v, design.k, design.lam, copies, pair.values)
+                assert rank_naive(matrix_from_bigraph(pair, g)) == want
 
 
 def test_onebytwo_scan_examples():

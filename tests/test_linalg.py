@@ -1,16 +1,22 @@
 import random
 import re
 from fractions import Fraction
+from itertools import islice
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from symrank import linalg
 from symrank.exactfield import QuadExt, parse_scalar
 from symrank.linalg import (
+    QUAD_PRIME_TRIES,
     RANK_PRIME,
+    SLOT_BOUND,
     SMALL_RANK,
     Matrix,
     integer_scaled,
@@ -290,17 +296,28 @@ def assert_rank(rows, expected=None):
     return rank
 
 
+def spy_on_modular_pass(monkeypatch, record):
+    """Call record(p, verdict) after every run of the mod-p pass."""
+    real = linalg._full_rank_mod_p
+
+    def spy(residues, cols, k, p):
+        verdict = real(residues, cols, k, p)
+        record(p, verdict)
+        return verdict
+
+    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
+
+
 @pytest.fixture
 def modular_verdicts(monkeypatch):
     """The verdict of every mod-p pass that rank_int_rows runs."""
     verdicts = []
-    real = linalg._full_rank_mod_p
 
-    def spy(rows, k):
-        verdicts.append(real(rows, k))
-        return verdicts[-1]
+    def record(p, verdict):
+        assert p == RANK_PRIME
+        verdicts.append(verdict)
 
-    monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
+    spy_on_modular_pass(monkeypatch, record)
     return verdicts
 
 
@@ -435,3 +452,165 @@ def test_small_ranks_skip_the_modular_pass_at_any_entry_width(modular_verdicts, 
         assert_rank(deficient, max(1, k - 1))
         assert_rank([row[:k] for row in rows[:1]] * k, 1)
     assert modular_verdicts == []
+
+
+def largest_slot(p: int, k: int) -> int:
+    """The bound on a slot after k - 1 elimination steps mod p."""
+    return (p - 1) * (1 + (k - 1) * (p - 1))
+
+
+def test_slot_bound_holds_exactly_at_the_largest_k_the_pass_accepts():
+    assert largest_slot(RANK_PRIME, SLOT_BOUND) < 2**64 <= largest_slot(RANK_PRIME, SLOT_BOUND + 1)
+    assert SLOT_BOUND == 4097
+    assert sympy.isprime(RANK_PRIME) and RANK_PRIME % 4 == 3 and RANK_PRIME < 2**26
+    # the Z[sqrt d] pass uses smaller primes, whose slots grow less
+    for p in islice(linalg._primes_3_mod_4(), QUAD_PRIME_TRIES):
+        assert p <= RANK_PRIME and largest_slot(p, SLOT_BOUND) < 2**64
+
+
+# -- the mod-p certificate of full rank in rank_quad_rows -----------------------
+#
+# a + b*sqrt(d) maps to a + b*s mod p with s^2 = d mod p.  Each case checks
+# rank_quad_rows against the Z[sqrt d] Bareiss elimination (the pass switched
+# off) and against sympy's rank over QQ<sqrt(d)>.
+
+
+def sympy_quad_rank(rows, d):
+    field = QQ.algebraic_field(sympy.sqrt(d))
+    root = field.from_sympy(sympy.sqrt(d))
+    elements = [[field.convert(a) + field.convert(b) * root for a, b in row] for row in rows]
+    return DomainMatrix(elements, (len(rows), len(rows[0])), field).rank()
+
+
+def assert_quad_rank(rows, d, expected=None):
+    rank = rank_quad_rows(rows, d)
+    with mock.patch.object(linalg, "SLOT_BOUND", 0):
+        bareiss = rank_quad_rows(rows, d)
+    assert rank == bareiss == sympy_quad_rank(rows, d)
+    if expected is not None:
+        assert rank == expected
+    return rank
+
+
+@pytest.fixture
+def quad_verdicts(monkeypatch):
+    """(p, verdict) of every mod-p pass, over Z[sqrt d] or Z."""
+    verdicts = []
+    spy_on_modular_pass(monkeypatch, lambda p, verdict: verdicts.append((p, verdict)))
+    return verdicts
+
+
+def qmul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def random_quad_rows(rng, r, c, bits=8):
+    return [
+        [(rng.randint(-(2**bits), 2**bits), rng.randint(-(2**bits), 2**bits)) for _ in range(c)]
+        for _ in range(r)
+    ]
+
+
+@st.composite
+def known_rank_quad_products(draw):
+    """(rows, d, rank): [I; X] [I | Y] over Z[sqrt d], rows and columns shuffled."""
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, RANK_PRIME]))
+    r, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    k = min(r, c)
+    rank = k - draw(st.integers(0, min(2, k)) | st.integers(0, k))
+    bits = draw(st.integers(1, 30))
+    part = st.integers(-(2**bits), 2**bits)
+    entry = st.tuples(part, part)
+
+    def block(height, width):
+        row = st.lists(entry, min_size=width, max_size=width)
+        return draw(st.lists(row, min_size=height, max_size=height))
+
+    x, y = block(r - rank, rank), block(rank, c - rank)
+    top = [[(int(i == j), 0) for j in range(rank)] + y[i] for i in range(rank)]
+    bottom = []
+    for xi in x:
+        products = [[qmul(a, y[t][j], d) for t, a in enumerate(xi)] for j in range(c - rank)]
+        bottom.append(xi + [(sum(p[0] for p in ps), sum(p[1] for p in ps)) for ps in products])
+    order = draw(st.permutations(range(c)))
+    rows = [[row[j] for j in order] for row in draw(st.permutations(top + bottom))]
+    return rows, d, rank
+
+
+@settings(max_examples=60)
+@given(known_rank_quad_products())
+def test_known_rank_quad_products_agree_with_bareiss_and_sympy(case):
+    rows, d, rank = case
+    assert_quad_rank(rows, d, rank)
+
+
+def test_quad_primes_count_down_the_primes_3_mod_4():
+    want, p = [], RANK_PRIME + 1
+    while len(want) < QUAD_PRIME_TRIES:
+        p = sympy.prevprime(p)
+        if p % 4 == 3:
+            want.append(p)
+    assert list(islice(linalg._primes_3_mod_4(), QUAD_PRIME_TRIES)) == want
+    square_free = [d for d in range(2, 120) if all(e == 1 for e in sympy.factorint(d).values())]
+    for d in square_free + [3 * RANK_PRIME]:
+        p, s = linalg._quad_root(d)
+        assert p == next(q for q in want if sympy.legendre_symbol(d % q, q) >= 0)
+        assert (s * s - d) % p == 0 and 0 <= s < p
+
+
+def test_p_dividing_d_maps_sqrt_d_to_zero(quad_verdicts):
+    d = RANK_PRIME  # square-free, and the first prime tried divides it
+    assert linalg._quad_root(d) == (d, 0)
+    rng = random.Random(64)
+    rows = random_quad_rows(rng, 5, 6)
+    assert_quad_rank(rows, d, 5)
+    # the sqrt(d) parts alone map to 0 mod p, and have full rank over Q(sqrt d)
+    assert_quad_rank([[(0, b) for _, b in row] for row in rows], d, 5)
+    assert quad_verdicts == [(d, True), (d, False)]
+
+
+def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(quad_verdicts):
+    assert sympy.legendre_symbol(2, RANK_PRIME) == -1  # RANK_PRIME = 3 mod 8
+    p, s = linalg._quad_root(2)
+    assert p < RANK_PRIME and (s * s - 2) % p == 0
+    rng = random.Random(65)
+    assert_quad_rank(random_quad_rows(rng, 6, 8), 2, 6)
+    assert_quad_rank(random_quad_rows(rng, 9, 7, bits=40), 2, 7)
+    assert quad_verdicts == [(p, True), (p, True)]
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, RANK_PRIME])
+def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(quad_verdicts, d):
+    p, s = linalg._quad_root(d)
+    vanishing = (p - s, 1)  # (p - s) + sqrt(d) is nonzero, and maps to p = 0
+    rng = random.Random(66)
+    rows = random_quad_rows(rng, 6, 6)
+    assert_quad_rank(rows, d, 6)
+    rows[2] = [qmul(vanishing, x, d) for x in rows[2]]
+    assert_quad_rank(rows, d, 6)
+    # a diagonal minor of one such entry
+    diagonal = [[vanishing if i == j == 0 else (int(i == j), 0) for j in range(5)] for i in range(5)]
+    assert_quad_rank(diagonal, d, 5)
+    assert quad_verdicts == [(p, True), (p, False), (p, False)]
+
+
+@pytest.mark.parametrize("k", range(1, SMALL_RANK + 1))
+def test_small_quad_ranks_skip_the_modular_pass(quad_verdicts, k):
+    rng = random.Random(67 + k)
+    for cols in (k, k + 2):
+        rows = random_quad_rows(rng, k, cols, bits=200)
+        assert_quad_rank(rows, 3, k)
+        deficient = rows[:-1] + [[qmul((1, 1), x, 3) for x in rows[0]]]
+        assert_quad_rank(deficient, 3, max(1, k - 1))
+    assert quad_verdicts == []
+
+
+def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_verdicts):
+    monkeypatch.setattr(linalg, "SLOT_BOUND", 5)
+    rng = random.Random(68)
+    for k in (5, 6):
+        rows = [[rng.getrandbits(40) for _ in range(k + 1)] for _ in range(k)]
+        assert_rank(rows, k)
+        assert_quad_rank(random_quad_rows(rng, k + 1, k), 3, k)
+    p = linalg._quad_root(3)[0]
+    assert quad_verdicts == [(RANK_PRIME, True), (p, True)]
