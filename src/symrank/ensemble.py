@@ -339,6 +339,11 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament._of_masks(n, out)
 
 
+def _check_part_sizes(m, n) -> None:
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError(f"part sizes must be nonnegative integers, got m={m!r}, n={n!r}")
+
+
 def _int_pair(edge) -> tuple[int, int]:
     """An edge as a pair of ints; ValueError naming the edge otherwise."""
     if isinstance(edge, (list, tuple)) and len(edge) == 2 and all(type(x) is int for x in edge):
@@ -352,8 +357,7 @@ class BipartiteGraph:
     __slots__ = ("m", "n", "row_masks")
 
     def __init__(self, m: int, n: int, row_masks):
-        if m < 0 or n < 0:
-            raise ValueError("part sizes must be nonnegative")
+        _check_part_sizes(m, n)
         row_masks = list(row_masks)
         if len(row_masks) != m:
             raise ValueError(f"expected {m} row masks, got {len(row_masks)}")
@@ -367,8 +371,7 @@ class BipartiteGraph:
 
     @classmethod
     def from_edges(cls, m: int, n: int, edges) -> "BipartiteGraph":
-        if type(m) is not int or type(n) is not int:
-            raise ValueError(f"part sizes must be integers, got m={m!r}, n={n!r}")
+        _check_part_sizes(m, n)
         masks = [0] * m
         for i, j in map(_int_pair, edges):
             if not (0 <= i < m and 0 <= j < n):
@@ -409,12 +412,16 @@ class BipartiteGraph:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BipartiteGraph":
-        edges = data["edges"]
+        """The graph of the JSON form; errors name edges 1-based, as the form writes them."""
+        m, n, edges = data["m"], data["n"], data["edges"]
         if not isinstance(edges, list):
             raise ValueError(f"edges must be a list, got {edges!r}")
-        return cls.from_edges(
-            data["m"], data["n"], [(i - 1, j - 1) for i, j in map(_int_pair, edges)]
-        )
+        edges = list(map(_int_pair, edges))
+        _check_part_sizes(m, n)
+        for i, j in edges:
+            if not (1 <= i <= m and 1 <= j <= n):
+                raise ValueError(f"edge [{i}, {j}] out of range: the parts are 1..{m} and 1..{n}")
+        return cls.from_edges(m, n, [(i - 1, j - 1) for i, j in edges])
 
     def __repr__(self):
         return f"BipartiteGraph(m={self.m}, n={self.n}, edges={self.edge_count()})"

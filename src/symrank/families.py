@@ -27,8 +27,6 @@ from .errors import ConstructionFailedError, UnsupportedParameterError
 from .designs import HadamardMatrix
 from .ensemble import mask_to_points, points_to_mask
 
-# depth-first nodes the quarter-set completion in `hadamard_family` may visit
-QUARTER_NODE_CAP = 200_000
 # most candidate sets `search_bisection_closed` will branch over
 CANDIDATE_CAP = 5000
 
@@ -162,53 +160,29 @@ def fano_family() -> SetFamily:
     return SetFamily(8, _FANO_FAMILY_SETS)
 
 
-def _complete_quarter_sets(existing, pool, needed):
-    """Pick `needed` pool masks pairwise compatible and compatible with existing.
-
-    Deterministic first solution via depth-first search over the pool in
-    order; returns None when no completion exists within the node cap.
-    """
-    half = Fraction(1, 2)
-    pool = [p for p in pool if all(_mask_compatible(p, e, half) for e in existing)]
-    chosen: list[int] = []
-    nodes = 0
-
-    def dfs(start: int) -> bool:
-        nonlocal nodes
-        if len(chosen) == needed:
-            return True
-        for idx in range(start, len(pool)):
-            nodes += 1
-            if nodes > QUARTER_NODE_CAP:
-                return False
-            cand = pool[idx]
-            if len(pool) - idx < needed - len(chosen):
-                return False
-            if all(_mask_compatible(cand, c, half) for c in chosen):
-                chosen.append(cand)
-                if dfs(idx + 1):
-                    return True
-                chosen.pop()
-        return False
-
-    if needed < 0:
-        return None
-    if needed == 0:
-        return []
-    return chosen if dfs(0) else None
-
-
 def hadamard_family(h: HadamardMatrix) -> SetFamily:
     """A bisection-closed family of size 3n/2 - 2 built from a normalized
     Hadamard matrix of order n (n divisible by 8).
 
-    Large sets are the +1 supports of rows below the first; quarter-size sets
-    come from intersecting row supports with the second row's support.  The
-    profile with n-2 large and n/2 small sets is attempted first through a
-    bounded completion search; when no completion exists (already the case at
-    n = 16, where eight 4-sets pairwise meeting in two points do not fit in
-    [16]) the family keeps all n-1 row supports plus the n/2 - 1 distinct
-    intersections instead.  The returned family is always checker-verified.
+    Large sets are the +1 supports of rows below the first; quarter sets are
+    the intersections s & row2 of the supports s below row 2.  At most one of
+    the n/2 quarter sets the preferred profile needs is ever missing.  Every
+    support has n/2 points and two of them meet in n/4, so a support s below
+    row 2 meets row2 in n/4 points and has n/4 of the n/2 points outside it.
+    If s and s' meet row2 in the same quarter set Q, then s & s' = Q, so
+    their halves outside row2 are disjoint and hence complementary; a third
+    support with Q would need n/4 >= 2 outside points disjoint from both.  So
+    each quarter set comes from at most two of the n - 2 rows, and at least
+    n/2 - 1 of them are distinct.
+
+    With exactly one missing, the preferred profile is the n - 2 large sets
+    below row 2, the n/2 - 1 quarter sets, and the first intersection of two
+    supports, in row order, that has n/4 points and is compatible with all of
+    them; when there is none (already the case at n = 16, where eight 4-sets
+    pairwise meeting in two points do not fit in [16]) the family keeps all
+    n - 1 supports plus the n/2 - 1 quarter sets instead.  With none missing,
+    the large sets below row 2 and the quarter sets are the family.  The
+    returned family is always checker-verified.
     """
     n = h.order
     if n < 8 or n % 8:
@@ -219,37 +193,26 @@ def hadamard_family(h: HadamardMatrix) -> SetFamily:
     if not h.normalized:
         raise UnsupportedParameterError("Hadamard matrix must be normalized")
     supports = h.row_masks[1:]
-    row2 = supports[0]
-    quarter_base = []
-    seen = set()
-    for s in supports[1:]:
-        t = s & row2
-        if t not in seen:
-            seen.add(t)
-            quarter_base.append(t)
-    target_total = 3 * n // 2 - 2
-    half = Fraction(1, 2)
-
-    # preferred profile: n-2 half-size sets plus n/2 quarter-size sets
     larges = supports[1:]
-    pool = []
-    pool_seen = set(seen)
-    for a in range(len(supports)):
-        for b in range(a + 1, len(supports)):
-            t = supports[a] & supports[b]
-            if t.bit_count() == n // 4 and t not in pool_seen:
-                pool_seen.add(t)
-                pool.append(t)
-    extra = _complete_quarter_sets(larges + quarter_base, pool, n // 2 - len(quarter_base))
-    if extra is not None:
-        family = SetFamily.from_masks(n, larges + quarter_base + extra)
+    quarter = list(dict.fromkeys(s & supports[0] for s in larges))
+    missing = n // 2 - len(quarter)
+    half = Fraction(1, 2)
+    profiles = []
+    if missing == 0:
+        profiles.append(larges + quarter)
+    elif missing == 1:
+        existing = larges + quarter
+        # a set already in the family is not compatible with itself
+        for t in dict.fromkeys(a & b for a, b in combinations(supports, 2)):
+            if t.bit_count() == n // 4 and all(_mask_compatible(t, e, half) for e in existing):
+                profiles.append(existing + [t])
+                break
+        profiles.append(supports + quarter)
+    target_total = 3 * n // 2 - 2
+    for masks in profiles:
+        family = SetFamily.from_masks(n, masks)
         if len(family) == target_total and theta_violation(family, half) is None:
             return family
-
-    # fallback profile: all n-1 row supports plus the distinct intersections
-    family = SetFamily.from_masks(n, supports + quarter_base)
-    if len(family) == target_total and theta_violation(family, half) is None:
-        return family
     raise ConstructionFailedError(
         f"no verified bisection-closed family of size {target_total} found for order {n}"
     )

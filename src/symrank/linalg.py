@@ -7,39 +7,36 @@ entry.  Rank works on rows with denominators cleared row by row
 (`rank_int_rows` over Z, `rank_quad_rows` over Z[sqrt(d)]); a matrix of ints
 goes to `rank_int_rows` as it is.  CSV cells that are integers parse to ints.
 
-A matrix with k = min(rows, cols) has rank k when its image modulo a prime p
-has rank k: reduction mod p is a ring map, so a k x k minor that is nonzero
-mod p is nonzero over the ring.  Over Z, p is RANK_PRIME = 2^26 - 5; over
-Z[sqrt(d)], a + b*sqrt(d) maps to a + b*s mod p, where p is the first prime
-= 3 mod 4 counting down from RANK_PRIME for which d is a square mod p and
-s^2 = d mod p (s = 0 when p divides d), which is again a ring map.  One pass,
-`_full_rank_mod_p`, serves both rings: it stores each row as one int of
-64-bit slots, packed from one array of the whole matrix's residues, and
-eliminates with one bignum multiply-add per row.  Since p < 2^26, a slot
-never carries for k up to SLOT_BOUND = 4097; a larger k goes straight to
-Bareiss.
+One driver, `_rank`, computes the rank over both rings; each ring gives it
+only a residue map mod a prime, a nonzero test, one fraction-free
+elimination step and its unit.  A matrix with k = min(rows, cols) has rank
+k when its image modulo a prime p has rank k: reduction mod p is a ring map,
+so a k x k minor that is nonzero mod p is nonzero over the ring.  Over Z, p
+is RANK_PRIME = 2^26 - 5; over Z[sqrt(d)], a + b*sqrt(d) maps to a + b*s mod
+p, where p is the first prime = 3 mod 4 counting down from RANK_PRIME for
+which d is a square mod p and s^2 = d mod p (s = 0 when p divides d), which
+is again a ring map.  One pass, `_full_rank_mod_p`, serves both rings: it
+stores each row as one int of 64-bit slots, packed from one array of the
+whole matrix's residues, and eliminates with one bignum multiply-add per
+row.  Since p < 2^26, a slot never carries for k up to SLOT_BOUND = 4097.
 
-The pass is skipped when k is at most SMALL_RANK = 3: at that size Bareiss
-is as fast as the pass up to entries of a few hundred bits (wider ones make
-such a rank slower, never different; a 3 x 3 of 10^4-bit entries takes about
-2 ms against 70 us), and over Z the scan of the entries alone costs about a
-third of a 3 x 3 Bareiss on small entries.  Over Z it is also skipped when
-k times (entry bits + bitlen k) is at most 62, because then every Bareiss
-intermediate fits in a machine word anyway.  Every other case, a rank below
-k mod p included, goes to fraction-free (Bareiss-style) Gaussian
-elimination, whose intermediate values stay minors of the matrix instead of
-blowing up as free-form fractions.  So the result never depends on the
-prime.  Bareiss pivots are the first nonzero entry in column order, rows
-scanned top-down, which makes the elimination deterministic.
+The driver runs the pass when SMALL_RANK = 3 < k <= SLOT_BOUND and the ring
+has a prime.  At k <= 3 Bareiss is as fast as the pass up to entries of a
+few hundred bits (wider ones make such a rank slower, never different; a
+3 x 3 of 10^4-bit entries takes about 2 ms against 70 us).  Every other
+case, a rank below k mod p included, goes to fraction-free (Bareiss-style)
+Gaussian elimination, whose intermediate values stay minors of the matrix
+instead of blowing up as free-form fractions.  So the result never depends
+on the prime.  Bareiss pivots are the first nonzero entry in column order,
+rows scanned top-down, which makes the elimination deterministic.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 from math import isqrt, lcm
 
 from .errors import FieldMismatchError
@@ -195,13 +192,8 @@ def integer_scaled(values) -> list[int]:
 
 def quad_scaled(values) -> list[tuple[int, int]]:
     """Scalars of Q(sqrt(d)) as Z[sqrt(d)] pairs (a, b), scaled by one common factor."""
-    parts = []
-    for v in values:
-        if isinstance(v, QuadExt):
-            parts.append((v.a, v.b))
-        else:
-            parts.append((Fraction(v), Fraction(0)))
-    scale = lcm(*(x.denominator for a, b in parts for x in (a, b)))
+    parts = [(v.a, v.b) if type(v) is QuadExt else (v, 0) for v in values]
+    scale = lcm(*(x.denominator for pair in parts for x in pair))
     return [
         (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
         for a, b in parts
@@ -211,57 +203,59 @@ def quad_scaled(values) -> list[tuple[int, int]]:
 def rank_int_rows(rows: list[list[int]]) -> int:
     """Exact rank of a matrix given as integer rows.
 
-    Let k = min(rows, cols) and let every entry be below 2^b in absolute
-    value.  When SMALL_RANK < k <= SLOT_BOUND and k * (b + bitlen k) > 62,
-    elimination modulo RANK_PRIME = 2^26 - 5 runs first, and a rank of k mod
-    p certifies rank k: a k x k minor that is nonzero mod p is nonzero over
-    Z.  (Outside that range of k, b is never computed.)  Otherwise, and
-    whenever the rank mod p is below k, fraction-free (Bareiss) elimination
-    gives the rank.  The result never depends on the prime; only the time
-    does.
+    The residues mod RANK_PRIME = 2^26 - 5 feed the full-rank certificate,
+    and fraction-free elimination over Z gives every other rank (see _rank).
+    """
+    return _rank(rows, _int_residues, any, _int_step, 1)
+
+
+def _int_residues(rows):
+    p = RANK_PRIME
+    return [v % p for row in rows for v in row], p
+
+
+def _int_step(row, head, tail, prev):
+    """row[1:] after eliminating row[0] against the pivot row (head, *tail)."""
+    x = row[0]
+    if x:
+        return [(head * a - x * b) // prev for a, b in zip(row[1:], tail)]
+    return [head * a // prev for a in row[1:]]
+
+
+def _rank(rows, residues, nonzero, step, unit) -> int:
+    """Exact rank of `rows` over an integral domain, given by four things.
+
+    `residues(rows)` returns the entries, row-major, under a ring map to the
+    integers mod a prime p, as (residues, p), or None when it has no such p;
+    `nonzero(entries)` tells whether a sequence of entries has a nonzero one;
+    `step(row, head, tail, prev)` is row[1:] after one fraction-free step
+    against the pivot row (head, *tail) whose predecessor pivot was prev;
+    `unit` is the ring's 1, the predecessor of the first pivot.
+
+    With k = min(rows, cols), the certificate runs when
+    SMALL_RANK < k <= SLOT_BOUND and there is a p, and returns k when the
+    image has rank k; every other case goes to the Bareiss loop.
     """
     k = min(len(rows), len(rows[0])) if rows else 0
     if SMALL_RANK < k <= SLOT_BOUND:
-        # Hadamard: every j x j minor of entries below 2^b is below 2^(j(b + log2(j)/2)),
-        # so below this size every Bareiss intermediate fits in a machine word
-        bits = max(map(int.bit_length, chain.from_iterable(rows)))
-        if k * (bits + k.bit_length()) > 62:
-            p = RANK_PRIME
-            if _full_rank_mod_p([v % p for row in rows for v in row], len(rows[0]), k, p):
-                return k
-    pending = [row for row in rows if any(row)]
+        image = residues(rows)
+        if image is not None and _full_rank_mod_p(image[0], len(rows[0]), k, image[1]):
+            return k
+    pending = [row for row in rows if nonzero(row)]
     rank = 0
-    prev = 1
+    prev = unit
     while pending:
-        piv = None
         for idx, row in enumerate(pending):
-            if row[0]:
-                piv = idx
+            if nonzero(row[:1]):
                 break
-        if piv is None:
-            # column exhausted; drop it everywhere
-            nxt = []
-            for row in pending:
-                tail = row[1:]
-                if any(tail):
-                    nxt.append(tail)
-            pending = nxt
+        else:
+            pending = [rest for row in pending if nonzero(rest := row[1:])]
             continue
-        prow = pending.pop(piv)
-        p = prow[0]
-        ptail = prow[1:]
+        prow = pending.pop(idx)
+        head, tail = prow[0], prow[1:]
         rank += 1
-        nxt = []
-        for row in pending:
-            x = row[0]
-            if x:
-                new = [(p * a - x * b) // prev for a, b in zip(row[1:], ptail)]
-            else:
-                new = [p * a // prev for a in row[1:]]
-            if any(new):
-                nxt.append(new)
-        pending = nxt
-        prev = p
+        pending = [new for row in pending if nonzero(new := step(row, head, tail, prev))]
+        prev = head
     return rank
 
 
@@ -340,61 +334,35 @@ def _primes_3_mod_4():
 def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
     """Exact rank of a matrix given as rows of Z[sqrt(d)] pairs (a, b) = a + b*sqrt(d).
 
-    When SMALL_RANK < k = min(rows, cols) <= SLOT_BOUND, each entry is first
-    mapped to (a + b*s) mod p, where (p, s) = _quad_root(d): a ring map from
-    Z[sqrt(d)] to the integers mod p, since s^2 = d mod p.  So a rank of k
-    mod p certifies rank k over Q(sqrt(d)).  Otherwise, and whenever the rank
-    mod p is below k or no prime was found, fraction-free elimination over
-    Z[sqrt(d)] gives the rank.  The result never depends on the prime.
+    a + b*sqrt(d) maps to (a + b*s) mod p, where (p, s) = _quad_root(d): a
+    ring map from Z[sqrt(d)] to the integers mod p, since s^2 = d mod p.  Its
+    residues feed the full-rank certificate, and fraction-free elimination
+    over Z[sqrt(d)] gives every other rank (see _rank).
     """
-    k = min(len(rows), len(rows[0])) if rows else 0
-    if SMALL_RANK < k <= SLOT_BOUND:
-        root = _quad_root(d)
-        if root is not None:
-            p, s = root
-            residues = [(a + b * s) % p for row in rows for a, b in row]
-            if _full_rank_mod_p(residues, len(rows[0]), k, p):
-                return k
-    pending = [row for row in rows if any(a or b for a, b in row)]
-    rank = 0
-    prev = (1, 0)
-    while pending:
-        piv = None
-        for idx, row in enumerate(pending):
-            h = row[0]
-            if h[0] or h[1]:
-                piv = idx
-                break
-        if piv is None:
-            nxt = []
-            for row in pending:
-                tail = row[1:]
-                if any(a or b for a, b in tail):
-                    nxt.append(tail)
-            pending = nxt
-            continue
-        prow = pending.pop(piv)
-        pa, pb = prow[0]
-        ptail = prow[1:]
-        rank += 1
-        qa, qb = prev
-        n = qa * qa - d * qb * qb
-        nxt = []
-        for row in pending:
-            xa, xb = row[0]
-            new = []
-            for (aa, ab), (ba, bb) in zip(row[1:], ptail):
-                # t = pivot*entry - head*pivot_row_entry, then exact division by prev
-                ta = pa * aa + d * pb * ab - xa * ba - d * xb * bb
-                tb = pa * ab + pb * aa - xa * bb - xb * ba
-                na, ra = divmod(ta * qa - d * tb * qb, n)
-                nb, rb = divmod(tb * qa - ta * qb, n)
-                if ra or rb:
-                    raise ArithmeticError("inexact division in fraction-free elimination")
-                new.append((na, nb))
-            if any(a or b for a, b in new):
-                nxt.append(new)
-        pending = nxt
-        prev = (pa, pb)
-    return rank
 
+    def residues(rows):
+        root = _quad_root(d)
+        if root is None:
+            return None
+        p, s = root
+        return [(a + b * s) % p for row in rows for a, b in row], p
+
+    def step(row, head, tail, prev):
+        pa, pb = head
+        xa, xb = row[0]
+        qa, qb = prev
+        dpb, dxb, dqb = d * pb, d * xb, d * qb
+        n = qa * qa - dqb * qb
+        new = []
+        for (aa, ab), (ba, bb) in zip(row[1:], tail):
+            # t = pivot*entry - head*pivot_row_entry, then exact division by prev
+            ta = pa * aa + dpb * ab - xa * ba - dxb * bb
+            tb = pa * ab + pb * aa - xa * bb - xb * ba
+            na, ra = divmod(ta * qa - tb * dqb, n)
+            nb, rb = divmod(tb * qa - ta * qb, n)
+            if ra or rb:
+                raise ArithmeticError("inexact division in fraction-free elimination")
+            new.append((na, nb))
+        return new
+
+    return _rank(rows, residues, lambda pairs: any(map(any, pairs)), step, (1, 0))

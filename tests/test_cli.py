@@ -75,6 +75,32 @@ def test_tournament_with_values(capsys):
     assert json.loads(out)["rank"] >= 5
 
 
+def test_tournament_matrix_out_ranks_like_the_report(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    values = ",".join(["1", "1+1*sqrt(2)", "1/2"] * 4)
+    code, out = run_cli(
+        capsys, "tournament", "--n", "12", "--seed", "5", "--values", values,
+        "--matrix-out", str(path),
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["matrix_out"] == str(path)
+    code, out = run_cli(capsys, "rank", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["rank"] == report["rank"]
+
+
+@pytest.mark.parametrize(
+    "csv", ["1,-3*sqrt(2)\n-3*sqrt(2),18\n", "1/2*sqrt(5),5\n1,2*sqrt(5)\n"]
+)
+def test_rank_reads_pure_quadratic_cells(tmp_path, capsys, csv):
+    path = tmp_path / "pure.csv"
+    path.write_text(csv)
+    code, out = run_cli(capsys, "rank", "--in", str(path))
+    assert code == 0
+    assert json.loads(out)["rank"] == 1
+
+
 def test_tournament_values_typed_as_integers_rank_an_int_matrix(capsys, monkeypatch):
     import symrank.cli as cli
 
@@ -412,6 +438,18 @@ _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
         pytest.param(["bigraph", "--in", "{path}"], "[1, 2]", "[1, 2]", id="bigraph-not-object"),
         pytest.param(
             ["bigraph", "--in", "{path}"], _BAD_GRAPH_EDGE, "[1, 'a']", id="bigraph-bad-edge"
+        ),
+        pytest.param(
+            ["bigraph", "--in", "{path}"],
+            json.dumps({"m": -1, "n": 2, "edges": []}),
+            "part sizes must be nonnegative integers, got m=-1, n=2",
+            id="bigraph-negative-part",
+        ),
+        pytest.param(
+            ["bigraph", "--in", "{path}"],
+            json.dumps({"m": 2, "n": 2, "edges": [[1, 5]]}),
+            "edge [1, 5] out of range: the parts are 1..2 and 1..2",
+            id="bigraph-edge-out-of-range",
         ),
         pytest.param(
             ["family-check", "--in", "{path}"], _BAD_SET_POINT, "[1, 'a']", id="check-bad-point"

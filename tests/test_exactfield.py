@@ -214,3 +214,16 @@ def test_integer_text_parses_to_an_int(text, value):
 def test_other_rational_text_stays_a_fraction(text, value):
     got = parse_scalar(text)
     assert type(got) is Fraction and got == value
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("1/2*sqrt(5)", QuadExt(0, Fraction(1, 2), 5)),
+        ("-3*sqrt(2)", QuadExt(0, -3, 2)),
+        (" + 7 * sqrt( 3 ) ", QuadExt(0, 7, 3)),
+    ],
+)
+def test_pure_quadratic_text_parses_to_a_quadext(text, value):
+    got = parse_scalar(text)
+    assert type(got) is QuadExt and got == value

@@ -139,6 +139,17 @@ def test_hadamard_family_other_sources():
         hadamard_family(paley(23))
 
 
+def test_at_most_one_quarter_set_is_ever_missing():
+    from symrank.designs import paley
+
+    sources = [sylvester(k) for k in range(3, 8)]
+    sources += [paley(q) for q in (7, 23, 31, 47, 71, 79, 103, 127)]
+    for h in sources:
+        supports = h.row_masks[1:]
+        quarter = {s & supports[0] for s in supports[1:]}
+        assert len(quarter) >= h.order // 2 - 1
+
+
 def test_hadamard_family_rejects_small_orders():
     with pytest.raises(UnsupportedParameterError):
         hadamard_family(sylvester(2))

@@ -321,16 +321,11 @@ def modular_verdicts(monkeypatch):
     return verdicts
 
 
-def gate_bits(k: int) -> int:
-    """The fewest entry bits b with k * (b + bitlen k) > 62, the modular pass's gate."""
-    return max(1, 62 // k - k.bit_length() + 1)
-
-
 @st.composite
-def gated_matrices(draw):
-    """Integer matrices up to 40x40 with entries large enough to pass the gate."""
+def drawn_matrices(draw):
+    """Integer matrices up to 40x40 with entries of 1 to 70 bits."""
     r, c = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    bits = gate_bits(min(r, c)) + draw(st.integers(0, 6))
+    bits = draw(st.integers(1, 70))
     entry = st.integers(-(2**bits) + 1, 2**bits - 1)
     rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
     rows[0][0] = draw(st.sampled_from((1, -1))) * 2 ** (bits - 1)  # one entry of `bits` bits
@@ -339,10 +334,7 @@ def gated_matrices(draw):
 
 @st.composite
 def known_rank_products(draw):
-    """([I; X] [I | Y], rank) with rows and columns shuffled: rank is exact over any field.
-
-    The product is scaled by 2^gate_bits(k), a unit mod p, so that it passes the gate.
-    """
+    """([I; X] [I | Y], rank) with rows and columns shuffled: rank is exact over any field."""
     r, c = draw(st.integers(1, 30)), draw(st.integers(1, 30))
     k = min(r, c)
     rank = k - draw(st.integers(0, min(2, k)) | st.integers(0, k))
@@ -358,14 +350,13 @@ def known_rank_products(draw):
     bottom = [
         xi + [sum(a * y[t][j] for t, a in enumerate(xi)) for j in range(c - rank)] for xi in x
     ]
-    scale = 2 ** gate_bits(k)
     order = draw(st.permutations(range(c)))
-    rows = [[scale * row[j] for j in order] for row in draw(st.permutations(top + bottom))]
+    rows = [[row[j] for j in order] for row in draw(st.permutations(top + bottom))]
     return rows, rank
 
 
 @settings(max_examples=60)
-@given(gated_matrices())
+@given(drawn_matrices())
 def test_certificate_agrees_with_oracles_on_drawn_matrices(rows):
     assert_rank(rows)
 
@@ -375,27 +366,6 @@ def test_certificate_agrees_with_oracles_on_drawn_matrices(rows):
 def test_known_rank_products_fall_back_to_bareiss_exactly(case):
     rows, rank = case
     assert_rank(rows, rank)
-
-
-def test_gate_sends_only_wide_enough_entries_to_the_modular_pass(modular_verdicts):
-    rng = random.Random(61)
-    for k in range(1, 14):
-        below = 62 // k - k.bit_length()  # the most entry bits Bareiss takes directly
-        for bits, passes in ((below, 0), (below + 1, int(k > SMALL_RANK))):
-            if bits < 1:
-                continue
-            for cols in (k, k + 3):
-                low = 2 ** (bits - 1)
-                rows = [
-                    [rng.choice((1, -1)) * rng.randrange(low, 2 * low) for _ in range(cols)]
-                    for _ in range(k)
-                ]
-                for case in (rows, rows[:-1] + [[-a for a in rows[0]]]):
-                    del modular_verdicts[:]
-                    rank = assert_rank(case)
-                    assert len(modular_verdicts) == passes
-                    if passes:
-                        assert modular_verdicts == [rank == k]
 
 
 def test_unlucky_prime_falls_back_to_the_exact_rank(modular_verdicts):
@@ -431,11 +401,10 @@ def test_slot_growth_stays_inside_the_slots(modular_verdicts, k):
     # every entry p - 1, plus a nonzero diagonal: I - J and diag(1..k) - J mod p, full rank
     assert_rank([[p - 1 + (i == j) for j in range(k)] for i in range(k)], k)
     assert_rank([[p - 1 + (i == j) * (i + 1) for j in range(k + 2)] for i in range(k)], k)
-    # scaling by p + 1 = 1 mod p keeps the rank and the pass, and passes the gate at every k;
     # -J + 2I is singular mod p only when k = 2
-    assert_rank([[(p + 1) * (2 * (i == j) - 1) for j in range(k)] for i in range(k)])
+    assert_rank([[2 * (i == j) - 1 for j in range(k)] for i in range(k)])
     for cols in (k, k + 2):
-        assert_rank([[(p + 1) * a for a in row] for row in slot_growth_rows(k, cols)], k - 1)
+        assert_rank(slot_growth_rows(k, cols), k - 1)
     # the two full ones, -J + 2I (singular when k = 2), then the two rank-(k-1) cases;
     # up to SMALL_RANK the pass does not run
     expected = [True, True, k != 2, False, False] if k > SMALL_RANK else []
@@ -603,6 +572,27 @@ def test_small_quad_ranks_skip_the_modular_pass(quad_verdicts, k):
         deficient = rows[:-1] + [[qmul((1, 1), x, 3) for x in rows[0]]]
         assert_quad_rank(deficient, 3, max(1, k - 1))
     assert quad_verdicts == []
+
+
+def test_every_rank_above_small_runs_the_modular_pass_once_at_any_entry_width(quad_verdicts):
+    quad_p = linalg._quad_root(3)[0]
+    rng = random.Random(61)
+    for bits in (1, 2, 40, 100):
+        low = 2 ** (bits - 1)
+        for k in range(SMALL_RANK + 1, 9):
+            for cols in (k, k + 3):
+                rows = [
+                    [rng.choice((1, -1)) * rng.randrange(low, 2 * low) for _ in range(cols)]
+                    for _ in range(k)
+                ]
+                quad = random_quad_rows(rng, k, cols, bits)
+                int_deficient = rows[:-1] + [[-a for a in rows[0]]]
+                quad_deficient = quad[:-1] + [[qmul((1, 1), x, 3) for x in quad[0]]]
+                for int_rows, quad_rows in ((rows, quad), (int_deficient, quad_deficient)):
+                    del quad_verdicts[:]
+                    rank = assert_rank(int_rows)
+                    quad_rank = assert_quad_rank(quad_rows, 3)
+                    assert quad_verdicts == [(RANK_PRIME, rank == k), (quad_p, quad_rank == k)]
 
 
 def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_verdicts):
