@@ -100,6 +100,14 @@ def _config(args, fields) -> dict:
     return {name: getattr(args, name) for name in fields}
 
 
+def _write_matrix_out(report: dict, args, matrix) -> None:
+    """Write the matrix's CSV to --matrix-out, if given, and name the file in the report."""
+    if args.matrix_out:
+        with open(args.matrix_out, "w", encoding="utf-8") as fh:
+            fh.write(matrix.to_csv())
+        report["matrix_out"] = args.matrix_out
+
+
 def _pair_from_args(args) -> TwoValuePair:
     alpha = parse_scalar(args.alpha)
     beta = parse_scalar(args.beta)
@@ -143,10 +151,7 @@ def _cmd_tournament(args) -> dict:
         values = [parse_scalar(v) for v in args.values.split(",")]
         m = matrix_from_tournament(LinearTheta(parse_rational(args.theta)), values, t)
         report["rank"] = m.rank()
-        if args.matrix_out:
-            with open(args.matrix_out, "w", encoding="utf-8") as fh:
-                fh.write(m.to_csv())
-            report["matrix_out"] = args.matrix_out
+        _write_matrix_out(report, args, m)
     return report
 
 
@@ -161,10 +166,7 @@ def _cmd_bigraph(args) -> dict:
         "n": graph.n,
         "matrix": [[format_scalar(x) for x in matrix.row_list(i)] for i in range(matrix.rows)],
     }
-    if args.matrix_out:
-        with open(args.matrix_out, "w", encoding="utf-8") as fh:
-            fh.write(matrix.to_csv())
-        report["matrix_out"] = args.matrix_out
+    _write_matrix_out(report, args, matrix)
     return report
 
 
@@ -245,16 +247,36 @@ def _cmd_theorem2(args) -> dict:
     return out
 
 
-def _hadamard_from_args(args) -> dsg.HadamardMatrix:
-    if args.construction == "sylvester":
-        return dsg.sylvester(args.k)
-    if args.construction == "paley":
-        return dsg.paley(args.q)
-    raise ValueError(f"unknown construction {args.construction!r}")
+# name -> builder from the parsed arguments; the names are also the argparse choices
+HADAMARD_CONSTRUCTIONS = {
+    "sylvester": lambda args: dsg.sylvester(args.k),
+    "paley": lambda args: dsg.paley(args.q),
+}
+
+DESIGNS = {
+    "fano": lambda args: dsg.fano(),
+    "complement-fano": lambda args: dsg.complement_design(dsg.fano()),
+    "paley-hadamard": lambda args: dsg.hadamard_design(dsg.paley(args.q)),
+    "sylvester-hadamard": lambda args: dsg.hadamard_design(dsg.sylvester(args.k)),
+}
+
+
+def _hadamard_family(args) -> fam.SetFamily:
+    order = args.order
+    if order < 1 or order & (order - 1):
+        raise ValueError(f"--order must be a power of two, got {order}")
+    return fam.hadamard_family(dsg.sylvester(order.bit_length() - 1))
+
+
+FAMILY_KINDS = {
+    "sunflower": lambda args: fam.sunflower_family(args.n),
+    "fano": lambda args: fam.fano_family(),
+    "hadamard": _hadamard_family,
+}
 
 
 def _cmd_hadamard(args) -> dict:
-    h = _hadamard_from_args(args)
+    h = HADAMARD_CONSTRUCTIONS[args.construction](args)
     report = {
         "command": "hadamard",
         "config": _config(args, ("construction", "k", "q")),
@@ -262,28 +284,12 @@ def _cmd_hadamard(args) -> dict:
         "normalized": h.normalized,
         "rows": h,
     }
-    if args.matrix_out:
-        with open(args.matrix_out, "w", encoding="utf-8") as fh:
-            fh.write(h.to_csv())
-        report["matrix_out"] = args.matrix_out
+    _write_matrix_out(report, args, h)
     return report
 
 
-def _design_from_args(args) -> dsg.SymmetricDesign:
-    kind = args.design
-    if kind == "fano":
-        return dsg.fano()
-    if kind == "complement-fano":
-        return dsg.complement_design(dsg.fano())
-    if kind == "paley-hadamard":
-        return dsg.hadamard_design(dsg.paley(args.q))
-    if kind == "sylvester-hadamard":
-        return dsg.hadamard_design(dsg.sylvester(args.k))
-    raise ValueError(f"unknown design {kind!r}")
-
-
 def _cmd_design(args) -> dict:
-    design = _design_from_args(args)
+    design = DESIGNS[args.design](args)
     return {
         "command": "design",
         "config": _config(args, ("design", "q", "k")),
@@ -292,7 +298,7 @@ def _cmd_design(args) -> dict:
 
 
 def _cmd_design_rank(args) -> dict:
-    design = _design_from_args(args)
+    design = DESIGNS[args.design](args)
     pair = _pair_from_args(args)
     report = dsg.design_rank_instance(design, pair)
     mu2 = report.mu_squared
@@ -331,21 +337,8 @@ def _cmd_family_check(args) -> dict:
     return report
 
 
-def _family_from_kind(kind: str, args) -> fam.SetFamily:
-    if kind == "sunflower":
-        return fam.sunflower_family(args.n)
-    if kind == "fano":
-        return fam.fano_family()
-    if kind == "hadamard":
-        order = args.order
-        if order < 1 or order & (order - 1):
-            raise ValueError(f"--order must be a power of two, got {order}")
-        return fam.hadamard_family(dsg.sylvester(order.bit_length() - 1))
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
 def _cmd_family_build(args) -> dict:
-    family = _family_from_kind(args.kind, args)
+    family = FAMILY_KINDS[args.kind](args)
     return {
         "command": "family-build",
         "config": _config(args, ("kind", "n", "order")),
@@ -358,7 +351,7 @@ def _cmd_family_search(args) -> dict:
     if args.seed_file:
         seed = fam.SetFamily.from_dict(_read_json_object(args.seed_file))
     else:
-        seed = _family_from_kind(args.seed_kind, args)
+        seed = FAMILY_KINDS[args.seed_kind](args)
     result = fam.search_bisection_closed(args.n, seed, time_budget=args.budget)
     return {
         "command": "family-search",
@@ -463,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_theorem2)
 
     p = sub.add_parser("hadamard", help="construct a validated Hadamard matrix")
-    p.add_argument("--construction", choices=("sylvester", "paley"), required=True)
+    p.add_argument("--construction", choices=HADAMARD_CONSTRUCTIONS, required=True)
     p.add_argument("--k", type=int, default=3, help="sylvester exponent")
     p.add_argument("--q", type=int, default=23, help="paley prime")
     p.add_argument("--matrix-out", default=None)
@@ -471,11 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_hadamard)
 
     def design_flags(p):
-        p.add_argument(
-            "--design",
-            choices=("fano", "complement-fano", "paley-hadamard", "sylvester-hadamard"),
-            default="fano",
-        )
+        p.add_argument("--design", choices=DESIGNS, default="fano")
         p.add_argument("--q", type=int, default=23)
         p.add_argument("--k", type=int, default=3)
 
@@ -503,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_family_check)
 
     p = sub.add_parser("family-build", help="build a named bisection-closed family")
-    p.add_argument("--kind", choices=("sunflower", "fano", "hadamard"), required=True)
+    p.add_argument("--kind", choices=FAMILY_KINDS, required=True)
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--order", type=int, default=8)
     common(p)
@@ -511,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family-search", help="extend a seed family by backtracking")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed-kind", choices=("sunflower", "fano", "hadamard"), default="sunflower")
+    p.add_argument("--seed-kind", choices=FAMILY_KINDS, default="sunflower")
     p.add_argument("--seed-file", default=None)
     p.add_argument("--budget", type=float, default=60.0)
     p.add_argument("--order", type=int, default=8)

@@ -269,8 +269,7 @@ class Tournament:
     __slots__ = ("n", "out")
 
     def __init__(self, n: int, oriented_pairs):
-        if type(n) is not int or n < 0:
-            raise ValueError(f"tournament size must be a nonnegative integer, got {n!r}")
+        _check_tournament_size(n)
         out = [0] * n
         count = 0
         for i, j in map(_int_pair, oriented_pairs):
@@ -312,10 +311,23 @@ class Tournament:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Tournament":
-        edges = data["edges"]
+        """The tournament of the JSON form; errors name edges 1-based, as the form writes them."""
+        n, edges = data["n"], data["edges"]
         if not isinstance(edges, list):
             raise ValueError(f"edges must be a list, got {edges!r}")
-        return cls(data["n"], [(i - 1, j - 1) for i, j in map(_int_pair, edges)])
+        edges = list(map(_int_pair, edges))
+        _check_tournament_size(n)
+        seen = set()
+        for i, j in edges:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"edge [{i}, {j}] out of range: the vertices are 1..{n}")
+            if i == j:
+                raise ValueError(f"edge [{i}, {j}] is a self-loop")
+            pair = (min(i, j), max(i, j))
+            if pair in seen:
+                raise ValueError(f"edge [{i}, {j}] orients the pair {{{pair[0]}, {pair[1]}}} twice")
+            seen.add(pair)
+        return cls(n, [(i - 1, j - 1) for i, j in edges])
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -337,6 +349,11 @@ def random_tournament(n: int, seed: int) -> Tournament:
                 out[j] |= bit_i
         out[i] |= wins
     return Tournament._of_masks(n, out)
+
+
+def _check_tournament_size(n) -> None:
+    if type(n) is not int or n < 0:
+        raise ValueError(f"tournament size must be a nonnegative integer, got {n!r}")
 
 
 def _check_part_sizes(m, n) -> None:

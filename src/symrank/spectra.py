@@ -8,8 +8,8 @@ two-valued ensemble this multiplicity nu pins the exact rank inside
 diagonal block f(a,a)(J - I) or f(b,b)(J - I): k for a part of size k >= 2,
 and 0 for a part of size 1.
 
-The exact rank itself comes from the Schur complement of the larger part's
-diagonal block, as in the proof of the rank theorem; see ensemble_rank.
+The exact rank comes from the Schur complement of the larger part's diagonal
+block, as in the rank theorem's proof, built by _schur_rows; see ensemble_rank.
 """
 
 from __future__ import annotations
@@ -80,18 +80,23 @@ def bigraph_multiplicity(g: BipartiteGraph, mu2, gram: list[list[int]] | None = 
     return len(s) - rank_int_rows(rows)
 
 
-def _schur_rows_int(xy, c, d, p: int, gram) -> list[list[int]]:
-    """Rows of (p-1) x S over Z: q(xy[i != j] - c^2 + d^2 G_ij) - v_i v_j, q = p-1."""
+def _schur_rows(xy, c2, cd, d2, p: int, gram) -> list[list[int]]:
+    """Rows of ensemble_rank's (p-1) x S, an integer combination of xy, c^2, cd and d^2.
+
+    The coefficients depend on the graph alone, so over Z[sqrt r] the rows
+    built from the constants' a-parts and b-parts are the parts of (p-1) x S.
+    """
     q = p - 1
-    off = q * (xy - c * c)
-    diag_shift = -q * xy
-    qd2 = q * d * d
-    v = [c + d * row[i] for i, row in enumerate(gram)]
+    qxy, qd2 = q * xy, q * d2
+    off = qxy - p * c2
+    g = [row[i] for i, row in enumerate(gram)]
     rows = []
     for i, gram_row in enumerate(gram):
-        vi = v[i]
-        row = [off + qd2 * g_ij - vi * vj for g_ij, vj in zip(gram_row, v)]
-        row[i] += diag_shift
+        gi = g[i]
+        # entry (i, j) = a - t g_j + (p-1) d^2 G_ij, off the diagonal
+        a, t = off - cd * gi, cd + d2 * gi
+        row = [a - t * gj + qd2 * g_ij for gj, g_ij in zip(g, gram_row)]
+        row[i] -= qxy
         rows.append(row)
     return rows
 
@@ -99,24 +104,6 @@ def _schur_rows_int(xy, c, d, p: int, gram) -> list[list[int]]:
 def _qmul(x: tuple[int, int], y: tuple[int, int], r: int) -> tuple[int, int]:
     """Product of two Z[sqrt(r)] pairs (a, b) = a + b*sqrt(r)."""
     return (x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _schur_rows_quad(xy, c, d, p: int, gram, r: int) -> list[list[tuple[int, int]]]:
-    """_schur_rows_int over Z[sqrt(r)], with every scalar a pair (a, b) = a + b*sqrt(r)."""
-    q = p - 1
-    c2, d2 = _qmul(c, c, r), _qmul(d, d, r)
-    off = (q * (xy[0] - c2[0]), q * (xy[1] - c2[1]))
-    qd2 = (q * d2[0], q * d2[1])
-    v = [(c[0] + d[0] * row[i], c[1] + d[1] * row[i]) for i, row in enumerate(gram)]
-    rows = []
-    for i, gram_row in enumerate(gram):
-        row = []
-        for g_ij, vj in zip(gram_row, v):
-            vv = _qmul(v[i], vj, r)
-            row.append((off[0] + qd2[0] * g_ij - vv[0], off[1] + qd2[1] * g_ij - vv[1]))
-        row[i] = (row[i][0] - q * xy[0], row[i][1] - q * xy[1])
-        rows.append(row)
-    return rows
 
 
 def ensemble_rank(
@@ -127,17 +114,20 @@ def ensemble_rank(
     Let the larger part have p >= 2 vertices and diagonal value x, the
     smaller part diagonal value y, and write c = f(b,a), d = f(a,b) - f(b,a).
     The cross block is C = cJ + dB, so with N_i the neighbourhood of
-    small-side vertex i, deg_i = |N_i| and G_ij = |N_i & N_j| (the
+    small-side vertex i, g_i = deg_i = |N_i| and G_ij = |N_i & N_j| (the
     smaller-side Gram matrix), x(J - I) has the inverse (J/(p-1) - I)/x and
     its Schur complement S satisfies
 
-        (p-1) x S = (p-1)(xy(J - I) - c^2 J + d^2 G) - v v^T,  v_i = c + d deg_i,
+        (p-1) x S = xy (p-1)(J - I) - c^2 p J - cd (g 1^T + 1 g^T) + d^2 ((p-1) G - g g^T),
 
-    which is (p-1)xy(J - I) - u u^T + (p-1) C^T C with u = C^T 1,
-    u_i = cp + d deg_i, expanded.  The rank is p + rank(S); x and y enter
-    only as xy.  S is built from the pair's values scaled to integers, or to
-    Z[sqrt d] pairs, and ranked by linalg.rank_int_rows or rank_quad_rows.
-    m = n = 1 has rank 2, or 0 when its one cross value is 0.
+    by C^T 1 = cp 1 + d g and C^T C = c^2 p J + cd (g 1^T + 1 g^T) + d^2 G.
+    That is (p-1)(d^2 G - xy I) plus a matrix with columns in span{1, g},
+    so rank(S) is within 2 of rank(G - mu^2 I).  The rank is p + rank(S).
+    S is built from the pair's values scaled to integers and ranked by
+    linalg.rank_int_rows, or scaled to Z[sqrt r] pairs: then the constants'
+    a-parts and b-parts give two integer matrices, zipped into pairs for
+    linalg.rank_quad_rows.  m = n = 1 has rank 2, or 0 when its one cross
+    value is 0.
     """
     pair.require_good()
     if gram is None:
@@ -150,9 +140,12 @@ def ensemble_rank(
         return 2 if cross != 0 else 0
     r, (vaa, vab, vba, vbb) = pair.integral_values
     if r is None:
-        return p + rank_int_rows(_schur_rows_int(vaa * vbb, vba, vab - vba, p, gram))
-    d = (vab[0] - vba[0], vab[1] - vba[1])
-    return p + rank_quad_rows(_schur_rows_quad(_qmul(vaa, vbb, r), vba, d, p, gram, r), r)
+        c, d = vba, vab - vba
+        return p + rank_int_rows(_schur_rows(vaa * vbb, c * c, c * d, d * d, p, gram))
+    c, d = vba, (vab[0] - vba[0], vab[1] - vba[1])
+    consts = (_qmul(vaa, vbb, r), _qmul(c, c, r), _qmul(c, d, r), _qmul(d, d, r))
+    a_rows, b_rows = (_schur_rows(*parts, p, gram) for parts in zip(*consts))
+    return p + rank_quad_rows([list(zip(ra, rb)) for ra, rb in zip(a_rows, b_rows)], r)
 
 
 def rank_sandwich(pair: TwoValuePair, g: BipartiteGraph) -> SpectralReport:

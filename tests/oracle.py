@@ -1,7 +1,8 @@
 """Independent oracles used only by the test suite.
 
 These deliberately avoid the production code paths: rank is computed by
-plain exact-division Gaussian elimination on Fraction/QuadExt entries, the
+plain exact-division Gaussian elimination on Fraction/QuadExt entries, a
+Schur complement by Gauss-Jordan elimination on the same entries, the
 coprime-pair scan is a brute-force enumeration, prime powers are found by
 trial division, Hadamard entries are read one bit at a time, the
 bisection-closed search prunes on the plain candidate count, and the rank of
@@ -39,6 +40,38 @@ def rank_naive(matrix) -> int:
         if r == nrows:
             break
     return r
+
+
+def schur_complement(matrix, block) -> list[list]:
+    """D - C A^-1 B for the invertible principal block A on the indices `block`.
+
+    [A | B] is reduced to [I | A^-1 B] by Gauss-Jordan elimination with
+    exact division; the rows and columns of the result follow the indices
+    outside `block` in increasing order.
+    """
+    block = list(block)
+    rest = [i for i in range(matrix.rows) if i not in block]
+    k = len(block)
+    aug = [[_lift(matrix.entry(i, j)) for j in block + rest] for i in block]
+    for c in range(k):
+        piv = next(i for i in range(c, k) if aug[i][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        pivot = aug[c][c]
+        aug[c] = [v / pivot for v in aug[c]]
+        for i in range(k):
+            factor = aug[i][c]
+            if i != c and factor != 0:
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[c])]
+    out = []
+    for i in rest:
+        row = []
+        for j, col in enumerate(rest):
+            value = _lift(matrix.entry(i, col))
+            for t, b in enumerate(block):
+                value -= matrix.entry(i, b) * aug[t][k + j]
+            row.append(value)
+        out.append(row)
+    return out
 
 
 def _lift(x):

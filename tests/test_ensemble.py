@@ -257,7 +257,28 @@ def test_tournament_validation_names_the_pair(n, pairs, named):
         pytest.param({"n": 2, "edges": [[1, "2"]]}, "[1, '2']", id="string-endpoint"),
         pytest.param({"n": 3, "edges": [[1, 2, 3]]}, "[1, 2, 3]", id="triple"),
         pytest.param({"n": 2, "edges": 5}, "got 5", id="edges-not-a-list"),
-        pytest.param({"n": 2, "edges": [[1, 3]]}, "(0, 2)", id="out-of-range"),
+        pytest.param(
+            {"n": 2, "edges": [[1, 3]]},
+            "edge [1, 3] out of range: the vertices are 1..2",
+            id="out-of-range",
+        ),
+        pytest.param({"n": 2, "edges": [[0, 1]]}, "edge [0, 1] out of range", id="zero-based"),
+        pytest.param(
+            {"n": 3, "edges": [[1, 2], [2, 2], [1, 3]]},
+            "edge [2, 2] is a self-loop",
+            id="self-loop",
+        ),
+        pytest.param(
+            {"n": 3, "edges": [[1, 2], [2, 3], [3, 2]]},
+            "edge [3, 2] orients the pair {2, 3} twice",
+            id="oriented-twice",
+        ),
+        pytest.param(
+            {"n": 3, "edges": [[1, 2], [1, 2], [1, 3]]},
+            "edge [1, 2] orients the pair {1, 2} twice",
+            id="repeated",
+        ),
+        pytest.param({"n": 2.0, "edges": [[1, 2]]}, "got 2.0", id="float-size"),
         pytest.param({"n": 3, "edges": [[1, 2], [2, 3]]}, "not complete", id="incomplete"),
     ],
 )
