@@ -42,10 +42,14 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _read_json_object(path: str) -> dict:
+def _read_json_object(path: str, keys) -> dict:
+    """The JSON object in the file; ValueError naming the file and a missing key."""
     data = json.loads(_read_text(path))
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{path} has no key {key!r}")
     return data
 
 
@@ -156,7 +160,7 @@ def _cmd_tournament(args) -> dict:
 
 
 def _cmd_bigraph(args) -> dict:
-    graph = BipartiteGraph.from_dict(_read_json_object(args.infile))
+    graph = BipartiteGraph.from_dict(_read_json_object(args.infile, ("m", "n", "edges")))
     pair = _pair_from_args(args)
     matrix = matrix_from_bigraph(pair, graph)
     report = {
@@ -321,7 +325,7 @@ def _cmd_onebytwo(args) -> dict:
 
 
 def _cmd_family_check(args) -> dict:
-    family = fam.SetFamily.from_dict(_read_json_object(args.infile))
+    family = fam.SetFamily.from_dict(_read_json_object(args.infile, ("n", "sets")))
     theta = parse_rational(args.theta)
     violation = fam.theta_violation(family, theta)
     report = {
@@ -349,7 +353,7 @@ def _cmd_family_build(args) -> dict:
 
 def _cmd_family_search(args) -> dict:
     if args.seed_file:
-        seed = fam.SetFamily.from_dict(_read_json_object(args.seed_file))
+        seed = fam.SetFamily.from_dict(_read_json_object(args.seed_file, ("n", "sets")))
     else:
         seed = FAMILY_KINDS[args.seed_kind](args)
     result = fam.search_bisection_closed(args.n, seed, time_budget=args.budget)
@@ -524,7 +528,7 @@ def main(argv=None) -> int:
     except (VerificationError, ConstructionFailedError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     _emit(report, args)

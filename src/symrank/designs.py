@@ -181,16 +181,6 @@ class SymmetricDesign:
     def to_dict(self) -> dict:
         return {"v": self.v, "k": self.k, "lambda": self.lam, "blocks": self.blocks()}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SymmetricDesign":
-        blocks = data["blocks"]
-        if not isinstance(blocks, list):
-            raise ValueError(f"blocks must be a list, got {blocks!r}")
-        for block in blocks:
-            if not isinstance(block, list):
-                raise ValueError(f"block {block!r} is not a list of points")
-        return cls.from_blocks(data["v"], data["k"], data["lambda"], blocks)
-
     def __eq__(self, other):
         if not isinstance(other, SymmetricDesign):
             return NotImplemented
@@ -259,17 +249,6 @@ def design_rank_instance(design: SymmetricDesign, pair: TwoValuePair) -> Spectra
     The low-rank branch (rank <= v + 3) occurs exactly when mu^2 == k - lambda.
     """
     return rank_sandwich(pair, incidence_bigraph(design))
-
-
-def replicate_bigraph(g: BipartiteGraph, copies: int) -> BipartiteGraph:
-    """Disjoint union of `copies` copies; eigenvalue multiplicities add."""
-    if copies < 1:
-        raise ValueError(f"copies must be >= 1, got {copies}")
-    masks = []
-    for c in range(copies):
-        shift = c * g.n
-        masks.extend(mask << shift for mask in g.row_masks)
-    return BipartiteGraph(g.m * copies, g.n * copies, masks)
 
 
 def onebytwo_scan(k_minus_lambda: int, bound: int) -> list[tuple[int, int]]:

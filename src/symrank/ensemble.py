@@ -260,40 +260,15 @@ def bigraph_classes(m: int, n: int):
 class Tournament:
     """A complete orientation of the pairs of [n], stored as out-neighbour bitmasks.
 
-    Bit j of out[i] is set when i beats j.  The constructor takes the
-    oriented pairs (i, j), meaning i beats j, and raises ValueError naming a
-    pair that is not two ints, out of range, a self-loop, or oriented twice,
-    and when some pair is left unoriented.
+    Bit j of out[i] is set when i beats j.  The constructor takes the masks
+    as they are; random_tournament orients each pair once.
     """
 
     __slots__ = ("n", "out")
 
-    def __init__(self, n: int, oriented_pairs):
-        _check_tournament_size(n)
-        out = [0] * n
-        count = 0
-        for i, j in map(_int_pair, oriented_pairs):
-            if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise ValueError(f"invalid oriented pair ({i}, {j}) for n={n}")
-            if out[i] >> j & 1 or out[j] >> i & 1:
-                raise ValueError(f"pair {{{i}, {j}}} oriented twice")
-            out[i] |= 1 << j
-            count += 1
-        if count != n * (n - 1) // 2:
-            raise ValueError("orientation is not complete")
+    def __init__(self, n: int, out: list[int]):
         self.n = n
         self.out = out
-
-    @classmethod
-    def _of_masks(cls, n: int, out: list[int]) -> "Tournament":
-        """A tournament from masks that are complete and antisymmetric by construction."""
-        t = cls.__new__(cls)
-        t.n = n
-        t.out = out
-        return t
-
-    def beats(self, i: int, j: int) -> bool:
-        return bool(self.out[i] >> j & 1)
 
     def oriented_pairs(self) -> list[tuple[int, int]]:
         return [(i, j) for i, mask in enumerate(self.out) for j in set_bits(mask)]
@@ -308,26 +283,6 @@ class Tournament:
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [[i + 1, j + 1] for i, j in self.oriented_pairs()]}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Tournament":
-        """The tournament of the JSON form; errors name edges 1-based, as the form writes them."""
-        n, edges = data["n"], data["edges"]
-        if not isinstance(edges, list):
-            raise ValueError(f"edges must be a list, got {edges!r}")
-        edges = list(map(_int_pair, edges))
-        _check_tournament_size(n)
-        seen = set()
-        for i, j in edges:
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise ValueError(f"edge [{i}, {j}] out of range: the vertices are 1..{n}")
-            if i == j:
-                raise ValueError(f"edge [{i}, {j}] is a self-loop")
-            pair = (min(i, j), max(i, j))
-            if pair in seen:
-                raise ValueError(f"edge [{i}, {j}] orients the pair {{{pair[0]}, {pair[1]}}} twice")
-            seen.add(pair)
-        return cls(n, [(i - 1, j - 1) for i, j in edges])
 
 
 def random_tournament(n: int, seed: int) -> Tournament:
@@ -348,12 +303,7 @@ def random_tournament(n: int, seed: int) -> Tournament:
             else:
                 out[j] |= bit_i
         out[i] |= wins
-    return Tournament._of_masks(n, out)
-
-
-def _check_tournament_size(n) -> None:
-    if type(n) is not int or n < 0:
-        raise ValueError(f"tournament size must be a nonnegative integer, got {n!r}")
+    return Tournament(n, out)
 
 
 def _check_part_sizes(m, n) -> None:
@@ -396,23 +346,6 @@ class BipartiteGraph:
             masks[i] |= 1 << j
         return cls(m, n, masks)
 
-    @classmethod
-    def empty(cls, m: int, n: int) -> "BipartiteGraph":
-        return cls(m, n, [0] * m)
-
-    @classmethod
-    def complete(cls, m: int, n: int) -> "BipartiteGraph":
-        return cls(m, n, [(1 << n) - 1] * m)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.row_masks[i] >> j & 1)
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(i, j) for i, mask in enumerate(self.row_masks) for j in set_bits(mask)]
-
-    def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.row_masks)
-
     def column_masks(self) -> list[int]:
         return transpose_masks(self.row_masks, self.n)
 
@@ -423,9 +356,6 @@ class BipartiteGraph:
 
     def __hash__(self):
         return hash((self.m, self.n, tuple(self.row_masks)))
-
-    def to_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "edges": [[i + 1, j + 1] for i, j in self.edges()]}
 
     @classmethod
     def from_dict(cls, data: dict) -> "BipartiteGraph":
@@ -441,7 +371,8 @@ class BipartiteGraph:
         return cls.from_edges(m, n, [(i - 1, j - 1) for i, j in edges])
 
     def __repr__(self):
-        return f"BipartiteGraph(m={self.m}, n={self.n}, edges={self.edge_count()})"
+        edges = sum(mask.bit_count() for mask in self.row_masks)
+        return f"BipartiteGraph(m={self.m}, n={self.n}, edges={edges})"
 
 
 def matrix_from_tournament(f, values, tournament: Tournament) -> Matrix:

@@ -79,6 +79,7 @@ class QuadExt:
     immutable.  Arithmetic accepts ``int`` and ``Fraction`` operands;
     combining elements with different ``d`` raises
     :class:`FieldMismatchError`.  A ``QuadExt`` never equals a rational.
+    There are no order comparisons: :func:`scalar_sign` gives the exact sign.
     """
 
     __slots__ = ("a", "b", "d")
@@ -137,9 +138,6 @@ class QuadExt:
             return NotImplemented
         return QuadExt(parts[0] - self.a, parts[1] - self.b, self.d)
 
-    def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
-
     def __mul__(self, other):
         parts = self._parts(other)
         if parts is None:
@@ -195,24 +193,6 @@ class QuadExt:
         if isinstance(other, (int, Fraction)):
             return False
         return NotImplemented
-
-    def _diff_sign(self, other) -> int:
-        diff = self.__sub__(other)
-        if diff is NotImplemented:
-            raise TypeError(f"cannot compare QuadExt with {type(other).__name__}")
-        return scalar_sign(diff)
-
-    def __lt__(self, other):
-        return self._diff_sign(other) < 0
-
-    def __le__(self, other):
-        return self._diff_sign(other) <= 0
-
-    def __gt__(self, other):
-        return self._diff_sign(other) > 0
-
-    def __ge__(self, other):
-        return self._diff_sign(other) >= 0
 
     def __hash__(self):
         return hash((self.a, self.b, self.d))

@@ -19,6 +19,7 @@ point list.
 
 from __future__ import annotations
 
+import math
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -83,9 +84,6 @@ class SetFamily:
         if not isinstance(other, SetFamily):
             return NotImplemented
         return self.ground_n == other.ground_n and set(self.masks) == set(other.masks)
-
-    def sizes(self) -> list[int]:
-        return [mask.bit_count() for mask in self.masks]
 
     def with_ground(self, ground_n: int) -> "SetFamily":
         """The same sets viewed over another ground set they fit in."""
@@ -261,10 +259,13 @@ def search_bisection_closed(
     beat the best family.  The bound only cuts branches that could not
     improve on the best family, so a completed search returns the same
     family as one pruning on the plain candidate count.  The search also
-    stops at the trivial 2n family bound; the time budget cuts long searches,
+    stops at the trivial 2n family bound; the time budget, a finite number
+    of seconds > 0 (ValueError names any other value), cuts long searches,
     returning the best family found so far.  The result always passes the
     checker.
     """
+    if not 0 < time_budget < math.inf:
+        raise ValueError(f"time budget must be a finite number of seconds > 0, got {time_budget}")
     half = Fraction(1, 2)
     if n > 20:
         raise UnsupportedParameterError(f"ground sets beyond 20 are not supported, got {n}")
@@ -303,7 +304,7 @@ def search_bisection_closed(
                 adjacency[i] |= 1 << j
                 adjacency[j] |= 1 << i
 
-    deadline = time.monotonic() + time_budget if time_budget > 0 else None
+    deadline = time.monotonic() + time_budget
     best: list[int] = []
     chosen: list[int] = []
     nodes = 0
@@ -324,7 +325,7 @@ def search_bisection_closed(
             if len(chosen) + classes <= len(best):
                 return False
             nodes += 1
-            if deadline is not None and nodes % 2048 == 0 and time.monotonic() > deadline:
+            if nodes % 2048 == 0 and time.monotonic() > deadline:
                 return True
             cand_mask ^= low
             chosen.append(v)

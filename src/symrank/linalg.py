@@ -79,9 +79,6 @@ class Matrix:
         flat = [x for r in row_lists for x in r]
         return cls(len(row_lists), cols, flat)
 
-    def entry(self, i: int, j: int):
-        return self._e[i * self.cols + j]
-
     def row_list(self, i: int) -> list:
         return self._e[i * self.cols : (i + 1) * self.cols]
 

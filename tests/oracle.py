@@ -4,9 +4,13 @@ These deliberately avoid the production code paths: rank is computed by
 plain exact-division Gaussian elimination on Fraction/QuadExt entries, a
 Schur complement by Gauss-Jordan elimination on the same entries, the
 coprime-pair scan is a brute-force enumeration, prime powers are found by
-trial division, Hadamard entries are read one bit at a time, the
-bisection-closed search prunes on the plain candidate count, and the rank of
-a replicated symmetric design is a closed form.
+trial division, Hadamard entries and graph edges are read one bit at a
+time, the bisection-closed search prunes on the plain candidate count, and
+the rank of a replicated symmetric design is a closed form.
+
+The graph and tournament builders, the JSON readers of tournaments and
+designs and the JSON writer of bipartite graphs serve the tests alone: no
+CLI command reads a tournament or a design, and none writes a graph.
 """
 
 from __future__ import annotations
@@ -15,10 +19,13 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from symrank.designs import SymmetricDesign
+from symrank.ensemble import BipartiteGraph, Tournament
+
 
 def rank_naive(matrix) -> int:
     """Rank by textbook exact-division elimination (no fraction-free tricks)."""
-    rows = [[_lift(matrix.entry(i, j)) for j in range(matrix.cols)] for i in range(matrix.rows)]
+    rows = [[_lift(x) for x in matrix.row_list(i)] for i in range(matrix.rows)]
     nrows = len(rows)
     ncols = matrix.cols
     r = 0
@@ -52,7 +59,8 @@ def schur_complement(matrix, block) -> list[list]:
     block = list(block)
     rest = [i for i in range(matrix.rows) if i not in block]
     k = len(block)
-    aug = [[_lift(matrix.entry(i, j)) for j in block + rest] for i in block]
+    entries = [matrix.row_list(i) for i in range(matrix.rows)]
+    aug = [[_lift(entries[i][j]) for j in block + rest] for i in block]
     for c in range(k):
         piv = next(i for i in range(c, k) if aug[i][c] != 0)
         aug[c], aug[piv] = aug[piv], aug[c]
@@ -66,9 +74,9 @@ def schur_complement(matrix, block) -> list[list]:
     for i in rest:
         row = []
         for j, col in enumerate(rest):
-            value = _lift(matrix.entry(i, col))
+            value = _lift(entries[i][col])
             for t, b in enumerate(block):
-                value -= matrix.entry(i, b) * aug[t][k + j]
+                value -= entries[i][b] * aug[t][k + j]
             row.append(value)
         out.append(row)
     return out
@@ -191,3 +199,49 @@ def search_plain_bound(n: int, seed_masks) -> list[int]:
 
     expand((1 << count) - 1)
     return seed_masks + [candidates[i] for i in best]
+
+
+def empty_bigraph(m: int, n: int) -> BipartiteGraph:
+    return BipartiteGraph(m, n, [0] * m)
+
+
+def complete_bigraph(m: int, n: int) -> BipartiteGraph:
+    return BipartiteGraph(m, n, [(1 << n) - 1] * m)
+
+
+def bigraph_edges(g) -> list[tuple[int, int]]:
+    """The 0-based edges (i, j) of a bipartite graph, in row order."""
+    return [(i, j) for i, mask in enumerate(g.row_masks) for j in range(g.n) if mask >> j & 1]
+
+
+def bigraph_to_dict(g) -> dict:
+    """The JSON form `bigraph --in` reads: 1-based edges."""
+    return {"m": g.m, "n": g.n, "edges": [[i + 1, j + 1] for i, j in bigraph_edges(g)]}
+
+
+def replicate_bigraph(g, copies: int) -> BipartiteGraph:
+    """Disjoint union of `copies` copies; eigenvalue multiplicities add."""
+    masks = [mask << (c * g.n) for c in range(copies) for mask in g.row_masks]
+    return BipartiteGraph(g.m * copies, g.n * copies, masks)
+
+
+def tournament_from_pairs(n: int, oriented_pairs) -> Tournament:
+    """The tournament in which i beats j for each given (i, j), 0-based."""
+    out = [0] * n
+    for i, j in oriented_pairs:
+        out[i] |= 1 << j
+    return Tournament(n, out)
+
+
+def tournament_from_dict(data: dict) -> Tournament:
+    """The tournament of the JSON form `tournament` writes: 1-based edges [i, j], i beats j."""
+    return tournament_from_pairs(data["n"], [(i - 1, j - 1) for i, j in data["edges"]])
+
+
+def beats(t, i: int, j: int) -> bool:
+    return bool(t.out[i] >> j & 1)
+
+
+def design_from_dict(data: dict) -> SymmetricDesign:
+    """The design of the JSON form `design` writes: 1-based point lists."""
+    return SymmetricDesign.from_blocks(data["v"], data["k"], data["lambda"], data["blocks"])

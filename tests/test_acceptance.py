@@ -22,7 +22,6 @@ from symrank.designs import (
     incidence_bigraph,
     onebytwo_scan,
     paley,
-    replicate_bigraph,
     sylvester,
 )
 from symrank.ensemble import (
@@ -49,7 +48,7 @@ from symrank.spectra import (
     rank_sandwich,
 )
 
-from oracle import prime_powers_up_to, rank_naive
+from oracle import prime_powers_up_to, rank_naive, replicate_bigraph
 
 HALF = Fraction(1, 2)
 

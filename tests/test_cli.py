@@ -141,7 +141,8 @@ def test_bigraph_matrix_output(tmp_path, capsys):
     assert code == 0
     matrix = Matrix.from_csv(mpath.read_text())
     assert matrix.rows == 4
-    assert all(matrix.entry(i, j) == matrix.entry(j, i) for i in range(4) for j in range(i))
+    rows = [matrix.row_list(i) for i in range(4)]
+    assert all(rows[i][j] == rows[j][i] for i in range(4) for j in range(i))
 
 
 def test_theorem1_verify_exhaustive_small(capsys):
@@ -410,175 +411,208 @@ _BAD_SET_POINT = json.dumps({"n": 4, "sets": [[1, "a"]]})
 _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
 
 
-@pytest.mark.parametrize(
-    "argv, infile, named",
-    [
-        pytest.param(["mu", "--alpha", "1/0"], None, "1/0", id="mu-zero-denominator"),
+# (argv, the text of the file at {path} or None, what the message must name)
+MALFORMED_INPUTS = [
+    pytest.param(["mu", "--alpha", "1/0"], None, "1/0", id="mu-zero-denominator"),
+    pytest.param(
+        ["mu", "--alpha", "1+0*sqrt(4)"], None, "got 4 = 2**2 * 1", id="mu-zero-b-square-d"
+    ),
+    pytest.param(
+        ["rank", "--in", "{path}"],
+        "1,2\n3,1/0\n",
+        "row 2, column 2",
+        id="csv-zero-denominator",
+    ),
+    pytest.param(
+        ["rank", "--in", "{path}"],
+        "1,2\n3\n",
+        "row 2 has length 1, expected 2",
+        id="csv-ragged-row",
+    ),
+    pytest.param(
+        ["rank", "--in", "{path}"],
+        "1,2\n3,1_000\n",
+        "row 2, column 2: invalid rational literal: '1_000'",
+        id="csv-underscored-int",
+    ),
+    pytest.param(["bigraph", "--in", "{path}"], "[1, 2]", "[1, 2]", id="bigraph-not-object"),
+    pytest.param(
+        ["bigraph", "--in", "{path}"], _BAD_GRAPH_EDGE, "[1, 'a']", id="bigraph-bad-edge"
+    ),
+    pytest.param(
+        ["bigraph", "--in", "{path}"],
+        json.dumps({"m": 1, "n": 1}),
+        "input has no key 'edges'",
+        id="bigraph-missing-key",
+    ),
+    pytest.param(
+        ["bigraph", "--in", "{path}"],
+        json.dumps({"m": -1, "n": 2, "edges": []}),
+        "part sizes must be nonnegative integers, got m=-1, n=2",
+        id="bigraph-negative-part",
+    ),
+    pytest.param(
+        ["bigraph", "--in", "{path}"],
+        json.dumps({"m": 2, "n": 2, "edges": [[1, 5]]}),
+        "edge [1, 5] out of range: the parts are 1..2 and 1..2",
+        id="bigraph-edge-out-of-range",
+    ),
+    pytest.param(
+        ["family-check", "--in", "{path}"], _BAD_SET_POINT, "[1, 'a']", id="check-bad-point"
+    ),
+    pytest.param(
+        ["family-check", "--in", "{path}"], _SETS_NOT_A_LIST, "got 5", id="check-sets-int"
+    ),
+    pytest.param(
+        ["family-check", "--in", "{path}"],
+        json.dumps({"n": 3}),
+        "input has no key 'sets'",
+        id="check-missing-key",
+    ),
+    pytest.param(
+        ["family-search", "--n", "8", "--seed-file", "{path}"],
+        _BAD_SET_POINT,
+        "[1, 'a']",
+        id="search-bad-point",
+    ),
+    pytest.param(
+        ["family-search", "--n", "8", "--seed-file", "{path}"],
+        _SETS_NOT_A_LIST,
+        "got 5",
+        id="search-sets-int",
+    ),
+    pytest.param(
+        ["family-search", "--n", "8", "--seed-file", "{path}"],
+        json.dumps({"sets": [[1, 2]]}),
+        "input has no key 'n'",
+        id="search-missing-key",
+    ),
+    *(
         pytest.param(
-            ["mu", "--alpha", "1+0*sqrt(4)"], None, "got 4 = 2**2 * 1", id="mu-zero-b-square-d"
-        ),
-        pytest.param(
-            ["rank", "--in", "{path}"],
-            "1,2\n3,1/0\n",
-            "row 2, column 2",
-            id="csv-zero-denominator",
-        ),
-        pytest.param(
-            ["rank", "--in", "{path}"],
-            "1,2\n3\n",
-            "row 2 has length 1, expected 2",
-            id="csv-ragged-row",
-        ),
-        pytest.param(
-            ["rank", "--in", "{path}"],
-            "1,2\n3,1_000\n",
-            "row 2, column 2: invalid rational literal: '1_000'",
-            id="csv-underscored-int",
-        ),
-        pytest.param(["bigraph", "--in", "{path}"], "[1, 2]", "[1, 2]", id="bigraph-not-object"),
-        pytest.param(
-            ["bigraph", "--in", "{path}"], _BAD_GRAPH_EDGE, "[1, 'a']", id="bigraph-bad-edge"
-        ),
-        pytest.param(
-            ["bigraph", "--in", "{path}"],
-            json.dumps({"m": -1, "n": 2, "edges": []}),
-            "part sizes must be nonnegative integers, got m=-1, n=2",
-            id="bigraph-negative-part",
-        ),
-        pytest.param(
-            ["bigraph", "--in", "{path}"],
-            json.dumps({"m": 2, "n": 2, "edges": [[1, 5]]}),
-            "edge [1, 5] out of range: the parts are 1..2 and 1..2",
-            id="bigraph-edge-out-of-range",
-        ),
-        pytest.param(
-            ["family-check", "--in", "{path}"], _BAD_SET_POINT, "[1, 'a']", id="check-bad-point"
-        ),
-        pytest.param(
-            ["family-check", "--in", "{path}"], _SETS_NOT_A_LIST, "got 5", id="check-sets-int"
-        ),
-        pytest.param(
-            ["family-search", "--n", "8", "--seed-file", "{path}"],
-            _BAD_SET_POINT,
-            "[1, 'a']",
-            id="search-bad-point",
-        ),
-        pytest.param(
-            ["family-search", "--n", "8", "--seed-file", "{path}"],
-            _SETS_NOT_A_LIST,
-            "got 5",
-            id="search-sets-int",
-        ),
-        pytest.param(
-            ["theorem1-verify", "--samples", "3", "--max-m", "0"], None, "--max-m", id="max-m-0"
-        ),
-        pytest.param(
-            ["theorem1-verify", "--samples", "3", "--max-n", "0"], None, "--max-n", id="max-n-0"
-        ),
-        pytest.param(
-            ["theorem1-verify", "--max-m", "0", "--max-n", "7"],
+            ["family-search", "--n", "8", "--budget", budget],
             None,
-            "--max-m must be >= 1, got 0",
-            id="exhaustive-max-m-0",
-        ),
-        pytest.param(
-            ["theorem1-verify", "--max-n", "0"],
-            None,
-            "--max-n must be >= 1, got 0",
-            id="exhaustive-max-n-0",
-        ),
-        pytest.param(
-            ["theorem1-verify", "--max-m", "-6", "--max-n", "-6"],
-            None,
-            "--max-m must be >= 1, got -6",
-            id="exhaustive-negative-bounds",
-        ),
-        pytest.param(
-            ["mu", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
-            None,
-            "table pair needs alpha != beta, got 1 for both",
-            id="mu-table-equal-values",
-        ),
-        pytest.param(
-            ["design-rank", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
-            None,
-            "table pair needs alpha != beta, got 1 for both",
-            id="design-rank-table-equal-values",
-        ),
-        pytest.param(
-            ["theorem1-verify", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
-            None,
-            "table pair needs alpha != beta, got 1 for both",
-            id="verify-table-equal-values",
-        ),
-        pytest.param(
-            ["design-rank", "--alpha", "1", "--beta", "1"],
-            None,
-            "f(alpha, beta) == f(beta, alpha) == 1 at alpha = 1, beta = 1",
-            id="design-rank-equal-values",
-        ),
-        pytest.param(
-            ["design-rank", "--alpha", "0", "--beta", "1"],
-            None,
-            "f(alpha, alpha) == 0 at alpha = 0",
-            id="design-rank-zero-diagonal",
-        ),
-        pytest.param(
-            ["theorem1-verify", "--alpha", "2", "--beta", "2", "--max-m", "2", "--max-n", "2"],
-            None,
-            "f(alpha, beta) == f(beta, alpha) == 2 at alpha = 2, beta = 2",
-            id="verify-equal-values",
-        ),
-        pytest.param(
-            ["theorem1-verify", "--max-m", "6", "--max-n", "5"],
-            None,
-            "--max-m 6 x --max-n 5 exceeds the exhaustive limit of 25",
-            id="exhaustive-6x5",
-        ),
-        pytest.param(
-            ["theorem1-verify", "--samples", "-3"],
-            None,
-            "--samples must be >= 0 (0 means exhaustive), got -3",
-            id="verify-samples-negative",
-        ),
-        pytest.param(
-            ["random-rank-stats", "--n", "4", "--samples", "0"],
-            None,
-            "--samples must be >= 1, got 0",
-            id="stats-samples-0",
-        ),
-        pytest.param(
-            ["random-rank-stats", "--n", "4", "--samples", "-2"],
-            None,
-            "--samples must be >= 1, got -2",
-            id="stats-samples-negative",
-        ),
-        pytest.param(
-            ["family-build", "--kind", "hadamard", "--order", "0"],
-            None,
-            "--order must be a power of two, got 0",
-            id="build-order-0",
-        ),
-        pytest.param(
-            ["family-build", "--kind", "hadamard", "--order", "12"],
-            None,
-            "--order must be a power of two, got 12",
-            id="build-order-12",
-        ),
-        pytest.param(
-            ["family-build", "--kind", "hadamard", "--order", "-4"],
-            None,
-            "--order must be a power of two, got -4",
-            id="build-order-negative",
-        ),
-        pytest.param(
-            ["family-search", "--n", "8", "--seed-kind", "hadamard", "--order", "0"],
-            None,
-            "--order must be a power of two, got 0",
-            id="search-order-0",
-        ),
-    ],
-)
+            f"time budget must be a finite number of seconds > 0, got {named}",
+            id=f"search-budget-{label}",
+        )
+        for budget, named, label in (
+            ("nan", "nan", "nan"),
+            ("inf", "inf", "inf"),
+            ("0", "0.0", "zero"),
+            ("-1", "-1.0", "negative"),
+        )
+    ),
+    pytest.param(
+        ["theorem1-verify", "--samples", "3", "--max-m", "0"], None, "--max-m", id="max-m-0"
+    ),
+    pytest.param(
+        ["theorem1-verify", "--samples", "3", "--max-n", "0"], None, "--max-n", id="max-n-0"
+    ),
+    pytest.param(
+        ["theorem1-verify", "--max-m", "0", "--max-n", "7"],
+        None,
+        "--max-m must be >= 1, got 0",
+        id="exhaustive-max-m-0",
+    ),
+    pytest.param(
+        ["theorem1-verify", "--max-n", "0"],
+        None,
+        "--max-n must be >= 1, got 0",
+        id="exhaustive-max-n-0",
+    ),
+    pytest.param(
+        ["theorem1-verify", "--max-m", "-6", "--max-n", "-6"],
+        None,
+        "--max-m must be >= 1, got -6",
+        id="exhaustive-negative-bounds",
+    ),
+    pytest.param(
+        ["mu", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
+        None,
+        "table pair needs alpha != beta, got 1 for both",
+        id="mu-table-equal-values",
+    ),
+    pytest.param(
+        ["design-rank", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
+        None,
+        "table pair needs alpha != beta, got 1 for both",
+        id="design-rank-table-equal-values",
+    ),
+    pytest.param(
+        ["theorem1-verify", "--alpha", "1", "--beta", "1", "--table", "1", "2", "3", "4"],
+        None,
+        "table pair needs alpha != beta, got 1 for both",
+        id="verify-table-equal-values",
+    ),
+    pytest.param(
+        ["design-rank", "--alpha", "1", "--beta", "1"],
+        None,
+        "f(alpha, beta) == f(beta, alpha) == 1 at alpha = 1, beta = 1",
+        id="design-rank-equal-values",
+    ),
+    pytest.param(
+        ["design-rank", "--alpha", "0", "--beta", "1"],
+        None,
+        "f(alpha, alpha) == 0 at alpha = 0",
+        id="design-rank-zero-diagonal",
+    ),
+    pytest.param(
+        ["theorem1-verify", "--alpha", "2", "--beta", "2", "--max-m", "2", "--max-n", "2"],
+        None,
+        "f(alpha, beta) == f(beta, alpha) == 2 at alpha = 2, beta = 2",
+        id="verify-equal-values",
+    ),
+    pytest.param(
+        ["theorem1-verify", "--max-m", "6", "--max-n", "5"],
+        None,
+        "--max-m 6 x --max-n 5 exceeds the exhaustive limit of 25",
+        id="exhaustive-6x5",
+    ),
+    pytest.param(
+        ["theorem1-verify", "--samples", "-3"],
+        None,
+        "--samples must be >= 0 (0 means exhaustive), got -3",
+        id="verify-samples-negative",
+    ),
+    pytest.param(
+        ["random-rank-stats", "--n", "4", "--samples", "0"],
+        None,
+        "--samples must be >= 1, got 0",
+        id="stats-samples-0",
+    ),
+    pytest.param(
+        ["random-rank-stats", "--n", "4", "--samples", "-2"],
+        None,
+        "--samples must be >= 1, got -2",
+        id="stats-samples-negative",
+    ),
+    pytest.param(
+        ["family-build", "--kind", "hadamard", "--order", "0"],
+        None,
+        "--order must be a power of two, got 0",
+        id="build-order-0",
+    ),
+    pytest.param(
+        ["family-build", "--kind", "hadamard", "--order", "12"],
+        None,
+        "--order must be a power of two, got 12",
+        id="build-order-12",
+    ),
+    pytest.param(
+        ["family-build", "--kind", "hadamard", "--order", "-4"],
+        None,
+        "--order must be a power of two, got -4",
+        id="build-order-negative",
+    ),
+    pytest.param(
+        ["family-search", "--n", "8", "--seed-kind", "hadamard", "--order", "0"],
+        None,
+        "--order must be a power of two, got 0",
+        id="search-order-0",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, infile, named", MALFORMED_INPUTS)
 def test_malformed_input_exits_two_naming_the_value(tmp_path, capsys, argv, infile, named):
     path = tmp_path / "input"
     if infile is not None:

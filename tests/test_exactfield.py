@@ -10,6 +10,7 @@ from symrank.exactfield import (
     format_scalar,
     parse_rational,
     parse_scalar,
+    scalar_sign,
     solve_monic_quadratic,
     square_free_part,
 )
@@ -109,12 +110,19 @@ def test_quadext_division_by_zero():
 
 
 def test_quadext_comparisons_exact():
+    # x < y exactly when scalar_sign(x - y) < 0, the one order test the package uses
     sqrt2 = QuadExt(0, 1, 2)
-    assert sqrt2 < Fraction(3, 2)
-    assert sqrt2 > Fraction(7, 5)
-    assert QuadExt(3, -1, 5) > 0
-    assert QuadExt(2, -1, 5) < 0
-    assert QuadExt(1, 1, 5) > QuadExt(1, -1, 5)
+    assert scalar_sign(sqrt2 - Fraction(3, 2)) < 0
+    assert scalar_sign(sqrt2 - Fraction(7, 5)) > 0
+    assert scalar_sign(Fraction(7, 5) - sqrt2) < 0
+    assert scalar_sign(QuadExt(3, -1, 5)) > 0
+    assert scalar_sign(QuadExt(2, -1, 5)) < 0
+    assert scalar_sign(QuadExt(-3, 1, 5)) < 0
+    assert scalar_sign(QuadExt(-2, 1, 5)) > 0
+    assert scalar_sign(QuadExt(1, 1, 5) - QuadExt(1, -1, 5)) > 0
+    assert scalar_sign(QuadExt(1, 1, 5) - QuadExt(1, 1, 5)) == 0
+    with pytest.raises(TypeError):
+        sqrt2 < 2  # noqa: B015  no order operators: an accidental comparison fails loudly
 
 
 def test_field_axioms_random():
@@ -134,7 +142,7 @@ def test_field_axioms_random():
         assert a * (b + c) == a * b + a * c
         if a != 0:
             assert a * (1 / a) == 1
-        assert a + (-a) == 0
+        assert a + (0 - a) == 0
 
 
 def test_vieta_random():
@@ -150,7 +158,7 @@ def test_vieta_random():
         assert r2 * r2 + p * r2 + q == 0
         assert r1 * r2 == q
         assert r1 + r2 == -p
-        assert r1 >= r2
+        assert scalar_sign(r1 - r2) >= 0
         checked += 1
 
 

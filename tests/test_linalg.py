@@ -58,7 +58,8 @@ def test_rank_transpose_invariant():
     for _ in range(200):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         m = Matrix(r, c, [rng.randint(-3, 3) for _ in range(r * c)])
-        transpose = Matrix(c, r, [m.entry(i, j) for j in range(c) for i in range(r)])
+        rows = [m.row_list(i) for i in range(r)]
+        transpose = Matrix(c, r, [rows[i][j] for j in range(c) for i in range(r)])
         assert m.rank() == transpose.rank()
 
 
@@ -67,11 +68,12 @@ def test_rank_gram_invariant():
     for _ in range(100):
         r, c = rng.randint(1, 6), rng.randint(1, 6)
         b = Matrix(r, c, [rng.randint(0, 1) for _ in range(r * c)])
+        rows = [b.row_list(k) for k in range(r)]
         gram = Matrix(
             c,
             c,
             [
-                sum(b.entry(k, i) * b.entry(k, j) for k in range(r))
+                sum(rows[k][i] * rows[k][j] for k in range(r))
                 for i in range(c)
                 for j in range(c)
             ],
@@ -90,7 +92,7 @@ def test_rank_kronecker_multiplicative():
             ra * rb,
             ca * cb,
             [
-                a.entry(i1, j1) * b.entry(i2, j2)
+                a.row_list(i1)[j1] * b.row_list(i2)[j2]
                 for i1 in range(ra)
                 for i2 in range(rb)
                 for j1 in range(ca)
@@ -200,7 +202,7 @@ def test_csv_cells_parse_like_parse_scalar(cell):
     except ValueError as exc:
         expected = exc
     try:
-        got = Matrix.from_csv("0," + cell).entry(0, 1)
+        got = Matrix.from_csv("0," + cell).row_list(0)[1]
     except ValueError as exc:
         assert isinstance(expected, ValueError), f"{cell!r} parses to {expected}"
         assert str(exc).startswith("row 1, column 2: ")

@@ -90,7 +90,7 @@ def test_arithmetic_matches_sympy(case):
         assert_same(x / y, sx / sy, d)
     if x != 0:
         assert_same(y / x, sy / sx, d)
-    assert_same(-x, -sx, d)
+    assert_same(0 - x, -sx, d)
     assert (x == y) == (sx == sy)
     for value, element in ((x, sx), (y, sy), (x - y, sx - sy)):
         assert scalar_sign(value) == sympy.sign(_field(d)[0].to_sympy(element))

@@ -1,0 +1,202 @@
+"""Every function defined under src/symrank is reached from the CLI.
+
+A fixed list of small invocations runs in-process through `cli.main` under
+`sys.setprofile`, which sees every Python frame entered.  Each function,
+method, nested function and lambda compiled from the package's sources must
+be among those frames, except the names in ALLOWED, each with the reason it
+may stay uncalled.  Comprehensions and generator expressions are not
+counted: from Python 3.12 the compiler inlines list, dict and set
+comprehensions into the function that holds them, so only the function
+itself has a frame on every supported version.
+
+The profile measures coverage, not reachability: a name it misses is dead
+only once no CLI input reaches it.  When one does, its invocation belongs in
+CALLS.
+"""
+
+from __future__ import annotations
+
+import inspect
+import json
+import sys
+import types
+from pathlib import Path
+
+import symrank
+from symrank.cli import main
+
+from test_cli import MALFORMED_INPUTS
+
+SOURCES = Path(symrank.__file__).resolve().parent
+
+# a value type's __eq__, __hash__ and __repr__ give the tests and a debugger
+# equality, sets and readable failures; the CLI needs none of them
+_VALUE_DUNDERS = {
+    "designs.HadamardMatrix": ("__eq__", "__repr__"),
+    "designs.SymmetricDesign": ("__eq__", "__repr__"),
+    "ensemble.BipartiteGraph": ("__eq__", "__hash__", "__repr__"),
+    "ensemble.Tournament": ("__eq__", "__hash__"),
+    "exactfield.QuadExt": ("__eq__", "__hash__", "__repr__"),
+    "families.SetFamily": ("__eq__", "__repr__"),
+    "linalg.Matrix": ("__eq__", "__repr__"),
+}
+
+ALLOWED = {
+    f"{cls}.{name}": "value semantics for the tests and for debugging"
+    for cls, names in _VALUE_DUNDERS.items()
+    for name in names
+} | {
+    "exactfield.QuadExt.__setattr__": "the immutability guard: only an assignment calls it",
+    "linalg.Matrix.entries": "bench/tracing.py reads the entries of every ranked matrix",
+}
+
+_INT_CSV = "1,2,3,4\n2,4,6,8\n1,0,1,0\n0,1,0,1/2\n"  # rank 3 < k = 4: certificate, then Bareiss
+_QUAD_CSV = "1,1+1*sqrt(2),0,1\n1-1*sqrt(2),-1,0,1-1*sqrt(2)\n0,0,1,2\n1,2,3,4\n"
+_GRAPH = {"m": 2, "n": 3, "edges": [[1, 1], [2, 3]]}
+_FAMILY = {"n": 6, "sets": [[1, 2], [1, 3], [1, 4]]}
+_NOT_BISECTION_CLOSED = {"n": 4, "sets": [[1, 2], [3, 4]]}
+
+# (argv, files the run reads: name -> text, expected exit code); "{dir}" is the work directory
+CALLS = [
+    (["rank", "--in", "{dir}/int.csv"], {"int.csv": _INT_CSV}, 0),
+    # a Z[sqrt d] rank with k > 3 takes the modular pass before Bareiss
+    (["rank", "--in", "{dir}/quad.csv"], {"quad.csv": _QUAD_CSV}, 0),
+    (["mu"], {}, 0),
+    (["mu", "--theta", "1/3", "--alpha", "1+1*sqrt(2)", "--beta", "2"], {}, 0),
+    # 0 - (1 + sqrt 2) is QuadExt.__rsub__, and 1 / (3 + 2 sqrt 2) QuadExt.__rtruediv__
+    (["mu", "--alpha", "1", "--beta", "2", "--table", "1", "0", "1+1*sqrt(2)", "1"], {}, 0),
+    (["tournament", "--n", "3", "--seed", "2"], {}, 0),
+    (
+        ["tournament", "--n", "5", "--seed", "1", "--values", "1,2,1+1*sqrt(3),1/2,3",
+         "--matrix-out", "{dir}/t.csv"],
+        {},
+        0,
+    ),
+    (
+        ["bigraph", "--in", "{dir}/g.json", "--alpha", "1", "--beta", "3",
+         "--matrix-out", "{dir}/b.csv"],
+        {"g.json": json.dumps(_GRAPH)},
+        0,
+    ),
+    (["theorem1-verify", "--max-m", "2", "--max-n", "3"], {}, 0),
+    (["theorem1-verify", "--samples", "12", "--max-m", "3", "--max-n", "3", "--seed", "1"], {}, 0),
+    (["theorem2", "--theta", "1/3", "--n", "4", "--sign", "-"], {}, 0),
+    (["hadamard", "--construction", "sylvester", "--k", "2", "--matrix-out", "{dir}/h.csv"], {}, 0),
+    (["hadamard", "--construction", "paley", "--q", "7"], {}, 0),
+    (["design", "--design", "fano"], {}, 0),
+    (["design", "--design", "complement-fano"], {}, 0),
+    (["design", "--design", "paley-hadamard", "--q", "7"], {}, 0),
+    (["design", "--design", "sylvester-hadamard", "--k", "3"], {}, 0),
+    (["design-rank", "--design", "fano", "--alpha", "1", "--beta", "2"], {}, 0),
+    # an irrational mu^2 is rejected, naming the value
+    (["design-rank", "--design", "fano", "--beta", "1+1*sqrt(2)"], {}, 2),
+    (["onebytwo", "--k-minus-lambda", "6", "--bound", "10"], {}, 0),
+    (["family-build", "--kind", "sunflower", "--n", "6", "--out", "{dir}/report.json"], {}, 0),
+    (["family-build", "--kind", "fano"], {}, 0),
+    (["family-build", "--kind", "hadamard", "--order", "8"], {}, 0),
+    (["family-check", "--in", "{dir}/f.json"], {"f.json": json.dumps(_FAMILY)}, 0),
+    (["family-check", "--in", "{dir}/f.json"], {"f.json": json.dumps(_NOT_BISECTION_CLOSED)}, 1),
+    (["family-search", "--n", "6", "--seed-kind", "sunflower", "--budget", "5"], {}, 0),
+    (
+        ["family-search", "--n", "6", "--seed-file", "{dir}/f.json"],
+        {"f.json": json.dumps(_FAMILY)},
+        0,
+    ),
+    (["random-rank-stats", "--n", "4", "--samples", "2"], {}, 0),
+] + [
+    (argv, {} if text is None else {"input": text}, 2)
+    for argv, text, _ in (param.values for param in MALFORMED_INPUTS)
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _key(code: types.CodeType) -> tuple:
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
+def defined_functions() -> dict:
+    """{(file, first line, name): qualified name} of every function in the sources.
+
+    Qualified names start at the module, as in "linalg.Matrix.rank"; a
+    lambda's name carries its line.
+    """
+    found = {}
+
+    def walk(code, prefix):
+        for const in code.co_consts:
+            if not isinstance(const, types.CodeType):
+                continue
+            name = const.co_name
+            if name.startswith("<") and name != "<lambda>":  # comprehension or genexpr
+                walk(const, prefix)
+            elif const.co_flags & inspect.CO_NEWLOCALS:  # function or lambda
+                qualname = prefix + name
+                if name == "<lambda>":
+                    qualname += f"@{const.co_firstlineno}"
+                key = _key(const)
+                assert key not in found, f"{found[key]} and {qualname} share {key}"
+                found[key] = qualname
+                walk(const, qualname + ".<locals>.")
+            else:  # class body
+                walk(const, prefix + name + ".")
+
+    for path in sorted(SOURCES.glob("*.py")):
+        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), path.stem + ".")
+    return found
+
+
+def _clear_caches() -> None:
+    """Empty the package's function caches, whose hits would hide the functions."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("symrank."):
+            for value in vars(module).values():
+                if getattr(value, "__module__", None) == module.__name__:
+                    if hasattr(value, "cache_clear"):
+                        value.cache_clear()
+
+
+def run_calls(calls, workdir: Path, capsys) -> set:
+    """Run each invocation; return the keys of every code object entered."""
+    entered = {}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered[id(frame.f_code)] = frame.f_code
+
+    _clear_caches()
+    previous = sys.getprofile()
+    for argv, files, expected in calls:
+        for name, text in files.items():
+            (workdir / name).write_text(text, encoding="utf-8")
+        argv = [
+            arg.replace("{dir}", str(workdir)).replace("{path}", str(workdir / "input"))
+            for arg in argv
+        ]
+        sys.setprofile(profile)
+        try:
+            code = main(argv)
+        finally:
+            sys.setprofile(previous)
+        out = capsys.readouterr().out
+        assert code == expected, argv
+        if code == 2:
+            assert out == "", argv
+            continue
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
+        json.loads(out, parse_constant=_reject_constant)
+    return {_key(code) for code in entered.values()}
+
+
+def test_every_function_is_reached_from_the_cli(tmp_path, capsys):
+    defined = defined_functions()
+    gone = sorted(set(ALLOWED) - set(defined.values()))
+    assert not gone, "allowlisted names that no longer exist: " + ", ".join(gone)
+    reached = run_calls(CALLS, tmp_path, capsys)
+    unreached = sorted(
+        name for key, name in defined.items() if key not in reached and name not in ALLOWED
+    )
+    assert not unreached, "no CLI call reaches " + ", ".join(unreached)

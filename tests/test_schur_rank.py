@@ -18,7 +18,7 @@ from symrank.exactfield import QuadExt, scalar_sign, solve_monic_quadratic
 from symrank.linalg import Matrix
 from symrank.spectra import _schur_rows, complete_minus_matching, ensemble_rank, rank_sandwich
 
-from oracle import rank_naive, schur_complement
+from oracle import complete_bigraph, empty_bigraph, rank_naive, schur_complement
 
 
 def assert_schur_rank_exact(pair: TwoValuePair, g: BipartiteGraph) -> None:
@@ -43,9 +43,9 @@ def graphs(draw, max_side: int = 8) -> BipartiteGraph:
     if kind == "matching":  # K_{n,n} minus a perfect matching, square
         return complete_minus_matching(n)
     if kind == "empty":
-        return BipartiteGraph.empty(m, n)
+        return empty_bigraph(m, n)
     if kind == "complete":
-        return BipartiteGraph.complete(m, n)
+        return complete_bigraph(m, n)
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
     return BipartiteGraph(m, n, masks)
 
@@ -62,9 +62,9 @@ def _is_good(pair: TwoValuePair) -> bool:
 
 def linear_pair(draw, alpha, betas) -> TwoValuePair:
     theta = draw(thetas)
-    # beta = -alpha / (1 - 2 theta) makes f(alpha, beta) = 0
+    # beta = alpha / (2 theta - 1) makes f(alpha, beta) = 0
     if draw(st.booleans()) and theta != Fraction(1, 2):
-        beta = -alpha / (1 - 2 * theta)
+        beta = alpha / (2 * theta - 1)
     else:
         beta = draw(betas)
     pair = TwoValuePair.linear(theta, alpha, beta)
@@ -153,7 +153,7 @@ def test_schur_rank_every_small_graph_zero_cross():
 def test_schur_rank_empty_part():
     pair = TwoValuePair.linear(Fraction(1, 3), 1, 2)
     for (m, n), expected in {(0, 0): 0, (0, 1): 0, (1, 0): 0, (0, 4): 4, (5, 0): 5}.items():
-        assert ensemble_rank(pair, BipartiteGraph.empty(m, n)) == expected
+        assert ensemble_rank(pair, empty_bigraph(m, n)) == expected
 
 
 def builder_case(pair: TwoValuePair, g: BipartiteGraph):

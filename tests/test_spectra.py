@@ -13,7 +13,7 @@ from symrank.spectra import (
     rank_sandwich,
 )
 
-from oracle import rank_naive
+from oracle import bigraph_edges, complete_bigraph, empty_bigraph, rank_naive
 
 HALF = Fraction(1, 2)
 
@@ -33,7 +33,7 @@ def test_heawood_multiplicity():
 
 
 def test_multiplicity_edge_cases():
-    g = BipartiteGraph.empty(3, 4)
+    g = empty_bigraph(3, 4)
     assert bigraph_multiplicity(g, Fraction(1)) == 0
     assert bigraph_multiplicity(g, Fraction(-2)) == 0
     with pytest.raises(ValueError):
@@ -48,16 +48,16 @@ def test_multiplicity_side_independence():
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         g = BipartiteGraph(m, n, [rng.getrandbits(n) for _ in range(m)])
-        transposed = BipartiteGraph.from_edges(n, m, [(j, i) for i, j in g.edges()])
+        transposed = BipartiteGraph.from_edges(n, m, [(j, i) for i, j in bigraph_edges(g)])
         for mu2 in (Fraction(1), Fraction(2), Fraction(1, 2)):
             assert bigraph_multiplicity(g, mu2) == bigraph_multiplicity(transposed, mu2)
 
 
 def test_complete_minus_matching_shape():
     g1 = complete_minus_matching(1)
-    assert g1.edge_count() == 0
+    assert g1.row_masks == [0]
     g3 = complete_minus_matching(3)
-    assert g3.edge_count() == 6
+    assert g3.row_masks == [0b110, 0b101, 0b011]
     assert all(mask.bit_count() == 2 for mask in g3.row_masks + g3.column_masks())
     with pytest.raises(ValueError):
         complete_minus_matching(0)
@@ -84,7 +84,7 @@ def test_rank_sandwich_negative_mu2_table_pair():
 
 
 def test_rank_sandwich_hypotheses():
-    g = BipartiteGraph.empty(2, 2)
+    g = empty_bigraph(2, 2)
     with pytest.raises(GoodPairError):
         rank_sandwich(TwoValuePair.table(1, 2, Fraction(0), 1, 2, Fraction(3)), g)
     with pytest.raises(DegenerateEnsembleError):
@@ -95,16 +95,16 @@ def test_rank_sandwich_k11_zero_cross_value():
     # theta = 1/4, alpha = -1, beta = 2 gives f(alpha, beta) = 0: K_{1,1} has rank 0
     pair = TwoValuePair.linear(Fraction(1, 4), -1, 2)
     assert pair.value_ab() == 0
-    report = rank_sandwich(pair, BipartiteGraph.complete(1, 1))
+    report = rank_sandwich(pair, complete_bigraph(1, 1))
     assert (report.exact_rank, report.rank_lower) == (0, 0)
-    assert rank_sandwich(pair, BipartiteGraph.empty(1, 1)).exact_rank == 2
+    assert rank_sandwich(pair, empty_bigraph(1, 1)).exact_rank == 2
 
 
 def test_rank_sandwich_one_vertex_part_floor():
     # a part of size 1 contributes no diagonal rank; the other part's k(J - I) does
     pair = TwoValuePair.linear(Fraction(1, 4), -1, 2)
     for n in range(2, 5):
-        report = rank_sandwich(pair, BipartiteGraph.complete(1, n))
+        report = rank_sandwich(pair, complete_bigraph(1, n))
         assert report.rank_lower >= n and report.exact_rank >= n
 
 
