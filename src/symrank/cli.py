@@ -43,8 +43,13 @@ def _read_text(path: str) -> str:
 
 
 def _read_json_object(path: str, keys) -> dict:
-    """The JSON object in the file; ValueError naming the file and a missing key."""
-    data = json.loads(_read_text(path))
+    """The JSON object in the file; ValueError naming the file and a missing key,
+    or JSON nested deeper than the parser's recursion limit."""
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path} nests JSON deeper than the recursion limit") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path} must hold a JSON object, got {data!r}")
     for key in keys:

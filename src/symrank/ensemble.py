@@ -76,19 +76,10 @@ class TableFunction:
         self.f_bb = f_bb
 
     def __call__(self, x, y):
+        """f(x, y) for x and y in {alpha, beta}: a value other than alpha is beta."""
         if x == self.alpha:
-            vx = 0
-        elif x == self.beta:
-            vx = 1
-        else:
-            raise ValueError(f"table function is defined only on its alphabet, got {x}")
-        if y == self.alpha:
-            vy = 0
-        elif y == self.beta:
-            vy = 1
-        else:
-            raise ValueError(f"table function is defined only on its alphabet, got {y}")
-        return (self.f_aa, self.f_ab, self.f_ba, self.f_bb)[vx * 2 + vy]
+            return self.f_aa if y == self.alpha else self.f_ab
+        return self.f_ba if y == self.alpha else self.f_bb
 
 
 class TwoValuePair:
@@ -306,11 +297,6 @@ def random_tournament(n: int, seed: int) -> Tournament:
     return Tournament(n, out)
 
 
-def _check_part_sizes(m, n) -> None:
-    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
-        raise ValueError(f"part sizes must be nonnegative integers, got m={m!r}, n={n!r}")
-
-
 def _int_pair(edge) -> tuple[int, int]:
     """An edge as a pair of ints; ValueError naming the edge otherwise."""
     if isinstance(edge, (list, tuple)) and len(edge) == 2 and all(type(x) is int for x in edge):
@@ -324,27 +310,9 @@ class BipartiteGraph:
     __slots__ = ("m", "n", "row_masks")
 
     def __init__(self, m: int, n: int, row_masks):
-        _check_part_sizes(m, n)
-        row_masks = list(row_masks)
-        if len(row_masks) != m:
-            raise ValueError(f"expected {m} row masks, got {len(row_masks)}")
-        full = (1 << n) - 1
-        for mask in row_masks:
-            if mask & ~full:
-                raise ValueError("row mask has bits outside the right part")
         self.m = m
         self.n = n
-        self.row_masks = row_masks
-
-    @classmethod
-    def from_edges(cls, m: int, n: int, edges) -> "BipartiteGraph":
-        _check_part_sizes(m, n)
-        masks = [0] * m
-        for i, j in map(_int_pair, edges):
-            if not (0 <= i < m and 0 <= j < n):
-                raise ValueError(f"edge ({i}, {j}) out of range")
-            masks[i] |= 1 << j
-        return cls(m, n, masks)
+        self.row_masks = list(row_masks)
 
     def column_masks(self) -> list[int]:
         return transpose_masks(self.row_masks, self.n)
@@ -364,11 +332,14 @@ class BipartiteGraph:
         if not isinstance(edges, list):
             raise ValueError(f"edges must be a list, got {edges!r}")
         edges = list(map(_int_pair, edges))
-        _check_part_sizes(m, n)
+        if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+            raise ValueError(f"part sizes must be nonnegative integers, got m={m!r}, n={n!r}")
+        masks = [0] * m
         for i, j in edges:
             if not (1 <= i <= m and 1 <= j <= n):
                 raise ValueError(f"edge [{i}, {j}] out of range: the parts are 1..{m} and 1..{n}")
-        return cls.from_edges(m, n, [(i - 1, j - 1) for i, j in edges])
+            masks[i - 1] |= 1 << (j - 1)
+        return cls(m, n, masks)
 
     def __repr__(self):
         edges = sum(mask.bit_count() for mask in self.row_masks)

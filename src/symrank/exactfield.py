@@ -37,8 +37,6 @@ def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int,
     input is rejected since square-freeness of the cofactor cannot be
     certified at desk scale.
     """
-    if n <= 0:
-        raise ValueError(f"square_free_part requires a positive integer, got {n}")
     d = 1
     s = 1
     r = n
@@ -67,6 +65,13 @@ def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int,
                     f"exceeds the trial-division bound {bound}"
                 )
     return d, s
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by trial division."""
+    if n < 4:
+        return n > 1
+    return n % 2 != 0 and all(n % f for f in range(3, isqrt(n) + 1, 2))
 
 
 class QuadExt:
@@ -151,10 +156,9 @@ class QuadExt:
         """num / den for (a, b) parts, one of them this element's: num * conj(den) / norm(den)."""
         (xa, xb), (ya, yb) = num, den
         d = self.d
-        # this element's parts are Fractions, so neither quotient is a float
+        # this element's parts are Fractions, so neither quotient is a float, and
+        # a zero norm (only a zero divisor has one) makes the Fraction division raise
         n = ya * ya - d * yb * yb
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt(d))")
         return QuadExt((xa * ya - d * xb * yb) / n, (xb * ya - xa * yb) / n, d)
 
     def __truediv__(self, other):
@@ -206,13 +210,9 @@ class QuadExt:
 
 def as_fraction(x) -> Fraction:
     """Convert a rational scalar to a Fraction; ValueError for a QuadExt, which is irrational."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
     if isinstance(x, QuadExt):
         raise ValueError(f"{x} is irrational")
-    raise TypeError(f"not an exact scalar: {type(x).__name__}")
+    return Fraction(x)
 
 
 def scalar_sign(x) -> int:
@@ -269,14 +269,12 @@ def format_rational(x) -> str:
 
 def format_scalar(x) -> str:
     """Canonical text form of an exact scalar."""
-    if isinstance(x, (int, Fraction)):
-        return format_rational(x)
     if isinstance(x, QuadExt):
         b = format_rational(x.b)
         if not b.startswith("-"):
             b = "+" + b
         return f"{format_rational(x.a)}{b}*sqrt({x.d})"
-    raise TypeError(f"not an exact scalar: {type(x).__name__}")
+    return format_rational(x)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -65,10 +65,8 @@ class SetFamily:
         masks = tuple(masks)
         seen = set()
         for mask in masks:
-            if mask < 0:
-                raise ValueError(f"set mask {mask} is negative")
             if not mask:
-                raise ValueError("families contain nonempty sets only")
+                raise ValueError(f"set {mask_to_points(mask)} is empty")
             if mask >> ground_n:
                 raise ValueError(f"set {mask_to_points(mask)} has points outside [1..{ground_n}]")
             if mask in seen:
@@ -188,8 +186,6 @@ def hadamard_family(h: HadamardMatrix) -> SetFamily:
             f"order {n} is unsupported: need a multiple of 8 so the quarter sets "
             "have even halves"
         )
-    if not h.normalized:
-        raise UnsupportedParameterError("Hadamard matrix must be normalized")
     supports = h.row_masks[1:]
     larges = supports[1:]
     quarter = list(dict.fromkeys(s & supports[0] for s in larges))

@@ -37,10 +37,10 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import islice
-from math import isqrt, lcm
+from math import lcm
 
 from .errors import FieldMismatchError
-from .exactfield import QuadExt, format_scalar, parse_scalar
+from .exactfield import QuadExt, format_scalar, is_prime, parse_scalar
 
 # the prime of the full-rank certificate over Z, and the first one tried over
 # Z[sqrt(d)]; = 3 mod 4, so that a square root mod p is one pow
@@ -61,23 +61,16 @@ class Matrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = list(entries)
-        if len(entries) != rows * cols:
-            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
         self.rows = rows
         self.cols = cols
-        self._e = entries
+        self._e = list(entries)
 
     @classmethod
     def from_rows(cls, row_lists) -> "Matrix":
+        """The matrix of rows of one length."""
         row_lists = [list(r) for r in row_lists]
-        if not row_lists:
-            return cls(0, 0, [])
-        cols = len(row_lists[0])
-        if any(len(r) != cols for r in row_lists):
-            raise ValueError("ragged rows")
-        flat = [x for r in row_lists for x in r]
-        return cls(len(row_lists), cols, flat)
+        cols = len(row_lists[0]) if row_lists else 0
+        return cls(len(row_lists), cols, [x for r in row_lists for x in r])
 
     def row_list(self, i: int) -> list:
         return self._e[i * self.cols : (i + 1) * self.cols]
@@ -320,12 +313,8 @@ def _quad_root(d: int) -> tuple[int, int] | None:
 
 
 def _primes_3_mod_4():
-    """The primes = 3 mod 4 from RANK_PRIME down, by trial division."""
-    n = RANK_PRIME
-    while n > 2:
-        if all(n % q for q in range(3, isqrt(n) + 1, 2)):
-            yield n
-        n -= 4
+    """The primes = 3 mod 4 from RANK_PRIME down (RANK_PRIME = 3 mod 4)."""
+    return filter(is_prime, range(RANK_PRIME, 2, -4))
 
 
 def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:

@@ -59,15 +59,13 @@ def _gram_smaller_side(g: BipartiteGraph) -> list[list[int]]:
 def bigraph_multiplicity(g: BipartiteGraph, mu2, gram: list[list[int]] | None = None) -> int:
     """Multiplicity of +sqrt(mu2) in the adjacency spectrum of the bipartite graph.
 
-    Negative mu2 means the eigenvalue is imaginary and the multiplicity is 0.
-    mu2 == 0 is rejected; positive mu2 must be rational and the count is the
-    exact nullity of (Gram - mu2 * I) on the smaller side.  A caller that
-    already holds that Gram matrix may pass it as gram.
+    mu2 must be nonzero, as a good pair's mu^2 is.  Negative mu2 means the
+    eigenvalue is imaginary and the multiplicity is 0; positive mu2 must be
+    rational and the count is the exact nullity of (Gram - mu2 * I) on the
+    smaller side.  A caller that already holds that Gram matrix may pass it
+    as gram.
     """
-    sign = scalar_sign(mu2)
-    if sign == 0:
-        raise ValueError("mu^2 == 0 is outside the supported multiplicity computation")
-    if sign < 0:
+    if scalar_sign(mu2) < 0:
         return 0
     mu2 = as_fraction(mu2)
     p, q = mu2.numerator, mu2.denominator
@@ -194,8 +192,6 @@ def low_rank_matching_instance(theta, n: int, sign: str = "+") -> tuple[object, 
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     coeff = 2 + (1 / theta - 1) ** 2
     plus, minus = solve_monic_quadratic(-coeff, 1)
     beta = plus if sign == "+" else minus

@@ -209,6 +209,14 @@ def complete_bigraph(m: int, n: int) -> BipartiteGraph:
     return BipartiteGraph(m, n, [(1 << n) - 1] * m)
 
 
+def bigraph_from_edges(m: int, n: int, edges) -> BipartiteGraph:
+    """The m x n bipartite graph with the given 0-based edges (i, j)."""
+    masks = [0] * m
+    for i, j in edges:
+        masks[i] |= 1 << j
+    return BipartiteGraph(m, n, masks)
+
+
 def bigraph_edges(g) -> list[tuple[int, int]]:
     """The 0-based edges (i, j) of a bipartite graph, in row order."""
     return [(i, j) for i, mask in enumerate(g.row_masks) for j in range(g.n) if mask >> j & 1]

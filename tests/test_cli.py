@@ -409,6 +409,7 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 _BAD_GRAPH_EDGE = json.dumps({"m": 1, "n": 1, "edges": [[1, "a"]]})
 _BAD_SET_POINT = json.dumps({"n": 4, "sets": [[1, "a"]]})
 _SETS_NOT_A_LIST = json.dumps({"n": 4, "sets": 5})
+_DEEP_JSON = "[" * 100_000  # deeper than the JSON parser's recursion limit
 
 
 # (argv, the text of the file at {path} or None, what the message must name)
@@ -608,6 +609,86 @@ MALFORMED_INPUTS = [
         None,
         "--order must be a power of two, got 0",
         id="search-order-0",
+    ),
+    *(
+        pytest.param(argv, None, named, id=name)
+        for name, argv, named in (
+            ("sylvester-k-negative", ["hadamard", "--construction", "sylvester", "--k", "-1"],
+             "k must be >= 0, got -1"),
+            ("paley-not-prime", ["hadamard", "--construction", "paley", "--q", "9"],
+             "q = 9 is not prime"),
+            ("paley-1-mod-4", ["hadamard", "--construction", "paley", "--q", "5"],
+             "q = 5 is not congruent to 3 mod 4"),
+            ("design-order-4", ["design", "--design", "sylvester-hadamard", "--k", "2"],
+             "order 4 does not give a nondegenerate design"),
+            ("onebytwo-k-minus-lambda-0", ["onebytwo", "--k-minus-lambda", "0"],
+             "k - lambda must be >= 1, got 0"),
+            ("onebytwo-bound-1", ["onebytwo", "--k-minus-lambda", "2", "--bound", "1"],
+             "bound must be >= 2, got 1"),
+            ("mu-theta-1", ["mu", "--theta", "1"], "theta must lie in (0, 1), got 1"),
+            ("tournament-n-0", ["tournament", "--n", "0"], "n must be >= 1, got 0"),
+            ("tournament-short-values", ["tournament", "--n", "3", "--values", "1,2"],
+             "sequence length 2 != tournament size 3"),
+            ("mu-discriminant-1", ["mu", "--alpha", "1+1*sqrt(1)"],
+             "discriminant must be >= 2, got 1"),
+            # f(x, y) = x + y/3 adds a sqrt(2) and a sqrt(3) value
+            ("tournament-mixed-sum",
+             ["tournament", "--n", "3", "--theta", "1/3", "--values", "1+1*sqrt(2),1+1*sqrt(3),1"],
+             "cannot mix sqrt(2) and sqrt(3) elements"),
+            # f(x, y) = x keeps them apart until the rank meets both
+            ("tournament-mixed-rank",
+             ["tournament", "--n", "3", "--theta", "1/2", "--values", "1+1*sqrt(2),1+1*sqrt(3),1"],
+             "matrix mixes sqrt(2) and sqrt(3) entries"),
+            ("theorem2-n-0", ["theorem2", "--theta", "1/3", "--n", "0"], "n must be >= 1, got 0"),
+            ("theorem2-theta-0", ["theorem2", "--theta", "0", "--n", "3"],
+             "theta must lie in (0, 1), got 0"),
+            ("build-sunflower-odd", ["family-build", "--kind", "sunflower", "--n", "5"],
+             "n must be even and >= 4, got 5"),
+            ("build-hadamard-order-4", ["family-build", "--kind", "hadamard", "--order", "4"],
+             "order 4 is unsupported"),
+            ("search-n-22", ["family-search", "--n", "22"],
+             "ground sets beyond 20 are not supported, got 22"),
+        )
+    ),
+    *(
+        pytest.param(argv, text, named, id=name)
+        for name, argv, text, named in (
+            ("bigraph-edges-int", ["bigraph", "--in", "{path}"],
+             json.dumps({"m": 1, "n": 1, "edges": 5}), "edges must be a list, got 5"),
+            ("check-point-outside", ["family-check", "--in", "{path}"],
+             json.dumps({"n": 4, "sets": [[1, 5]]}), "set [1, 5]: point 5 outside [1..4]"),
+            # 1000036000099 = 1000003 * 1000033, both factors beyond the trial bound 10^6
+            ("csv-uncertifiable-discriminant", ["rank", "--in", "{path}"],
+             "1,1+1*sqrt(1000036000099)\n",
+             "row 1, column 2: cannot certify square-free part of 1000036000099"),
+            ("csv-mixed-discriminants", ["rank", "--in", "{path}"],
+             "1,1+1*sqrt(2)\n1+1*sqrt(3),1\n",
+             "row 2, column 1: matrix mixes sqrt(2) and sqrt(3) entries"),
+            ("check-n-0", ["family-check", "--in", "{path}"],
+             json.dumps({"n": 0, "sets": []}), "ground_n must be an integer >= 1, got 0"),
+            ("check-empty-set", ["family-check", "--in", "{path}"],
+             json.dumps({"n": 4, "sets": [[]]}), "set [] is empty"),
+            ("check-duplicate-set", ["family-check", "--in", "{path}"],
+             json.dumps({"n": 4, "sets": [[1, 2], [2, 1]]}), "duplicate set [1, 2]"),
+            ("check-set-not-a-list", ["family-check", "--in", "{path}"],
+             json.dumps({"n": 4, "sets": [5]}), "set 5 is not a list of points"),
+            ("check-theta-2", ["family-check", "--in", "{path}", "--theta", "2"],
+             json.dumps({"n": 4, "sets": [[1, 2]]}), "theta must lie in (0, 1), got 2"),
+            ("search-seed-outside", ["family-search", "--n", "6", "--seed-file", "{path}"],
+             json.dumps({"n": 8, "sets": [[7, 8]]}), "set [7, 8] has points outside [1..6]"),
+            ("search-seed-not-closed", ["family-search", "--n", "6", "--seed-file", "{path}"],
+             json.dumps({"n": 6, "sets": [[1, 2], [3, 4, 5, 6]]}),
+             "seed is not bisection-closed: [1, 2] vs [3, 4, 5, 6]"),
+            ("search-candidate-cap", ["family-search", "--n", "16", "--seed-file", "{path}"],
+             json.dumps({"n": 16, "sets": [[1, 2]]}),
+             "16475 candidate sets exceed the cap 5000"),
+            ("bigraph-deep", ["bigraph", "--in", "{path}"], _DEEP_JSON,
+             "input nests JSON deeper than the recursion limit"),
+            ("check-deep", ["family-check", "--in", "{path}"], _DEEP_JSON,
+             "input nests JSON deeper than the recursion limit"),
+            ("search-deep", ["family-search", "--n", "8", "--seed-file", "{path}"], _DEEP_JSON,
+             "input nests JSON deeper than the recursion limit"),
+        )
     ),
 ]
 

@@ -2,12 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from symrank.errors import FieldMismatchError, NoRealRootError
 from symrank.exactfield import (
     QuadExt,
     as_fraction,
     format_scalar,
+    is_prime,
     parse_rational,
     parse_scalar,
     scalar_sign,
@@ -35,8 +37,12 @@ def test_square_free_part():
     assert square_free_part(1) == (1, 1)
     assert square_free_part(5) == (5, 1)
     assert square_free_part(49) == (1, 7)
-    with pytest.raises(ValueError):
-        square_free_part(0)
+
+
+def test_is_prime_agrees_with_sympy():
+    assert [n for n in range(-3, 2000) if is_prime(n)] == list(sympy.primerange(2000))
+    for n in (2**26 - 5, 2**26 - 9, 1000003 * 1000033, 1000003**2, 2**31 - 1):
+        assert is_prime(n) == sympy.isprime(n)
 
 
 def test_square_free_part_bound_rejects_uncertifiable():

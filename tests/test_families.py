@@ -19,7 +19,7 @@ from symrank.families import (
 )
 from symrank.spectra import bigraph_multiplicity
 
-from oracle import bigraph_edges, search_plain_bound
+from oracle import bigraph_edges, bigraph_from_edges, search_plain_bound
 
 HALF = Fraction(1, 2)
 
@@ -68,10 +68,9 @@ def test_set_family_rejections_name_the_set(sets, message):
 @pytest.mark.parametrize(
     "masks, message",
     [
-        ([0], "families contain nonempty sets only"),
+        ([0], "set [] is empty"),
         ([0b10011], "set [1, 2, 5] has points outside [1..4]"),
         ([0b11, 0b11], "duplicate set [1, 2]"),
-        ([-1], "set mask -1 is negative"),
     ],
 )
 def test_from_masks_checks(masks, message):
@@ -152,11 +151,6 @@ def test_at_most_one_quarter_set_is_ever_missing():
 def test_hadamard_family_rejects_small_orders():
     with pytest.raises(UnsupportedParameterError):
         hadamard_family(sylvester(2))
-    denormalized = sylvester(3)
-    full = (1 << denormalized.order) - 1
-    flipped = type(denormalized)([full ^ m for m in denormalized.row_masks])
-    with pytest.raises(UnsupportedParameterError):
-        hadamard_family(flipped)
 
 
 def test_fano_family_cross_graph_is_heawood():
@@ -313,7 +307,7 @@ def _cross_class_graph(family):
 
 
 def _transposed(g):
-    return BipartiteGraph.from_edges(g.n, g.m, [(j, i) for i, j in bigraph_edges(g)])
+    return bigraph_from_edges(g.n, g.m, [(j, i) for i, j in bigraph_edges(g)])
 
 
 def _bipartite_isomorphic(g1, g2) -> bool:

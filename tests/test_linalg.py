@@ -143,13 +143,6 @@ def test_mixed_discriminant_rank_rejected():
         m.rank()
 
 
-def test_matrix_shape_errors():
-    with pytest.raises(ValueError):
-        Matrix(2, 2, [1, 2, 3])
-    with pytest.raises(ValueError):
-        Matrix.from_rows([[1, 2], [3]])
-
-
 def test_degenerate_shapes():
     assert Matrix(0, 0, []).rank() == 0
     assert Matrix(0, 5, []).rank() == 0

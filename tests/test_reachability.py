@@ -1,26 +1,42 @@
-"""Every function defined under src/symrank is reached from the CLI.
+"""Every function and every usage-error raise under src/symrank is reached from the CLI.
 
 A fixed list of small invocations runs in-process through `cli.main` under
-`sys.setprofile`, which sees every Python frame entered.  Each function,
-method, nested function and lambda compiled from the package's sources must
-be among those frames, except the names in ALLOWED, each with the reason it
-may stay uncalled.  Comprehensions and generator expressions are not
-counted: from Python 3.12 the compiler inlines list, dict and set
-comprehensions into the function that holds them, so only the function
-itself has a frame on every supported version.
+one `sys.settrace` pass.  The global trace function sees every Python frame
+entered: each function, method, nested function and lambda compiled from
+the package's sources must be among those frames, except the names in
+ALLOWED, each with the reason it may stay uncalled.  Comprehensions and
+generator expressions are not counted: from Python 3.12 the compiler
+inlines list, dict and set comprehensions into the function that holds
+them, so only the function itself has a frame on every supported version.
 
-The profile measures coverage, not reachability: a name it misses is dead
-only once no CLI input reaches it.  When one does, its invocation belongs in
-CALLS.
+The same pass traces the exception events of the package's frames, with
+their line events switched off: a `raise` statement that runs gives its own
+frame an exception event on one of its lines.  Every `raise` in the
+sources must run so, except the raises of SELF_CHECKS, which report a
+failed proof (exit 1) or a bug rather than a rejected input, and the raises
+in ALLOWED_RAISES, each with its reason.  Line events on the raises' lines
+would say the same at about three times the cost (0.9 s against 0.35 s for
+CALLS with Python 3.11 on a 2-core x86 machine), and could also come from
+the test of a one-line `if ...: raise`.
+
+The trace measures coverage, not reachability: a function or raise it
+misses is dead only once no CLI input reaches it.  When one does, its
+invocation belongs in CALLS, or for a rejection in test_cli's
+MALFORMED_INPUTS, which CALLS includes.
 """
 
 from __future__ import annotations
 
+import ast
+import contextlib
 import inspect
+import io
 import json
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import symrank
 from symrank.cli import main
@@ -48,6 +64,17 @@ ALLOWED = {
 } | {
     "exactfield.QuadExt.__setattr__": "the immutability guard: only an assignment calls it",
     "linalg.Matrix.entries": "bench/tracing.py reads the entries of every ranked matrix",
+}
+
+# exceptions that report a failed proof or a bug, never a rejected input
+SELF_CHECKS = {"VerificationError", "ConstructionFailedError", "ArithmeticError"}
+
+ALLOWED_RAISES = {
+    ("exactfield.QuadExt.__setattr__", "AttributeError"): "the immutability guard",
+    ("exactfield.solve_monic_quadratic", "NoRealRootError"): (
+        "theorem2's discriminant is never negative, but without the guard a "
+        "negative one would give wrong roots silently"
+    ),
 }
 
 _INT_CSV = "1,2,3,4\n2,4,6,8\n1,0,1,0\n0,1,0,1/2\n"  # rank 3 < k = 4: certificate, then Bareiss
@@ -117,13 +144,12 @@ def _key(code: types.CodeType) -> tuple:
     return code.co_filename, code.co_firstlineno, code.co_name
 
 
-def defined_functions() -> dict:
-    """{(file, first line, name): qualified name} of every function in the sources.
+def _code_objects():
+    """(qualified name, code) of every function in the sources.
 
     Qualified names start at the module, as in "linalg.Matrix.rank"; a
     lambda's name carries its line.
     """
-    found = {}
 
     def walk(code, prefix):
         for const in code.co_consts:
@@ -131,20 +157,56 @@ def defined_functions() -> dict:
                 continue
             name = const.co_name
             if name.startswith("<") and name != "<lambda>":  # comprehension or genexpr
-                walk(const, prefix)
+                yield from walk(const, prefix)
             elif const.co_flags & inspect.CO_NEWLOCALS:  # function or lambda
                 qualname = prefix + name
                 if name == "<lambda>":
                     qualname += f"@{const.co_firstlineno}"
-                key = _key(const)
-                assert key not in found, f"{found[key]} and {qualname} share {key}"
-                found[key] = qualname
-                walk(const, qualname + ".<locals>.")
+                yield qualname, const
+                yield from walk(const, qualname + ".<locals>.")
             else:  # class body
-                walk(const, prefix + name + ".")
+                yield from walk(const, prefix + name + ".")
 
     for path in sorted(SOURCES.glob("*.py")):
-        walk(compile(path.read_text(encoding="utf-8"), str(path), "exec"), path.stem + ".")
+        code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        yield from walk(code, path.stem + ".")
+
+
+def defined_functions() -> dict:
+    """{(file, first line, name): qualified name} of every function in the sources."""
+    found = {}
+    for qualname, code in _code_objects():
+        key = _key(code)
+        assert key not in found, f"{found[key]} and {qualname} share {key}"
+        found[key] = qualname
+    return found
+
+
+def defined_raises() -> dict:
+    """{(file, first line, last line): (qualified name, exception name)} of every raise.
+
+    The qualified name is that of the function holding the raise, named as
+    in defined_functions; the exception name is the raised class as written.
+    """
+    found = {}
+
+    def visit(node, path, scope, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = ast.unparse(exc) if exc is not None else "(re-raise)"
+                found[str(path), child.lineno, child.end_lineno] = (scope, name)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualname = prefix + child.name
+                visit(child, path, qualname, qualname + ".<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, scope, prefix + child.name + ".")
+            else:
+                visit(child, path, scope, prefix)
+
+    for path in sorted(SOURCES.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path, path.stem, path.stem + ".")
     return found
 
 
@@ -158,29 +220,44 @@ def _clear_caches() -> None:
                         value.cache_clear()
 
 
-def run_calls(calls, workdir: Path, capsys) -> set:
-    """Run each invocation; return the keys of every code object entered."""
+def run_calls(calls, workdir: Path) -> tuple[set, set]:
+    """Run each invocation; return the keys of every code object entered, and
+    the (file, line) of every exception event in a frame of the sources."""
     entered = {}
+    raised = set()
+    files = {str(path) for path in SOURCES.glob("*.py")}
 
-    def profile(frame, event, arg):
-        if event == "call":
-            entered[id(frame.f_code)] = frame.f_code
+    def local(frame, event, arg):
+        if event == "exception":
+            raised.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):  # the global trace function sees only "call"
+        code = frame.f_code
+        entered[id(code)] = code
+        if code.co_filename not in files:
+            return None
+        frame.f_trace_lines = False
+        return local
 
     _clear_caches()
-    previous = sys.getprofile()
-    for argv, files, expected in calls:
-        for name, text in files.items():
+    previous = sys.gettrace()
+    for argv, inputs, expected in calls:
+        for name, text in inputs.items():
             (workdir / name).write_text(text, encoding="utf-8")
         argv = [
             arg.replace("{dir}", str(workdir)).replace("{path}", str(workdir / "input"))
             for arg in argv
         ]
-        sys.setprofile(profile)
-        try:
-            code = main(argv)
-        finally:
-            sys.setprofile(previous)
-        out = capsys.readouterr().out
+        with contextlib.redirect_stdout(io.StringIO()) as stdout, contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            sys.settrace(trace)
+            try:
+                code = main(argv)
+            finally:
+                sys.settrace(previous)
+        out = stdout.getvalue()
         assert code == expected, argv
         if code == 2:
             assert out == "", argv
@@ -188,15 +265,36 @@ def run_calls(calls, workdir: Path, capsys) -> set:
         if "--out" in argv:
             out = Path(argv[argv.index("--out") + 1]).read_text(encoding="utf-8")
         json.loads(out, parse_constant=_reject_constant)
-    return {_key(code) for code in entered.values()}
+    return {_key(code) for code in entered.values()}, raised
 
 
-def test_every_function_is_reached_from_the_cli(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory) -> tuple[set, set]:
+    """run_calls over CALLS, once for both tests."""
+    return run_calls(CALLS, tmp_path_factory.mktemp("calls"))
+
+
+def test_every_function_is_reached_from_the_cli(traced):
     defined = defined_functions()
     gone = sorted(set(ALLOWED) - set(defined.values()))
     assert not gone, "allowlisted names that no longer exist: " + ", ".join(gone)
-    reached = run_calls(CALLS, tmp_path, capsys)
+    reached, _ = traced
     unreached = sorted(
         name for key, name in defined.items() if key not in reached and name not in ALLOWED
     )
     assert not unreached, "no CLI call reaches " + ", ".join(unreached)
+
+
+def test_every_usage_error_raise_is_reached_from_the_cli(traced):
+    raises = defined_raises()
+    gone = sorted(set(ALLOWED_RAISES) - set(raises.values()))
+    assert not gone, "allowlisted raises that no longer exist: " + ", ".join(map(str, gone))
+    _, raised = traced
+    unraised = sorted(
+        f"{scope}:{first} {name}"
+        for (path, first, last), (scope, name) in raises.items()
+        if name not in SELF_CHECKS
+        and (scope, name) not in ALLOWED_RAISES
+        and not any((path, line) in raised for line in range(first, last + 1))
+    )
+    assert not unraised, "no CLI call runs the raise at " + ", ".join(unraised)
