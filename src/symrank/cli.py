@@ -21,6 +21,7 @@ from . import designs as dsg
 from .errors import ConstructionFailedError, VerificationError
 from .exactfield import format_scalar, parse_rational, parse_scalar
 from .ensemble import (
+    SIZE_CAP,
     BipartiteGraph,
     LinearTheta,
     TwoValuePair,
@@ -44,10 +45,12 @@ def _read_text(path: str) -> str:
 
 def _read_json_object(path: str, keys) -> dict:
     """The JSON object in the file; ValueError naming the file and a missing key,
-    or JSON nested deeper than the parser's recursion limit."""
+    text that does not parse, or JSON nested deeper than the recursion limit."""
     text = _read_text(path)
     try:
         data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path} nests JSON deeper than the recursion limit") from None
     if not isinstance(data, dict):
@@ -105,6 +108,13 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _capped(flag: str, size: int) -> int:
+    """size, checked against SIZE_CAP before anything of that size is built."""
+    if size > SIZE_CAP:
+        raise ValueError(f"{flag} {size} exceeds the size limit of {SIZE_CAP}")
+    return size
+
+
 def _config(args, fields) -> dict:
     return {name: getattr(args, name) for name in fields}
 
@@ -150,7 +160,7 @@ def _cmd_mu(args) -> dict:
 
 
 def _cmd_tournament(args) -> dict:
-    t = random_tournament(args.n, args.seed)
+    t = random_tournament(_capped("--n", args.n), args.seed)
     report = {
         "command": "tournament",
         "config": _config(args, ("n", "seed")),
@@ -242,7 +252,7 @@ def _cmd_theorem1_verify(args) -> dict:
 
 def _cmd_theorem2(args) -> dict:
     theta = parse_rational(args.theta)
-    beta, report = low_rank_matching_instance(theta, args.n, args.sign)
+    beta, report = low_rank_matching_instance(theta, _capped("--n", args.n), args.sign)
     ok = report.exact_rank <= args.n + 3
     out = {
         "command": "theorem2",
@@ -278,7 +288,7 @@ def _hadamard_family(args) -> fam.SetFamily:
 
 
 FAMILY_KINDS = {
-    "sunflower": lambda args: fam.sunflower_family(args.n),
+    "sunflower": lambda args: fam.sunflower_family(_capped("--n", args.n)),
     "fano": lambda args: fam.fano_family(),
     "hadamard": _hadamard_family,
 }
@@ -377,7 +387,7 @@ def _cmd_random_rank_stats(args) -> dict:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
     theta = parse_rational(args.theta)
     f = LinearTheta(theta)
-    values = list(range(1, args.n + 1))
+    values = list(range(1, _capped("--n", args.n) + 1))
     ranks = [
         matrix_from_tournament(f, values, random_tournament(args.n, args.seed + i)).rank()
         for i in range(args.samples)

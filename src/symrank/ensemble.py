@@ -33,6 +33,11 @@ from .errors import DegenerateEnsembleError, GoodPairError
 from .exactfield import format_scalar
 from .linalg import Matrix, integer_scaled, quad_discriminant, quad_scaled
 
+# largest vertex count, part size or ground set a command builds a structure
+# for; memory grows with its square, and at the cap the largest run (the
+# matrix report of a 1024 + 1024 bigraph) peaks at about 440 MiB
+SIZE_CAP = 1024
+
 
 class LinearTheta:
     """The linear form f(x, y) = x + c*y, c = 1 - 2*theta, for theta in (0, 1).
@@ -334,6 +339,8 @@ class BipartiteGraph:
         edges = list(map(_int_pair, edges))
         if type(m) is not int or type(n) is not int or m < 0 or n < 0:
             raise ValueError(f"part sizes must be nonnegative integers, got m={m!r}, n={n!r}")
+        if max(m, n) > SIZE_CAP:
+            raise ValueError(f"part sizes must be at most {SIZE_CAP}, got m={m}, n={n}")
         masks = [0] * m
         for i, j in edges:
             if not (1 <= i <= m and 1 <= j <= n):

@@ -30,6 +30,8 @@ from .ensemble import mask_to_points, points_to_mask
 
 # most candidate sets `search_bisection_closed` will branch over
 CANDIDATE_CAP = 5000
+# largest ground set it searches: it enumerates all 2^(n-1) even subsets
+SEARCH_GROUND_CAP = 20
 
 
 class SetFamily:
@@ -263,8 +265,10 @@ def search_bisection_closed(
     if not 0 < time_budget < math.inf:
         raise ValueError(f"time budget must be a finite number of seconds > 0, got {time_budget}")
     half = Fraction(1, 2)
-    if n > 20:
-        raise UnsupportedParameterError(f"ground sets beyond 20 are not supported, got {n}")
+    if n > SEARCH_GROUND_CAP:
+        raise UnsupportedParameterError(
+            f"ground sets beyond {SEARCH_GROUND_CAP} are not supported, got {n}"
+        )
     seed = seed.with_ground(n)
     violation = theta_violation(seed, half)
     if violation is not None:

@@ -648,6 +648,18 @@ MALFORMED_INPUTS = [
              "order 4 is unsupported"),
             ("search-n-22", ["family-search", "--n", "22"],
              "ground sets beyond 20 are not supported, got 22"),
+            *(
+                (f"{argv[0]}-n-huge", argv + ["--n", str(10**20)],
+                 f"--n {10**20} exceeds the size limit of 1024")
+                for argv in (
+                    ["tournament"],
+                    ["random-rank-stats"],
+                    ["theorem2", "--theta", "1/3"],
+                    ["family-build", "--kind", "sunflower"],
+                    # the default sunflower seed is built at --n before the search
+                    ["family-search"],
+                )
+            ),
         )
     ),
     *(
@@ -655,6 +667,12 @@ MALFORMED_INPUTS = [
         for name, argv, text, named in (
             ("bigraph-edges-int", ["bigraph", "--in", "{path}"],
              json.dumps({"m": 1, "n": 1, "edges": 5}), "edges must be a list, got 5"),
+            ("bigraph-part-huge", ["bigraph", "--in", "{path}"],
+             json.dumps({"m": 10**20, "n": 1, "edges": []}),
+             f"part sizes must be at most 1024, got m={10**20}, n=1"),
+            # the message starts with the file's path, which ends in "input"
+            ("check-json-syntax", ["family-check", "--in", "{path}"], '{"n": 4, "sets": [[1, 2]',
+             "input: Expecting ',' delimiter: line 1 column 25"),
             ("check-point-outside", ["family-check", "--in", "{path}"],
              json.dumps({"n": 4, "sets": [[1, 5]]}), "set [1, 5]: point 5 outside [1..4]"),
             # 1000036000099 = 1000003 * 1000033, both factors beyond the trial bound 10^6

@@ -292,28 +292,28 @@ def assert_rank(rows, expected=None):
 
 
 def spy_on_modular_pass(monkeypatch, record):
-    """Call record(p, verdict) after every run of the mod-p pass."""
+    """Call record(p, pivots) after every run of the mod-p pass; k pivots certify rank k."""
     real = linalg._full_rank_mod_p
 
     def spy(residues, cols, k, p):
-        verdict = real(residues, cols, k, p)
-        record(p, verdict)
-        return verdict
+        pivots = real(residues, cols, k, p)
+        record(p, pivots)
+        return pivots
 
     monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
 
 
 @pytest.fixture
-def modular_verdicts(monkeypatch):
-    """The verdict of every mod-p pass that rank_int_rows runs."""
-    verdicts = []
+def modular_pivots(monkeypatch):
+    """The pivot count of every mod-p pass that rank_int_rows runs."""
+    counts = []
 
-    def record(p, verdict):
+    def record(p, pivots):
         assert p == RANK_PRIME
-        verdicts.append(verdict)
+        counts.append(pivots)
 
     spy_on_modular_pass(monkeypatch, record)
-    return verdicts
+    return counts
 
 
 @st.composite
@@ -363,17 +363,18 @@ def test_known_rank_products_fall_back_to_bareiss_exactly(case):
     assert_rank(rows, rank)
 
 
-def test_unlucky_prime_falls_back_to_the_exact_rank(modular_verdicts):
+def test_unlucky_prime_falls_back_to_the_exact_rank(modular_pivots):
     p = RANK_PRIME
     assert assert_rank([[p * (i == j == 0) + (i == j > 0) for j in range(4)] for i in range(4)], 4)
-    assert modular_verdicts == [False]
+    # a row that is 0 mod p leaves fewer than k rows: the pass stops before its first pivot
+    assert modular_pivots == [0]
     # a full-rank matrix with a nonzero row that is 0 mod p
     rng = random.Random(62)
     rows = [[rng.randint(-(2**20), 2**20) for _ in range(7)] for _ in range(6)]
     rows[2] = [p * a for a in rows[2]]
-    del modular_verdicts[:]
+    del modular_pivots[:]
     assert_rank(rows, 6)
-    assert modular_verdicts == [False]
+    assert modular_pivots == [0]
 
 
 def slot_growth_rows(k: int, cols: int) -> list[list[int]]:
@@ -391,7 +392,7 @@ def slot_growth_rows(k: int, cols: int) -> list[list[int]]:
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 17, 32, 40])
-def test_slot_growth_stays_inside_the_slots(modular_verdicts, k):
+def test_slot_growth_stays_inside_the_slots(modular_pivots, k):
     p = RANK_PRIME
     # every entry p - 1, plus a nonzero diagonal: I - J and diag(1..k) - J mod p, full rank
     assert_rank([[p - 1 + (i == j) for j in range(k)] for i in range(k)], k)
@@ -400,14 +401,14 @@ def test_slot_growth_stays_inside_the_slots(modular_verdicts, k):
     assert_rank([[2 * (i == j) - 1 for j in range(k)] for i in range(k)])
     for cols in (k, k + 2):
         assert_rank(slot_growth_rows(k, cols), k - 1)
-    # the two full ones, -J + 2I (singular when k = 2), then the two rank-(k-1) cases;
-    # up to SMALL_RANK the pass does not run
-    expected = [True, True, k != 2, False, False] if k > SMALL_RANK else []
-    assert modular_verdicts == expected
+    # the three full ones, then the two rank-(k-1) cases, whose last row is 0 mod p
+    # after k - 1 pivots; up to SMALL_RANK the pass does not run
+    expected = [k, k, k, k - 1, k - 1] if k > SMALL_RANK else []
+    assert modular_pivots == expected
 
 
 @pytest.mark.parametrize("k", range(1, SMALL_RANK + 1))
-def test_small_ranks_skip_the_modular_pass_at_any_entry_width(modular_verdicts, k):
+def test_small_ranks_skip_the_modular_pass_at_any_entry_width(modular_pivots, k):
     rng = random.Random(63 + k)
     for cols in (k, k + 2):
         rows = [[rng.getrandbits(10**4) - 2 ** (10**4 - 1) for _ in range(cols)] for _ in range(k)]
@@ -415,7 +416,7 @@ def test_small_ranks_skip_the_modular_pass_at_any_entry_width(modular_verdicts, 
         deficient = rows[:-1] + [[3 * a for a in rows[0]]]
         assert_rank(deficient, max(1, k - 1))
         assert_rank([row[:k] for row in rows[:1]] * k, 1)
-    assert modular_verdicts == []
+    assert modular_pivots == []
 
 
 def largest_slot(p: int, k: int) -> int:
@@ -457,11 +458,11 @@ def assert_quad_rank(rows, d, expected=None):
 
 
 @pytest.fixture
-def quad_verdicts(monkeypatch):
-    """(p, verdict) of every mod-p pass, over Z[sqrt d] or Z."""
-    verdicts = []
-    spy_on_modular_pass(monkeypatch, lambda p, verdict: verdicts.append((p, verdict)))
-    return verdicts
+def quad_pivots(monkeypatch):
+    """(p, pivot count) of every mod-p pass, over Z[sqrt d] or Z."""
+    counts = []
+    spy_on_modular_pass(monkeypatch, lambda p, pivots: counts.append((p, pivots)))
+    return counts
 
 
 def qmul(x, y, d):
@@ -522,7 +523,7 @@ def test_quad_primes_count_down_the_primes_3_mod_4():
         assert (s * s - d) % p == 0 and 0 <= s < p
 
 
-def test_p_dividing_d_maps_sqrt_d_to_zero(quad_verdicts):
+def test_p_dividing_d_maps_sqrt_d_to_zero(quad_pivots):
     d = RANK_PRIME  # square-free, and the first prime tried divides it
     assert linalg._quad_root(d) == (d, 0)
     rng = random.Random(64)
@@ -530,21 +531,22 @@ def test_p_dividing_d_maps_sqrt_d_to_zero(quad_verdicts):
     assert_quad_rank(rows, d, 5)
     # the sqrt(d) parts alone map to 0 mod p, and have full rank over Q(sqrt d)
     assert_quad_rank([[(0, b) for _, b in row] for row in rows], d, 5)
-    assert quad_verdicts == [(d, True), (d, False)]
+    # every row of the second is 0 mod p
+    assert quad_pivots == [(d, 5), (d, 0)]
 
 
-def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(quad_verdicts):
+def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(quad_pivots):
     assert sympy.legendre_symbol(2, RANK_PRIME) == -1  # RANK_PRIME = 3 mod 8
     p, s = linalg._quad_root(2)
     assert p < RANK_PRIME and (s * s - 2) % p == 0
     rng = random.Random(65)
     assert_quad_rank(random_quad_rows(rng, 6, 8), 2, 6)
     assert_quad_rank(random_quad_rows(rng, 9, 7, bits=40), 2, 7)
-    assert quad_verdicts == [(p, True), (p, True)]
+    assert quad_pivots == [(p, 6), (p, 7)]
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, RANK_PRIME])
-def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(quad_verdicts, d):
+def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(quad_pivots, d):
     p, s = linalg._quad_root(d)
     vanishing = (p - s, 1)  # (p - s) + sqrt(d) is nonzero, and maps to p = 0
     rng = random.Random(66)
@@ -555,21 +557,22 @@ def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(quad_verdicts, d):
     # a diagonal minor of one such entry
     diagonal = [[vanishing if i == j == 0 else (int(i == j), 0) for j in range(5)] for i in range(5)]
     assert_quad_rank(diagonal, d, 5)
-    assert quad_verdicts == [(p, True), (p, False), (p, False)]
+    # a row 0 mod p leaves fewer than k rows: the pass stops before its first pivot
+    assert quad_pivots == [(p, 6), (p, 0), (p, 0)]
 
 
 @pytest.mark.parametrize("k", range(1, SMALL_RANK + 1))
-def test_small_quad_ranks_skip_the_modular_pass(quad_verdicts, k):
+def test_small_quad_ranks_skip_the_modular_pass(quad_pivots, k):
     rng = random.Random(67 + k)
     for cols in (k, k + 2):
         rows = random_quad_rows(rng, k, cols, bits=200)
         assert_quad_rank(rows, 3, k)
         deficient = rows[:-1] + [[qmul((1, 1), x, 3) for x in rows[0]]]
         assert_quad_rank(deficient, 3, max(1, k - 1))
-    assert quad_verdicts == []
+    assert quad_pivots == []
 
 
-def test_every_rank_above_small_runs_the_modular_pass_once_at_any_entry_width(quad_verdicts):
+def test_every_rank_above_small_runs_the_modular_pass_once_at_any_entry_width(quad_pivots):
     quad_p = linalg._quad_root(3)[0]
     rng = random.Random(61)
     for bits in (1, 2, 40, 100):
@@ -584,13 +587,15 @@ def test_every_rank_above_small_runs_the_modular_pass_once_at_any_entry_width(qu
                 int_deficient = rows[:-1] + [[-a for a in rows[0]]]
                 quad_deficient = quad[:-1] + [[qmul((1, 1), x, 3) for x in quad[0]]]
                 for int_rows, quad_rows in ((rows, quad), (int_deficient, quad_deficient)):
-                    del quad_verdicts[:]
-                    rank = assert_rank(int_rows)
-                    quad_rank = assert_quad_rank(quad_rows, 3)
-                    assert quad_verdicts == [(RANK_PRIME, rank == k), (quad_p, quad_rank == k)]
+                    del quad_pivots[:]
+                    ranks = assert_rank(int_rows), assert_quad_rank(quad_rows, 3)
+                    assert [p for p, _ in quad_pivots] == [RANK_PRIME, quad_p]
+                    for (_, pivots), rank in zip(quad_pivots, ranks):
+                        # k pivots certify rank k, and fewer bound it from below
+                        assert (pivots == k) == (rank == k) and pivots <= rank
 
 
-def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_verdicts):
+def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_pivots):
     monkeypatch.setattr(linalg, "SLOT_BOUND", 5)
     rng = random.Random(68)
     for k in (5, 6):
@@ -598,4 +603,91 @@ def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_ver
         assert_rank(rows, k)
         assert_quad_rank(random_quad_rows(rng, k + 1, k), 3, k)
     p = linalg._quad_root(3)[0]
-    assert quad_verdicts == [(RANK_PRIME, True), (p, True)]
+    assert quad_pivots == [(RANK_PRIME, 5), (p, 5)]
+
+
+# -- the bit-size order of the Bareiss fallback ----------------------------------
+#
+# After a mod-p pass that found more than SMALL_RANK pivots, _rank sorts the rows,
+# then the columns, by the total bit length of their entries before Bareiss.
+
+
+def ring_rank(rows, d):
+    return rank_int_rows(rows) if d is None else rank_quad_rows(rows, d)
+
+
+def oracle_ranks(rows, d):
+    """(rank_naive, sympy's DomainMatrix rank) over Z, or over Z[sqrt d] for d not None."""
+    if d is None:
+        return rank_naive(Matrix.from_rows(rows)), sympy.Matrix(rows).to_DM().rank()
+    quads = [[QuadExt(a, b, d) for a, b in row] for row in rows]
+    return rank_naive(Matrix.from_rows(quads)), sympy_quad_rank(rows, d)
+
+
+@st.composite
+def mixed_width_products(draw):
+    """(rows, d, rank): [I; X] [I | Y] over Z (d None) or Z[sqrt d], rows and
+    columns shuffled, SMALL_RANK < rank < min(rows, cols).  Each row of X and
+    each column of Y has entries of 1 or of 40 bits, so the product's rows and
+    columns differ in width by up to 80 bits."""
+    d = draw(st.sampled_from([None, 2, 3, 5]))
+    r, c = draw(st.integers(5, 12)), draw(st.integers(5, 12))
+    rank = draw(st.integers(SMALL_RANK + 1, min(r, c) - 1))
+    width = st.sampled_from((1, 40))
+
+    def entries(count, bits):
+        part = st.integers(-(2**bits), 2**bits)
+        entry = part if d is None else st.tuples(part, part)
+        return draw(st.lists(entry, min_size=count, max_size=count))
+
+    def dot(u, v):
+        if d is None:
+            return sum(a * b for a, b in zip(u, v))
+        terms = [qmul(a, b, d) for a, b in zip(u, v)]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    one, zero = (1, 0) if d is None else ((1, 0), (0, 0))
+    x = [entries(rank, draw(width)) for _ in range(r - rank)]
+    y_columns = [entries(rank, draw(width)) for _ in range(c - rank)]
+    top = [
+        [one if i == j else zero for j in range(rank)] + [col[i] for col in y_columns]
+        for i in range(rank)
+    ]
+    bottom = [xi + [dot(xi, col) for col in y_columns] for xi in x]
+    order = draw(st.permutations(range(c)))
+    rows = [[row[j] for j in order] for row in draw(st.permutations(top + bottom))]
+    return rows, d, rank
+
+
+@settings(max_examples=40)
+@given(mixed_width_products(), st.randoms(use_true_random=False))
+def test_mixed_width_products_rank_exactly_in_any_row_and_column_order(case, rng):
+    rows, d, rank = case
+    assert ring_rank(rows, d) == rank
+    assert oracle_ranks(rows, d) == (rank, rank)
+    for _ in range(3):
+        rng.shuffle(rows)
+        order = rng.sample(range(len(rows[0])), len(rows[0]))
+        assert ring_rank([[row[j] for j in order] for row in rows], d) == rank
+
+
+@pytest.mark.parametrize("d", [None, 3])
+@pytest.mark.parametrize("found", [SMALL_RANK, SMALL_RANK + 1])
+def test_only_more_than_small_rank_pivots_mod_p_sort_the_rows(monkeypatch, quad_pivots, found, d):
+    # e_1 .. e_5 of six columns, each times its own width, and the sum of e_1 .. e_found:
+    # the pass zeroes that sum at its pivot number `found` and stops, since the rows
+    # left cannot reach k = 6 pivots
+    scales = [2**40 + 1, 1, 2**20 + 7, 3, 2**60 + 3, 5]
+    rows = [[scales[i] * (j == i) for j in range(6)] for i in range(5)]
+    rows.append([scales[5] * (j < found) for j in range(6)])
+    name = "_int_bits" if d is None else "_quad_bits"
+    measured = []
+    real = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda entries: measured.append(entries) or real(entries))
+    if d is None:
+        assert_rank(rows, 5)
+    else:
+        assert_quad_rank([[(a, a) for a in row] for row in rows], d, 5)
+    assert [pivots for _, pivots in quad_pivots] == [found]
+    # one bit size per row and one per column, only past the gate
+    assert len(measured) == (12 if found > SMALL_RANK else 0)

@@ -79,6 +79,9 @@ ALLOWED_RAISES = {
 
 _INT_CSV = "1,2,3,4\n2,4,6,8\n1,0,1,0\n0,1,0,1/2\n"  # rank 3 < k = 4: certificate, then Bareiss
 _QUAD_CSV = "1,1+1*sqrt(2),0,1\n1-1*sqrt(2),-1,0,1-1*sqrt(2)\n0,0,1,2\n1,2,3,4\n"
+# e_1 .. e_5 of six columns and e_1 + ... + e_4: the certificate finds 4 > SMALL_RANK
+# pivots before it fails, so Bareiss first sorts the rows and columns by bit size
+_SORTED_CSV = "1,0,0,0,0,0\n0,1,0,0,0,0\n0,0,1,0,0,0\n0,0,0,1,0,0\n0,0,0,0,1,0\n1,1,1,1,0,0\n"
 _GRAPH = {"m": 2, "n": 3, "edges": [[1, 1], [2, 3]]}
 _FAMILY = {"n": 6, "sets": [[1, 2], [1, 3], [1, 4]]}
 _NOT_BISECTION_CLOSED = {"n": 4, "sets": [[1, 2], [3, 4]]}
@@ -88,6 +91,12 @@ CALLS = [
     (["rank", "--in", "{dir}/int.csv"], {"int.csv": _INT_CSV}, 0),
     # a Z[sqrt d] rank with k > 3 takes the modular pass before Bareiss
     (["rank", "--in", "{dir}/quad.csv"], {"quad.csv": _QUAD_CSV}, 0),
+    (["rank", "--in", "{dir}/sorted.csv"], {"sorted.csv": _SORTED_CSV}, 0),
+    (
+        ["rank", "--in", "{dir}/sorted.csv"],
+        {"sorted.csv": _SORTED_CSV.replace("1", "1+1*sqrt(2)")},
+        0,
+    ),
     (["mu"], {}, 0),
     (["mu", "--theta", "1/3", "--alpha", "1+1*sqrt(2)", "--beta", "2"], {}, 0),
     # 0 - (1 + sqrt 2) is QuadExt.__rsub__, and 1 / (3 + 2 sqrt 2) QuadExt.__rtruediv__
