@@ -1,10 +1,11 @@
 """Command-line interface wiring the library into reproducible experiments.
 
-Every subcommand emits a JSON report (stdout or --out) that echoes its full
-configuration, so identical invocations with identical seeds are
-byte-identical.  Exit codes: 0 success, 1 mathematical verification failure,
-2 usage error.  The argument parser is built once per process, on the first
-call to main, and reused by every later call.
+Every subcommand emits a JSON report (stdout or --out) that names the
+command and echoes every flag but the output paths, so identical
+invocations with identical seeds are byte-identical.  Exit codes: 0
+success, 1 mathematical verification failure, 2 usage error.  The argument
+parser is built once per process, on the first call to main, and reused by
+every later call.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .spectra import low_rank_matching_instance, rank_sandwich
 
 # largest max-m x max-n an exhaustive theorem1-verify accepts (2^25 raw graphs in that cell)
 EXHAUSTIVE_ENTRY_CAP = 25
+
+# parsed arguments a report's config leaves out: the parser's own fields and
+# the output paths, which change where a report goes but not what it says
+UNECHOED = frozenset(("handler", "command", "out", "matrix_out"))
 
 
 def _read_text(path: str) -> str:
@@ -108,15 +113,17 @@ def _emit(report: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _capped(flag: str, size: int) -> int:
-    """size, checked against SIZE_CAP before anything of that size is built."""
-    if size > SIZE_CAP:
-        raise ValueError(f"{flag} {size} exceeds the size limit of {SIZE_CAP}")
+def _envelope(args) -> dict:
+    """The part every report shares: the command and each echoed argument."""
+    config = {name: value for name, value in vars(args).items() if name not in UNECHOED}
+    return {"command": args.command, "config": config}
+
+
+def _capped(flag: str, size: int, cap: int = SIZE_CAP) -> int:
+    """size, checked against cap before anything of that size is built."""
+    if size > cap:
+        raise ValueError(f"{flag} {size} exceeds the size limit of {cap}")
     return size
-
-
-def _config(args, fields) -> dict:
-    return {name: getattr(args, name) for name in fields}
 
 
 def _write_matrix_out(report: dict, args, matrix) -> None:
@@ -142,8 +149,6 @@ def _pair_from_args(args) -> TwoValuePair:
 def _cmd_rank(args) -> dict:
     matrix = Matrix.from_csv(_read_text(args.infile))
     return {
-        "command": "rank",
-        "config": {"infile": args.infile},
         "rows": matrix.rows,
         "cols": matrix.cols,
         "rank": matrix.rank(),
@@ -151,21 +156,12 @@ def _cmd_rank(args) -> dict:
 
 
 def _cmd_mu(args) -> dict:
-    pair = _pair_from_args(args)
-    return {
-        "command": "mu",
-        "config": _config(args, ("theta", "alpha", "beta")) | {"table": args.table},
-        "mu_squared": format_scalar(mu_squared(pair)),
-    }
+    return {"mu_squared": format_scalar(mu_squared(_pair_from_args(args)))}
 
 
 def _cmd_tournament(args) -> dict:
     t = random_tournament(_capped("--n", args.n), args.seed)
-    report = {
-        "command": "tournament",
-        "config": _config(args, ("n", "seed")),
-        "tournament": t.to_dict(),
-    }
+    report = {"tournament": t.to_dict()}
     if args.values:
         values = [parse_scalar(v) for v in args.values.split(",")]
         m = matrix_from_tournament(LinearTheta(parse_rational(args.theta)), values, t)
@@ -179,8 +175,6 @@ def _cmd_bigraph(args) -> dict:
     pair = _pair_from_args(args)
     matrix = matrix_from_bigraph(pair, graph)
     report = {
-        "command": "bigraph",
-        "config": _config(args, ("infile", "theta", "alpha", "beta")),
         "m": graph.m,
         "n": graph.n,
         "matrix": [[format_scalar(x) for x in matrix.row_list(i)] for i in range(matrix.rows)],
@@ -243,8 +237,6 @@ def _cmd_theorem1_verify(args) -> dict:
                     rank_sandwich(pair, BipartiteGraph(m, n, masks))
                     checked += orbit_size
     return {
-        "command": "theorem1-verify",
-        "config": _config(args, ("max_m", "max_n", "samples", "seed")),
         "instances_checked": checked,
         "violations": 0,
     }
@@ -255,8 +247,6 @@ def _cmd_theorem2(args) -> dict:
     beta, report = low_rank_matching_instance(theta, _capped("--n", args.n), args.sign)
     ok = report.exact_rank <= args.n + 3
     out = {
-        "command": "theorem2",
-        "config": _config(args, ("theta", "n", "sign")),
         "beta": format_scalar(beta),
         "report": report.to_dict(),
         "rank_at_most_n_plus_3": ok,
@@ -297,8 +287,6 @@ FAMILY_KINDS = {
 def _cmd_hadamard(args) -> dict:
     h = HADAMARD_CONSTRUCTIONS[args.construction](args)
     report = {
-        "command": "hadamard",
-        "config": _config(args, ("construction", "k", "q")),
         "order": h.order,
         "normalized": h.normalized,
         "rows": h,
@@ -308,12 +296,7 @@ def _cmd_hadamard(args) -> dict:
 
 
 def _cmd_design(args) -> dict:
-    design = DESIGNS[args.design](args)
-    return {
-        "command": "design",
-        "config": _config(args, ("design", "q", "k")),
-        "design": design.to_dict(),
-    }
+    return {"design": DESIGNS[args.design](args).to_dict()}
 
 
 def _cmd_design_rank(args) -> dict:
@@ -322,8 +305,6 @@ def _cmd_design_rank(args) -> dict:
     report = dsg.design_rank_instance(design, pair)
     mu2 = report.mu_squared
     return {
-        "command": "design-rank",
-        "config": _config(args, ("design", "q", "k", "theta", "alpha", "beta")),
         "k_minus_lambda": design.k - design.lam,
         "low_rank_branch": mu2 == design.k - design.lam,
         "report": report.to_dict(),
@@ -332,11 +313,7 @@ def _cmd_design_rank(args) -> dict:
 
 def _cmd_onebytwo(args) -> dict:
     pairs = dsg.onebytwo_scan(args.k_minus_lambda, args.bound)
-    return {
-        "command": "onebytwo",
-        "config": _config(args, ("k_minus_lambda", "bound")),
-        "solutions": [list(p) for p in pairs],
-    }
+    return {"solutions": [list(p) for p in pairs]}
 
 
 def _cmd_family_check(args) -> dict:
@@ -344,14 +321,12 @@ def _cmd_family_check(args) -> dict:
     theta = parse_rational(args.theta)
     violation = fam.theta_violation(family, theta)
     report = {
-        "command": "family-check",
-        "config": _config(args, ("infile", "theta")),
         "size": len(family),
         "ok": violation is None,
         "violation": list(violation) if violation else None,
     }
     if violation is not None:
-        _emit(report, args)
+        _emit(_envelope(args) | report, args)
         raise VerificationError(f"family is not theta-intersecting: {violation}")
     return report
 
@@ -359,22 +334,19 @@ def _cmd_family_check(args) -> dict:
 def _cmd_family_build(args) -> dict:
     family = FAMILY_KINDS[args.kind](args)
     return {
-        "command": "family-build",
-        "config": _config(args, ("kind", "n", "order")),
         "size": len(family),
         "family": family.to_dict(),
     }
 
 
 def _cmd_family_search(args) -> dict:
+    _capped("--n", args.n, fam.SEARCH_GROUND_CAP)
     if args.seed_file:
         seed = fam.SetFamily.from_dict(_read_json_object(args.seed_file, ("n", "sets")))
     else:
         seed = FAMILY_KINDS[args.seed_kind](args)
     result = fam.search_bisection_closed(args.n, seed, time_budget=args.budget)
     return {
-        "command": "family-search",
-        "config": _config(args, ("n", "seed_kind", "seed_file", "budget")),
         "seed_size": len(seed),
         "size": len(result),
         "beats_bound": len(result) > 3 * args.n // 2 - 2,
@@ -394,8 +366,6 @@ def _cmd_random_rank_stats(args) -> dict:
     ]
     hits = sum(1 for r in ranks if r >= args.n - 1)
     return {
-        "command": "random-rank-stats",
-        "config": _config(args, ("n", "samples", "seed", "theta")),
         "ranks": ranks,
         "near_full_rank_fraction": f"{hits}/{args.samples}",
         "near_full_rank_ok": hits * 100 >= 95 * args.samples,
@@ -546,7 +516,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    _emit(report, args)
+    _emit(_envelope(args) | report, args)
     return 0
 
 

@@ -60,33 +60,6 @@ class LinearTheta:
         return x + self.c * y
 
 
-class TableFunction:
-    """A pair function given by its four values on the alphabet {alpha, beta}.
-
-    The alphabet needs two distinct values; ValueError names the value otherwise.
-    """
-
-    __slots__ = ("alpha", "beta", "f_aa", "f_ab", "f_ba", "f_bb")
-
-    def __init__(self, alpha, beta, f_aa, f_ab, f_ba, f_bb):
-        if alpha == beta:
-            raise ValueError(
-                f"table pair needs alpha != beta, got {format_scalar(alpha)} for both"
-            )
-        self.alpha = alpha
-        self.beta = beta
-        self.f_aa = f_aa
-        self.f_ab = f_ab
-        self.f_ba = f_ba
-        self.f_bb = f_bb
-
-    def __call__(self, x, y):
-        """f(x, y) for x and y in {alpha, beta}: a value other than alpha is beta."""
-        if x == self.alpha:
-            return self.f_aa if y == self.alpha else self.f_ab
-        return self.f_ba if y == self.alpha else self.f_bb
-
-
 class TwoValuePair:
     """A pair function together with the two values (alpha, beta) it is fed.
 
@@ -105,7 +78,18 @@ class TwoValuePair:
 
     @classmethod
     def table(cls, alpha, beta, f_aa, f_ab, f_ba, f_bb) -> "TwoValuePair":
-        return cls(TableFunction(alpha, beta, f_aa, f_ab, f_ba, f_bb), alpha, beta)
+        """The pair whose function is given by its four values on {alpha, beta}.
+
+        The alphabet needs two distinct values; ValueError names the value otherwise.
+        """
+        if alpha == beta:
+            raise ValueError(
+                f"table pair needs alpha != beta, got {format_scalar(alpha)} for both"
+            )
+        table = {
+            (alpha, alpha): f_aa, (alpha, beta): f_ab, (beta, alpha): f_ba, (beta, beta): f_bb
+        }
+        return cls(lambda x, y: table[x, y], alpha, beta)
 
     def value_aa(self):
         return self.f(self.alpha, self.alpha)

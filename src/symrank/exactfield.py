@@ -27,12 +27,12 @@ SQUARE_FREE_TRIAL_BOUND = 10**6
 
 
 @lru_cache(maxsize=1024)
-def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int, int]:
+def square_free_part(n: int) -> tuple[int, int]:
     """Decompose ``n = s**2 * d`` with ``d`` square-free; returns ``(d, s)``.
 
-    Factoring is by trial division up to ``bound``, once per argument: the
-    result is cached, since every element of Q(sqrt(d)) checks its d.  A
-    leftover cofactor is accepted when it is certifiably prime (no divisor
+    Factoring is by trial division up to SQUARE_FREE_TRIAL_BOUND, once per
+    argument: the result is cached, since every element of Q(sqrt(d)) checks
+    its d.  A leftover cofactor is accepted when it is certifiably prime (no divisor
     below its square root was missed) or a perfect square; otherwise the
     input is rejected since square-freeness of the cofactor cannot be
     certified at desk scale.
@@ -41,7 +41,7 @@ def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int,
     s = 1
     r = n
     p = 2
-    while p <= bound and p * p <= r:
+    while p <= SQUARE_FREE_TRIAL_BOUND and p * p <= r:
         if r % p == 0:
             e = 0
             while r % p == 0:
@@ -62,7 +62,7 @@ def square_free_part(n: int, bound: int = SQUARE_FREE_TRIAL_BOUND) -> tuple[int,
             else:
                 raise ValueError(
                     f"cannot certify square-free part of {n}: cofactor {r} "
-                    f"exceeds the trial-division bound {bound}"
+                    f"exceeds the trial-division bound {SQUARE_FREE_TRIAL_BOUND}"
                 )
     return d, s
 

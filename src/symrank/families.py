@@ -26,11 +26,12 @@ from itertools import combinations
 
 from .errors import ConstructionFailedError, UnsupportedParameterError
 from .designs import HadamardMatrix
-from .ensemble import mask_to_points, points_to_mask
+from .ensemble import SIZE_CAP, mask_to_points, points_to_mask
 
 # most candidate sets `search_bisection_closed` will branch over
 CANDIDATE_CAP = 5000
-# largest ground set it searches: it enumerates all 2^(n-1) even subsets
+# largest ground set `family-search` accepts: the search enumerates all
+# 2^(n-1) even subsets
 SEARCH_GROUND_CAP = 20
 
 
@@ -94,13 +95,17 @@ class SetFamily:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SetFamily":
-        sets = data["sets"]
+        """The family of the JSON form; ValueError names a ground set larger than
+        SIZE_CAP before any mask is built."""
+        n, sets = data["n"], data["sets"]
+        if type(n) is int and n > SIZE_CAP:
+            raise ValueError(f"ground set size must be at most {SIZE_CAP}, got n={n}")
         if not isinstance(sets, list):
             raise ValueError(f"sets must be a list, got {sets!r}")
         for s in sets:
             if not isinstance(s, list):
                 raise ValueError(f"set {s!r} is not a list of points")
-        return cls(data["n"], sets)
+        return cls(n, sets)
 
     def __repr__(self):
         return f"SetFamily(n={self.ground_n}, size={len(self.masks)})"
@@ -265,10 +270,6 @@ def search_bisection_closed(
     if not 0 < time_budget < math.inf:
         raise ValueError(f"time budget must be a finite number of seconds > 0, got {time_budget}")
     half = Fraction(1, 2)
-    if n > SEARCH_GROUND_CAP:
-        raise UnsupportedParameterError(
-            f"ground sets beyond {SEARCH_GROUND_CAP} are not supported, got {n}"
-        )
     seed = seed.with_ground(n)
     violation = theta_violation(seed, half)
     if violation is not None:

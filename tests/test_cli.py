@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symrank.cli import main, report_json
+from symrank.cli import UNECHOED, build_parser, main, report_json
 from symrank.designs import paley, sylvester
 from symrank.ensemble import matrix_from_tournament
 from symrank.exactfield import square_free_part
@@ -387,6 +388,63 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert json.loads(outputs[1])["config"]["table"] is None
 
 
+# one small run of each subcommand: (arguments, files it reads: name -> text);
+# "{dir}" is the work directory
+_SMALL_RUNS = {
+    "rank": (["--in", "{dir}/m.csv"], {"m.csv": "1,2\n2,4\n"}),
+    "mu": ([], {}),
+    "tournament": (["--n", "3", "--values", "1,2,3", "--matrix-out", "{dir}/t.csv"], {}),
+    "bigraph": (
+        ["--in", "{dir}/g.json", "--matrix-out", "{dir}/b.csv"],
+        {"g.json": json.dumps({"m": 1, "n": 2, "edges": [[1, 2]]})},
+    ),
+    "theorem1-verify": (["--max-m", "1", "--max-n", "2"], {}),
+    "theorem2": (["--theta", "1/3", "--n", "3"], {}),
+    "hadamard": (["--construction", "sylvester", "--k", "1", "--matrix-out", "{dir}/h.csv"], {}),
+    "design": ([], {}),
+    "design-rank": ([], {}),
+    "onebytwo": (["--k-minus-lambda", "2", "--bound", "10"], {}),
+    "family-check": (["--in", "{dir}/f.json"], {"f.json": json.dumps({"n": 4, "sets": [[1, 2]]})}),
+    "family-build": (["--kind", "fano"], {}),
+    "family-search": (["--n", "6"], {}),
+    "random-rank-stats": (["--n", "3", "--samples", "2"], {}),
+}
+
+
+def _subparsers() -> dict:
+    parser = build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _config_of(tmp_path, command, extra=()):
+    argv, files = _SMALL_RUNS[command]
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "report.json"
+    argv = [command, *(a.format(dir=tmp_path) for a in argv), *extra, "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())
+    assert report["command"] == command
+    return report["config"]
+
+
+def test_every_subcommand_has_a_small_run():
+    assert set(_SMALL_RUNS) == set(_subparsers())
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_config_echoes_every_flag_but_the_output_paths(tmp_path, command):
+    dests = {a.dest for a in _subparsers()[command]._actions if a.dest != "help"}
+    config = _config_of(tmp_path, command)
+    assert set(config) == dests - UNECHOED
+    # the two runs below differ in one flag, and so must their configs
+    if "beta" in dests:
+        assert _config_of(tmp_path, command, ["--beta", "3"]) != config
+    if "table" in dests:
+        assert _config_of(tmp_path, command, ["--table", "1", "2", "3", "4"]) != config
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["rank", "--bogus-flag"])
@@ -646,18 +704,18 @@ MALFORMED_INPUTS = [
              "n must be even and >= 4, got 5"),
             ("build-hadamard-order-4", ["family-build", "--kind", "hadamard", "--order", "4"],
              "order 4 is unsupported"),
+            # the search's cap binds before any seed is built
             ("search-n-22", ["family-search", "--n", "22"],
-             "ground sets beyond 20 are not supported, got 22"),
+             "--n 22 exceeds the size limit of 20"),
             *(
                 (f"{argv[0]}-n-huge", argv + ["--n", str(10**20)],
-                 f"--n {10**20} exceeds the size limit of 1024")
-                for argv in (
-                    ["tournament"],
-                    ["random-rank-stats"],
-                    ["theorem2", "--theta", "1/3"],
-                    ["family-build", "--kind", "sunflower"],
-                    # the default sunflower seed is built at --n before the search
-                    ["family-search"],
+                 f"--n {10**20} exceeds the size limit of {cap}")
+                for argv, cap in (
+                    (["tournament"], 1024),
+                    (["random-rank-stats"], 1024),
+                    (["theorem2", "--theta", "1/3"], 1024),
+                    (["family-build", "--kind", "sunflower"], 1024),
+                    (["family-search"], 20),
                 )
             ),
         )
@@ -671,6 +729,12 @@ MALFORMED_INPUTS = [
              json.dumps({"m": 10**20, "n": 1, "edges": []}),
              f"part sizes must be at most 1024, got m={10**20}, n=1"),
             # the message starts with the file's path, which ends in "input"
+            ("check-n-huge", ["family-check", "--in", "{path}"],
+             json.dumps({"n": 10**20, "sets": [[10**20]]}),
+             f"ground set size must be at most 1024, got n={10**20}"),
+            ("search-seed-n-huge", ["family-search", "--n", "8", "--seed-file", "{path}"],
+             json.dumps({"n": 10**9, "sets": [[10**9]]}),
+             f"ground set size must be at most 1024, got n={10**9}"),
             ("check-json-syntax", ["family-check", "--in", "{path}"], '{"n": 4, "sets": [[1, 2]',
              "input: Expecting ',' delimiter: line 1 column 25"),
             ("check-point-outside", ["family-check", "--in", "{path}"],

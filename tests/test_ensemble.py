@@ -10,7 +10,6 @@ from symrank.errors import DegenerateEnsembleError, GoodPairError
 from symrank.ensemble import (
     BipartiteGraph,
     LinearTheta,
-    TableFunction,
     TwoValuePair,
     mask_to_points,
     matrix_from_bigraph,
@@ -71,7 +70,7 @@ def test_linear_theta_validation():
 
 
 def test_table_function_domain():
-    f = TableFunction(1, 2, 5, 6, 7, 8)
+    f = TwoValuePair.table(1, 2, 5, 6, 7, 8).f
     assert f(1, 1) == 5 and f(1, 2) == 6 and f(2, 1) == 7 and f(2, 2) == 8
 
 
@@ -85,9 +84,9 @@ def test_table_function_domain():
     ],
 )
 def test_table_function_needs_two_values(alpha, beta, named):
-    # with alpha == beta every argument selects f_aa, whatever the table says
+    # with alpha == beta the four table entries would share one key
     with pytest.raises(ValueError) as exc:
-        TableFunction(alpha, beta, 5, 6, 7, 8)
+        TwoValuePair.table(alpha, beta, 5, 6, 7, 8)
     assert str(exc.value) == f"table pair needs alpha != beta, got {named} for both"
 
 

@@ -46,11 +46,11 @@ def test_is_prime_agrees_with_sympy():
 
 
 def test_square_free_part_bound_rejects_uncertifiable():
-    # two large primes beyond the tiny bound: cannot certify, must reject
-    with pytest.raises(ValueError):
-        square_free_part(1009 * 1013, bound=100)
-    # a perfect square of a large prime is still fine
-    assert square_free_part(1009 * 1009, bound=100) == (1, 1009)
+    # two primes beyond the trial bound 10^6: cannot certify, must reject
+    with pytest.raises(ValueError, match="cofactor 1000036000099 exceeds the trial-division"):
+        square_free_part(1000003 * 1000033)
+    # a perfect square of a prime beyond the bound is still fine
+    assert square_free_part(1000003**2) == (1, 1000003)
 
 
 def test_quadext_norm_identity():

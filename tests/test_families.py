@@ -182,8 +182,6 @@ def test_search_monotone_and_verified():
 def test_search_rejects_bad_input():
     with pytest.raises(ValueError):
         search_bisection_closed(8, SetFamily(4, [(1, 2), (3, 4)]), time_budget=1)
-    with pytest.raises(UnsupportedParameterError):
-        search_bisection_closed(21, sunflower_family(4), time_budget=1)
 
 
 def test_search_beats_bound_from_fano_seed():
