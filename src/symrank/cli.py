@@ -22,7 +22,6 @@ from . import designs as dsg
 from .errors import ConstructionFailedError, VerificationError
 from .exactfield import format_scalar, parse_rational, parse_scalar
 from .ensemble import (
-    SIZE_CAP,
     BipartiteGraph,
     LinearTheta,
     TwoValuePair,
@@ -32,7 +31,7 @@ from .ensemble import (
     mu_squared,
     random_tournament,
 )
-from .linalg import Matrix
+from .linalg import SIZE_CAP, Matrix
 from .spectra import low_rank_matching_instance, rank_sandwich
 
 # largest max-m x max-n an exhaustive theorem1-verify accepts (2^25 raw graphs in that cell)
@@ -50,11 +49,12 @@ def _read_text(path: str) -> str:
 
 def _read_json_object(path: str, keys) -> dict:
     """The JSON object in the file; ValueError naming the file and a missing key,
-    text that does not parse, or JSON nested deeper than the recursion limit."""
+    text that does not parse (an integer too long to convert included), or
+    JSON nested deeper than the recursion limit."""
     text = _read_text(path)
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path} nests JSON deeper than the recursion limit") from None

@@ -31,12 +31,7 @@ from math import factorial, prod
 
 from .errors import DegenerateEnsembleError, GoodPairError
 from .exactfield import format_scalar
-from .linalg import Matrix, integer_scaled, quad_discriminant, quad_scaled
-
-# largest vertex count, part size or ground set a command builds a structure
-# for; memory grows with its square, and at the cap the largest run (the
-# matrix report of a 1024 + 1024 bigraph) peaks at about 440 MiB
-SIZE_CAP = 1024
+from .linalg import SIZE_CAP, Matrix, integer_scaled, quad_discriminant, quad_scaled
 
 
 class LinearTheta:

@@ -26,7 +26,8 @@ from itertools import combinations
 
 from .errors import ConstructionFailedError, UnsupportedParameterError
 from .designs import HadamardMatrix
-from .ensemble import SIZE_CAP, mask_to_points, points_to_mask
+from .ensemble import mask_to_points, points_to_mask
+from .linalg import SIZE_CAP
 
 # most candidate sets `search_bisection_closed` will branch over
 CANDIDATE_CAP = 5000

@@ -33,6 +33,21 @@ before it failed, the rows and then the columns are first stable-sorted by
 the total bit length of their entries, so that the minors Bareiss builds
 start from the shortest ones; the order is a function of the entries, so the
 elimination stays deterministic.
+
+On that sorted path the first Bareiss steps run on packed rows
+(`_packed_bareiss`): each row, over Z[sqrt(d)] each of its a-parts and
+b-parts, is one int of signed 64-bit slots, and a step is a few bignum
+operations on the whole row, (head*row - x*pivot_row) >> 64, then an exact
+division by the previous pivot.  Bareiss makes that pivot divide every
+entry it divides, so the division is exact slot by slot; over Z[sqrt(d)] it
+is a product with the conjugate and an exact division by the norm.  Each row
+carries a bound on its slots, and a step runs only while the bound shows that
+no slot can leave [-2^63, 2^63); a bound is tightened by one add and one
+mask when it nears that limit.  When even the tightened bound shows a step
+could break a slot, the rows are unpacked and the list loop goes on from
+the same rank and previous pivot.  Either way the steps are the same
+fraction-free steps in the same order, so the rank does not depend on the
+packing.
 """
 
 from __future__ import annotations
@@ -46,6 +61,11 @@ from math import lcm
 from .errors import FieldMismatchError
 from .exactfield import QuadExt, format_scalar, is_prime, parse_scalar
 
+# largest vertex count, part size, ground set, or CSV row or column count a
+# command builds a structure for; memory grows with its square, and at the cap
+# the largest run (the matrix report of a 1024 + 1024 bigraph) peaks at about
+# 440 MiB
+SIZE_CAP = 1024
 # the prime of the full-rank certificate over Z, and the first one tried over
 # Z[sqrt(d)]; = 3 mod 4, so that a square root mod p is one pow
 RANK_PRIME = 2**26 - 5
@@ -53,6 +73,10 @@ RANK_PRIME = 2**26 - 5
 # inside 64-bit slots: (p - 1)(1 + (k - 1)(p - 1)) < 2^64
 SLOT_BOUND = (2**64 - RANK_PRIME) // (RANK_PRIME - 1) ** 2 + 1
 _SLOT = 2**64 - 1
+# a packed Bareiss slot holds a signed 64-bit value, in [-2^PACKED_BITS, 2^PACKED_BITS)
+PACKED_BITS = 63
+# the bounds a packed row's slots are tested against, smallest first
+TIGHT_BITS = (15, 31, 47)
 # largest min(rows, cols) that goes straight to Bareiss
 SMALL_RANK = 3
 # how many primes _quad_root tries before leaving a Z[sqrt(d)] rank to Bareiss
@@ -122,13 +146,17 @@ class Matrix:
         whose length differs from row 1's names the row and both lengths.
         The first cell over a second discriminant is a bad cell, so a mixed
         matrix is rejected before the remaining cells are parsed and factored.
+        More than SIZE_CAP rows, or a line of more than SIZE_CAP cells, is
+        rejected before any cell is parsed.
         """
+        lines = [line for line in map(str.strip, text.splitlines()) if line]
+        widest = max((line.count(",") + 1 for line in lines), default=0)
+        for count, what in ((len(lines), "rows"), (widest, "columns")):
+            if count > SIZE_CAP:
+                raise ValueError(f"{count} {what} exceed the size limit of {SIZE_CAP}")
         rows = []
         quad_d = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
+        for line in lines:
             cells = line.split(",")
             row = None
             if "_" not in line:  # int() reads "1_000"; parse_scalar rejects it
@@ -200,7 +228,12 @@ def rank_int_rows(rows: list[list[int]]) -> int:
     The residues mod RANK_PRIME = 2^26 - 5 feed the full-rank certificate,
     and fraction-free elimination over Z gives every other rank (see _rank).
     """
-    return _rank(rows, _int_residues, any, _int_step, 1, _int_bits)
+    packing = (lambda row: (row,), _int_join, _int_pivot)  # one part, the row itself
+    return _rank(rows, _int_residues, any, _int_step, 1, _int_bits, packing)
+
+
+def _int_join(parts):
+    return parts[0]
 
 
 def _int_residues(rows):
@@ -220,8 +253,33 @@ def _int_step(row, head, tail, prev):
     return [head * a // prev for a in row[1:]]
 
 
-def _rank(rows, residues, nonzero, step, unit, bits) -> int:
-    """Exact rank of `rows` over an integral domain, given by five things.
+def _int_pivot(prow, head, bound, prev):
+    """The packed step against the pivot row prow = (P,) (see _packed_bareiss).
+
+    A row (R,) with head x becomes ((head*R - x*P) >> 64) // prev.  Each of
+    head*R and x*P has slots below 2^(bits of the multiplier + the row's
+    bound), so their difference has slots below 2^grown, and dividing by
+    prev does not make them larger.
+    """
+    (p,) = prow
+    head_bits = head.bit_length()
+
+    def step(row, x, bits):
+        grown = max(head_bits + bits, x.bit_length() + bound) + 1
+        if grown > PACKED_BITS:
+            return None
+        new = (head * row[0] - x * p) >> 64
+        if prev == -1:
+            new = -new
+        elif prev != 1:
+            new //= prev
+        return (new,), _signed(new & _SLOT), grown
+
+    return step
+
+
+def _rank(rows, residues, nonzero, step, unit, bits, packing) -> int:
+    """Exact rank of `rows` over an integral domain, given by six things.
 
     `residues(rows)` returns the entries, row-major, under a ring map to the
     integers mod a prime p, as (residues, p), or None when it has no such p;
@@ -229,16 +287,20 @@ def _rank(rows, residues, nonzero, step, unit, bits) -> int:
     `step(row, head, tail, prev)` is row[1:] after one fraction-free step
     against the pivot row (head, *tail) whose predecessor pivot was prev;
     `unit` is the ring's 1, the predecessor of the first pivot;
-    `bits(entries)` is the total bit size of a sequence of entries.
+    `bits(entries)` is the total bit size of a sequence of entries;
+    `packing` is the ring's packed form of the Bareiss steps (see
+    _packed_bareiss).
 
     With k = min(rows, cols), the certificate runs when
     SMALL_RANK < k <= SLOT_BOUND and there is a p, and returns k when the
-    image has rank k; every other case goes to the Bareiss loop, after
-    sorting the rows and columns by `bits` when the pass found more than
-    SMALL_RANK pivots (below that the O(rows * cols) sort would cost a
-    rank-1 elimination about 40% more).
+    image has rank k; every other case goes to the Bareiss loop.  When the
+    pass found more than SMALL_RANK pivots (below that the O(rows * cols)
+    sort would cost a rank-1 elimination about 40% more), the rows and
+    columns are first sorted by `bits`, and the loop's first steps run on
+    packed rows while their entries fit the slots.
     """
     k = min(len(rows), len(rows[0])) if rows else 0
+    rank, prev = 0, unit
     if SMALL_RANK < k <= SLOT_BOUND:
         image = residues(rows)
         if image is not None:
@@ -247,9 +309,8 @@ def _rank(rows, residues, nonzero, step, unit, bits) -> int:
                 return k
             if found > SMALL_RANK:
                 rows = list(zip(*sorted(zip(*sorted(rows, key=bits)), key=bits)))
+                rows, rank, prev = _packed_bareiss(rows, nonzero, unit, *packing)
     pending = [row for row in rows if nonzero(row)]
-    rank = 0
-    prev = unit
     while pending:
         for idx, row in enumerate(pending):
             if nonzero(row[:1]):
@@ -263,6 +324,113 @@ def _rank(rows, residues, nonzero, step, unit, bits) -> int:
         pending = [new for row in pending if nonzero(new := step(row, head, tail, prev))]
         prev = head
     return rank
+
+
+def _packed_bareiss(rows, nonzero, unit, split, join, pivot):
+    """The first steps of the Bareiss loop, on packed rows: (rows left, rank, prev).
+
+    A row is split into parts, lists of ints: over Z the row itself, over
+    Z[sqrt(d)] its a-parts and its b-parts.  Each part is packed into one
+    int of signed 64-bit slots, the int v_0 + v_1*2^64 + v_2*2^128 + ...
+    of the part (v_0, v_1, ...), so that one bignum multiply or add acts on
+    every slot at once.  Column 0 is in the lowest slot on a little-endian
+    machine and in the highest on a big-endian one, which only reverses the
+    order in which the columns are eliminated; the rows handed back are in
+    the columns' order either way.  The ring gives `split(row)`, the parts of
+    a list row; `join(parts)`, the list row of unpacked parts; and
+    `pivot(prow, h, bound, prev)`, the step against the packed pivot row prow
+    with head h: `step(row, x, bits)` is the packed row with head x after one
+    fraction-free step, column 0 dropped, as (row, head, bits), or None when
+    a slot could leave [-2^PACKED_BITS, 2^PACKED_BITS).
+
+    The pivot is the first row whose head is nonzero, as in the list loop,
+    so the steps are the list loop's, slot by slot.  A step divides by prev,
+    which divides every slot of its dividend (Bareiss 1968), so the int's
+    quotient is the slot-wise quotient.  Every packed row carries `bits`,
+    with each slot in [-2^bits, 2^bits).  The pivot row's bound, and a row's
+    bound when its step could break a slot, are tightened to the first t in
+    TIGHT_BITS that holds: adding 2^t to every slot and masking the bits
+    above t leaves zero exactly when each slot is in [-2^t, 2^t).  If the
+    step still could break a slot, the pending rows are unpacked and handed,
+    with the rank and prev so far, to the list loop, which goes on from
+    there.  A matrix with an entry outside [-2^PACKED_BITS, 2^PACKED_BITS)
+    is not packed at all.
+    """
+    cols = len(rows[0])
+    ones = (1 << 64 * cols) // _SLOT  # 1 in each of cols slots
+    offset = ones << 63
+    tests = [(t, ones << t, ones * (_SLOT + 1 - (2 << t))) for t in TIGHT_BITS]
+
+    def head(row):  # the entry in column 0: the lowest slot of each part, joined
+        return join([[_signed(part & _SLOT)] for part in row])[0]
+
+    def tight(row, bits):
+        for t, low, high in tests:
+            if t >= bits:
+                break
+            if not any((part + low) & high for part in row):
+                return t
+        return bits
+
+    pending = []
+    for row in rows:
+        parts = split(row)
+        bits = max(max(max(part), -min(part)) for part in parts).bit_length()
+        if bits > PACKED_BITS:
+            return rows, 0, unit
+        packed = tuple(_pack(part, offset) for part in parts)
+        if any(packed):
+            pending.append((packed, head(packed), bits))
+    rank = 0
+    prev = unit
+    width = cols  # columns left
+    while pending:
+        for idx, (row, x, _) in enumerate(pending):
+            if nonzero((x,)):
+                break
+        else:
+            width -= 1
+            shifted = (tuple(part >> 64 for part in row) for row, _, _ in pending)
+            pending = [(row, head(row), bits) for row, (_, _, bits) in zip(shifted, pending)]
+            continue
+        prow, h, bound = pending.pop(idx)
+        step = pivot(prow, h, tight(prow, bound), prev)
+        nxt = []
+        for row, x, bits in pending:
+            new = step(row, x, bits) or step(row, x, tight(row, bits))
+            if new is None:
+                pending.insert(idx, (prow, h, bound))
+                left = [[_unpack(part, offset, width) for part in row] for row, _, _ in pending]
+                return list(map(join, left)), rank, prev
+            if any(new[0]):
+                nxt.append(new)
+        pending = nxt
+        rank += 1
+        prev = h
+        width -= 1
+    return [], rank, prev
+
+
+def _pack(values, offset: int) -> int:
+    """The int of signed 64-bit slots holding values, each in [-2^63, 2^63).
+
+    The slots are packed as unsigned and read as one int; flipping each
+    slot's top bit (xor offset, which has 2^63 in each of at least
+    len(values) slots) maps v mod 2^64 to v + 2^63, and subtracting offset
+    leaves v in each slot.
+    """
+    return (int.from_bytes(array("q", values).tobytes(), sys.byteorder) ^ offset) - offset
+
+
+def _unpack(packed: int, offset: int, width: int) -> list[int]:
+    """The values of the lowest `width` slots of a packed int, _pack undone."""
+    unsigned = (packed + offset) ^ offset
+    return array("q", unsigned.to_bytes(8 * width, sys.byteorder)).tolist()
+
+
+def _signed(slot: int) -> int:
+    """The signed 64-bit value of a slot read as unsigned."""
+    return slot - ((slot >> 63) << 64)
 
 
 def _full_rank_mod_p(residues: list[int], cols: int, k: int, p: int) -> int:
@@ -371,7 +539,44 @@ def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
             new.append((na, nb))
         return new
 
-    return _rank(rows, residues, lambda pairs: any(map(any, pairs)), step, (1, 0), _quad_bits)
+    def pivot(prow, h, bound, prev):
+        # `step` on packed a-parts and b-parts: t = h*row - x*prow slot by
+        # slot, then t/prev = t*conj(prev) / norm(prev), a sign when prev = -1
+        pa, pb = prow
+        ha, hb = h
+        qa, qb = prev
+        dhb, dqb = d * hb, d * qb
+        n = qa * qa - dqb * qb
+        head_bits = (abs(ha) + abs(dhb)).bit_length()
+        divides = qb != 0 or abs(qa) != 1
+        # |t*conj(prev)| < |t| * 2^(bits of |qa| + |d*qb|), and |n| >= 2^(bits of n - 1)
+        grows = 1 + divides * ((abs(qa) + abs(dqb)).bit_length() + 1 - n.bit_length())
+
+        def step(row, x, bits):
+            xa, xb = x
+            dxb = d * xb
+            grown = max(head_bits + bits, (abs(xa) + abs(dxb)).bit_length() + bound) + grows
+            if grown > PACKED_BITS:
+                return None
+            ra, rb = row
+            ta = (ha * ra + dhb * rb - xa * pa - dxb * pb) >> 64
+            tb = (ha * rb + hb * ra - xa * pb - xb * pa) >> 64
+            if divides:
+                ta, tb = (ta * qa - tb * dqb) // n, (tb * qa - ta * qb) // n
+            elif qa == -1:
+                ta, tb = -ta, -tb
+            return (ta, tb), (_signed(ta & _SLOT), _signed(tb & _SLOT)), grown
+
+        return step
+
+    def split(row):
+        return tuple(zip(*row))
+
+    def join(parts):
+        return list(zip(*parts))
+
+    nonzero = lambda pairs: any(map(any, pairs))  # noqa: E731
+    return _rank(rows, residues, nonzero, step, (1, 0), _quad_bits, (split, join, pivot))
 
 
 def _quad_bits(pairs) -> int:

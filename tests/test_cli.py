@@ -737,6 +737,14 @@ MALFORMED_INPUTS = [
              f"ground set size must be at most 1024, got n={10**9}"),
             ("check-json-syntax", ["family-check", "--in", "{path}"], '{"n": 4, "sets": [[1, 2]',
              "input: Expecting ',' delimiter: line 1 column 25"),
+            # json.loads raises a plain ValueError for an integer of more than 4300 digits
+            ("check-n-too-many-digits", ["family-check", "--in", "{path}"],
+             '{"n": ' + "9" * 5000 + ', "sets": []}', "input: Exceeds the limit (4300 digits)"),
+            # the counts are checked before any cell is parsed, and "x" does not parse
+            ("csv-rows-over-cap", ["rank", "--in", "{path}"], "x\n" * 1025,
+             "1025 rows exceed the size limit of 1024"),
+            ("csv-columns-over-cap", ["rank", "--in", "{path}"], "1,2\n" + ",".join("x" * 1025),
+             "1025 columns exceed the size limit of 1024"),
             ("check-point-outside", ["family-check", "--in", "{path}"],
              json.dumps({"n": 4, "sets": [[1, 5]]}), "set [1, 5]: point 5 outside [1..4]"),
             # 1000036000099 = 1000003 * 1000033, both factors beyond the trial bound 10^6

@@ -691,3 +691,222 @@ def test_only_more_than_small_rank_pivots_mod_p_sort_the_rows(monkeypatch, quad_
     assert [pivots for _, pivots in quad_pivots] == [found]
     # one bit size per row and one per column, only past the gate
     assert len(measured) == (12 if found > SMALL_RANK else 0)
+
+
+# -- the packed Bareiss steps -----------------------------------------------------
+#
+# After the sort, _rank runs the first Bareiss steps on rows packed into 64-bit
+# slots and hands the rows left to the list loop.  Each case checks the rank
+# against rank_naive and sympy's DomainMatrix rank, and each hand-over against
+# the list loop's state after as many pivots, recomputed on Fraction and QuadExt
+# entries by bareiss_prefix.
+
+
+def bareiss_prefix(rows, pivots, d):
+    """(rows, prev) of fraction-free elimination after `pivots` pivots and the
+    zero columns that follow them: the pivot is the first row with a nonzero
+    entry in the first column, and zero rows are dropped."""
+    lift = Fraction if d is None else (lambda v: QuadExt(v[0], v[1], d))
+    pending = [row for row in ([lift(v) for v in row] for row in rows) if any(row)]
+    prev = 1
+    for done in range(pivots + 1):
+        while pending and not any(row[0] for row in pending):
+            pending = [row[1:] for row in pending]
+        if done == pivots:
+            break
+        idx = next(i for i, row in enumerate(pending) if row[0])
+        prow = pending.pop(idx)
+        head, tail = prow[0], prow[1:]
+        steps = ([(head * a - row[0] * b) / prev for a, b in zip(row[1:], tail)] for row in pending)
+        pending = [row for row in steps if any(row)]
+        prev = head
+
+    def lower(v):
+        if d is None:
+            assert v.denominator == 1
+            return int(v)
+        a, b = (v.a, v.b) if isinstance(v, QuadExt) else (Fraction(v), 0)
+        assert a.denominator == 1 and Fraction(b).denominator == 1
+        return int(a), int(b)
+
+    return [[lower(v) for v in row] for row in pending], lower(prev)
+
+
+def watch_hand_overs(monkeypatch, d):
+    """(rows packed, rows left, rank, prev, prevs of the packed steps) of every
+    packed elimination over Z (d None) or Z[sqrt d], each checked on the way
+    against bareiss_prefix."""
+    runs = []
+    real = linalg._packed_bareiss
+
+    def spy(rows, nonzero, unit, split, join, pivot):
+        prevs = []
+
+        def recorded(prow, h, bound, prev):
+            prevs.append(prev)
+            return pivot(prow, h, bound, prev)
+
+        left, rank, prev = real(rows, nonzero, unit, split, join, recorded)
+        want_rows, want_prev = bareiss_prefix(rows, rank, d)
+        assert bareiss_prefix(left, 0, d)[0] == want_rows and prev == want_prev
+        runs.append((rows, left, rank, prev, prevs))
+        return left, rank, prev
+
+    monkeypatch.setattr(linalg, "_packed_bareiss", spy)
+    return runs
+
+
+@pytest.fixture
+def list_steps(monkeypatch):
+    """The number of list-loop Bareiss steps, over either ring."""
+    calls = []
+    real = linalg._rank
+
+    def spy(rows, residues, nonzero, step, *rest):
+        def counted(*args):
+            calls.append(None)
+            return step(*args)
+
+        return real(rows, residues, nonzero, counted, *rest)
+
+    monkeypatch.setattr(linalg, "_rank", spy)
+    return calls
+
+
+def ring_product(rng, shape, bits, d, unit_block):
+    """A rows x cols matrix L U of rank r over Z (d None) or Z[sqrt d], rows and
+    columns shuffled.  With unit_block, L = [I; X] and U = [I | Y], as the bench
+    CSVs are built; otherwise L and U are dense.  Entries of X, Y, L and U have
+    parts of at most `bits` bits."""
+    rows, cols, r = shape
+
+    def entry():
+        a = rng.randint(-(2**bits), 2**bits)
+        return a if d is None else (a, rng.randint(-(2**bits), 2**bits))
+
+    one, zero = (1, 0) if d is None else ((1, 0), (0, 0))
+    if unit_block:
+        left = [[one if i == j else zero for j in range(r)] for i in range(r)]
+        left += [[entry() for _ in range(r)] for _ in range(rows - r)]
+        right = [[one if i == j else zero for j in range(cols)] for i in range(r)]
+        right = [row[:r] + [entry() for _ in range(cols - r)] for row in right]
+    else:
+        left = [[entry() for _ in range(r)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(r)]
+
+    def dot(u, v):
+        if d is None:
+            return sum(a * b for a, b in zip(u, v))
+        terms = [qmul(a, b, d) for a, b in zip(u, v)]
+        return sum(t[0] for t in terms), sum(t[1] for t in terms)
+
+    columns = list(zip(*right))
+    product = [[dot(row, col) for col in columns] for row in left]
+    rng.shuffle(product)
+    order = rng.sample(range(cols), cols)
+    return [[row[j] for j in order] for row in product]
+
+
+def packed_rank(monkeypatch, rows, d, rank=None):
+    """The hand-over of the rank of rows, which both oracles check; None when
+    the mod-p pass found too few pivots to sort and pack."""
+    runs = watch_hand_overs(monkeypatch, d)
+    got = ring_rank(rows, d)
+    assert oracle_ranks(rows, d) == (got, got)
+    assert rank in (None, got)
+    assert len(runs) <= 1
+    return runs[0] if runs else None
+
+
+@pytest.mark.parametrize("d", [None, 2, 3, 5])
+def test_unit_block_products_stay_packed_to_the_end(monkeypatch, list_steps, d):
+    rng = random.Random(70)
+    spread = 3 if d else 9  # the bench CSVs' entries
+    for shape in [(30, 30, 24), (24, 36, 23), (36, 20, 19)]:
+        rows = ring_product(rng, shape, spread.bit_length(), d, unit_block=True)
+        _, left, rank, _, prevs = packed_rank(monkeypatch, rows, d, shape[2])
+        assert left == [] and rank == shape[2] and len(prevs) == rank
+    assert list_steps == []
+
+
+@pytest.mark.parametrize(
+    "shape, d", [((150, 150, 120), None), ((80, 50, 49), 3), ((70, 70, 55), 5)]
+)
+def test_bench_sized_products_never_take_a_list_step(list_steps, shape, d):
+    # the shapes of the benchmark's deficient CSVs, entries a little wider
+    rng = random.Random(75)
+    rows = ring_product(rng, shape, 4 if d is None else 2, d, unit_block=True)
+    assert ring_rank(rows, d) == shape[2]
+    assert list_steps == []
+
+
+@pytest.mark.parametrize("d", [None, 2, 3, 5])
+def test_a_slot_bound_crossed_mid_elimination_hands_over(monkeypatch, list_steps, d):
+    rng = random.Random(71)
+    handed = []
+    for bits in (3, 4, 6, 10):
+        rows = ring_product(rng, (9, 9, 7), bits, d, unit_block=False)
+        _, left, rank, _, _ = packed_rank(monkeypatch, rows, d, 7)
+        handed.append(rank)
+        assert left and 0 < rank < 7
+    assert list_steps  # the list loop finished each elimination
+    assert len(set(handed)) > 1
+
+
+@pytest.mark.parametrize("d", [None, 2, 3, 5])
+def test_pivots_other_than_units_divide_slot_by_slot(monkeypatch, d):
+    rng = random.Random(72)
+    rows = ring_product(rng, (12, 12, 10), 1, d, unit_block=False)
+    _, _, rank, _, prevs = packed_rank(monkeypatch, rows, d, 10)
+    assert rank >= 3
+    if d is None:
+        assert any(abs(q) > 1 for q in prevs[1:])
+    else:
+        assert any(q[1] for q in prevs[1:])  # conj(prev) / norm(prev)
+
+
+@pytest.mark.parametrize("d", [None, 3])
+def test_zero_columns_and_vanishing_rows_mid_elimination(monkeypatch, d):
+    rng = random.Random(73)
+    rows = ring_product(rng, (16, 12, 10), 2, d, unit_block=True)
+    zero = 0 if d is None else (0, 0)
+    # a copy of column 0, which the sort puts beside it: after the pivot in the
+    # first copy the second is zero in every row left; a zero column; a copy
+    # of row 0, zero after its twin's pivot (the copies go last, so that the
+    # mod-p pass finds its 10 pivots before it meets them)
+    rows = [row + [row[0], zero] for row in rows]
+    rows.append(rows[0])
+    _, left, rank, _, _ = packed_rank(monkeypatch, rows, d, 10)
+    assert left == [] and rank == 10
+
+
+@pytest.mark.parametrize("d", [None, 2])
+def test_a_step_that_could_leave_a_slot_is_not_packed(monkeypatch, d):
+    # heads +-3 against entries near 2^61: -3*R - 3*P can reach 1.5 * 2^63
+    rng = random.Random(74)
+    big = 2**61 - 1
+    rows = []
+    for i in range(6):
+        head = (-3, 3)[i % 2]
+        rows.append([head] + [big - rng.randrange(2**20) for _ in range(6)])
+    rows.append(rows[-1])
+    if d is not None:
+        rows = [[(a, 0) for a in row] for row in rows]
+    _, left, rank, _, _ = packed_rank(monkeypatch, rows, d, 6)
+    assert rank == 0 and len(left) == 7
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([None, 2, 3, 5]),
+    st.tuples(st.integers(5, 14), st.integers(5, 14)),
+    st.integers(1, 10) | st.integers(11, 62),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_every_hand_over_is_the_list_loops_state(d, size, bits, unit_block, rng):
+    rows, cols = size
+    rank = rng.randint(SMALL_RANK + 1, min(rows, cols) - 1)
+    matrix = ring_product(rng, (rows, cols, rank), bits, d, unit_block)
+    with pytest.MonkeyPatch.context() as patch:
+        packed_rank(patch, matrix, d, rank if unit_block else None)

@@ -32,6 +32,7 @@ import contextlib
 import inspect
 import io
 import json
+import random
 import sys
 import types
 from pathlib import Path
@@ -80,8 +81,21 @@ ALLOWED_RAISES = {
 _INT_CSV = "1,2,3,4\n2,4,6,8\n1,0,1,0\n0,1,0,1/2\n"  # rank 3 < k = 4: certificate, then Bareiss
 _QUAD_CSV = "1,1+1*sqrt(2),0,1\n1-1*sqrt(2),-1,0,1-1*sqrt(2)\n0,0,1,2\n1,2,3,4\n"
 # e_1 .. e_5 of six columns and e_1 + ... + e_4: the certificate finds 4 > SMALL_RANK
-# pivots before it fails, so Bareiss first sorts the rows and columns by bit size
+# pivots before it fails, so Bareiss first sorts the rows and columns by bit size,
+# then runs on packed rows to the end
 _SORTED_CSV = "1,0,0,0,0,0\n0,1,0,0,0,0\n0,0,1,0,0,0\n0,0,0,1,0,0\n0,0,0,0,1,0\n1,1,1,1,0,0\n"
+
+
+def _growing_csv(cell) -> str:
+    """Five rows of 30-bit entries and the sum of the first two, one cell(a) per
+    entry a: the mod-p pass finds 5 of 6 pivots, and after the first packed
+    step a slot could pass 2^63, so the packed steps hand over to the list loop."""
+    rng = random.Random(5)
+    rows = [[rng.randrange(-(2**30), 2**30) for _ in range(6)] for _ in range(5)]
+    rows.append([a + b for a, b in zip(rows[0], rows[1])])
+    return "".join(",".join(map(cell, row)) + "\n" for row in rows)
+
+
 _GRAPH = {"m": 2, "n": 3, "edges": [[1, 1], [2, 3]]}
 _FAMILY = {"n": 6, "sets": [[1, 2], [1, 3], [1, 4]]}
 _NOT_BISECTION_CLOSED = {"n": 4, "sets": [[1, 2], [3, 4]]}
@@ -95,6 +109,13 @@ CALLS = [
     (
         ["rank", "--in", "{dir}/sorted.csv"],
         {"sorted.csv": _SORTED_CSV.replace("1", "1+1*sqrt(2)")},
+        0,
+    ),
+    # ... on packed rows, until the entries outgrow the slots
+    (["rank", "--in", "{dir}/growing.csv"], {"growing.csv": _growing_csv(str)}, 0),
+    (
+        ["rank", "--in", "{dir}/growing.csv"],
+        {"growing.csv": _growing_csv(lambda a: f"{a}{a:+d}*sqrt(2)")},
         0,
     ),
     (["mu"], {}, 0),
