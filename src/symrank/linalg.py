@@ -3,17 +3,16 @@
 Matrices are dense and immutable by convention, with entries that are ints,
 Fractions, or QuadExt elements over a single discriminant.  A QuadExt is
 never rational, so a matrix is over Q(sqrt(d)) exactly when it has a QuadExt
-entry.  Rank works on rows with denominators cleared row by row
-(`rank_int_rows` over Z, `rank_quad_rows` over Z[sqrt(d)]); a matrix of ints
-goes to `rank_int_rows` as it is.  CSV cells that are integers parse to ints.
+entry.  `rank_rows` ranks rows with denominators cleared row by row, over Z
+or over Z[sqrt(d)]; a matrix of ints goes to it as it is.  CSV cells that
+are integers parse to ints.
 
-One driver, `_rank`, computes the rank over both rings; each ring gives it
-only a residue map mod a prime, a nonzero test, one fraction-free
-elimination step and its unit.  A matrix with k = min(rows, cols) has rank
-k when its image modulo a prime p has rank k: reduction mod p is a ring map,
-so a k x k minor that is nonzero mod p is nonzero over the ring.  Over Z, p
-is RANK_PRIME = 2^26 - 5; over Z[sqrt(d)], a + b*sqrt(d) maps to a + b*s mod
-p, where p is the first prime = 3 mod 4 counting down from RANK_PRIME for
+One driver, `_rank`, computes the rank over both rings, each an object with
+the operations that `_Integers` lists.  A matrix with k = min(rows, cols) has
+rank k when its image modulo a prime p has rank k: reduction mod p is a ring
+map, so a k x k minor that is nonzero mod p is nonzero over the ring.  Over
+Z, p is RANK_PRIME = 2^26 - 5; over Z[sqrt(d)], a + b*sqrt(d) maps to a + b*s
+mod p, where p is the first prime = 3 mod 4 counting down from RANK_PRIME for
 which d is a square mod p and s^2 = d mod p (s = 0 when p divides d), which
 is again a ring map.  One pass, `_full_rank_mod_p`, serves both rings: it
 stores each row as one int of 64-bit slots, packed from one array of the
@@ -54,7 +53,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, islice
 from math import lcm
 
@@ -79,7 +78,7 @@ PACKED_BITS = 63
 TIGHT_BITS = (15, 31, 47)
 # largest min(rows, cols) that goes straight to Bareiss
 SMALL_RANK = 3
-# how many primes _quad_root tries before leaving a Z[sqrt(d)] rank to Bareiss
+# how many primes a Z[sqrt(d)] ring tries for its root before leaving its ranks to Bareiss
 QUAD_PRIME_TRIES = 32
 
 
@@ -121,11 +120,10 @@ class Matrix:
         """Exact rank, independent of row/column order."""
         rows = [self.row_list(i) for i in range(self.rows)]
         if all(type(x) is int for x in self._e):
-            return rank_int_rows(rows)
+            return rank_rows(rows)
         quad_d = quad_discriminant(self._e)
-        if quad_d is None:
-            return rank_int_rows([integer_scaled(row) for row in rows])
-        return rank_quad_rows([quad_scaled(row) for row in rows], quad_d)
+        scaled = integer_scaled if quad_d is None else quad_scaled
+        return rank_rows([scaled(row) for row in rows], quad_d)
 
     # -- text I/O -----------------------------------------------------------
 
@@ -222,94 +220,103 @@ def quad_scaled(values) -> list[tuple[int, int]]:
     ]
 
 
-def rank_int_rows(rows: list[list[int]]) -> int:
-    """Exact rank of a matrix given as integer rows.
-
-    The residues mod RANK_PRIME = 2^26 - 5 feed the full-rank certificate,
-    and fraction-free elimination over Z gives every other rank (see _rank).
-    """
-    packing = (lambda row: (row,), _int_join, _int_pivot)  # one part, the row itself
-    return _rank(rows, _int_residues, any, _int_step, 1, _int_bits, packing)
+def rank_rows(rows: list[list], d: int | None = None) -> int:
+    """Exact rank of integer rows, or for d not None of rows of Z[sqrt(d)] pairs."""
+    return _rank(rows, _INTEGERS if d is None else _quad_ring(d))
 
 
-def _int_join(parts):
-    return parts[0]
+class _Integers:
+    """Z, and the operations _rank, _full_rank_mod_p and _packed_bareiss use of
+    a ring, which _QuadIntegers overrides for Z[sqrt(d)].
 
-
-def _int_residues(rows):
-    p = RANK_PRIME
-    return [v % p for row in rows for v in row], p
-
-
-def _int_bits(values) -> int:
-    return sum(map(int.bit_length, values))
-
-
-def _int_step(row, head, tail, prev):
-    """row[1:] after eliminating row[0] against the pivot row (head, *tail)."""
-    x = row[0]
-    if x:
-        return [(head * a - x * b) // prev for a, b in zip(row[1:], tail)]
-    return [head * a // prev for a in row[1:]]
-
-
-def _int_pivot(prow, head, bound, prev):
-    """The packed step against the pivot row prow = (P,) (see _packed_bareiss).
-
-    A row (R,) with head x becomes ((head*R - x*P) >> 64) // prev.  Each of
-    head*R and x*P has slots below 2^(bits of the multiplier + the row's
-    bound), so their difference has slots below 2^grown, and dividing by
-    prev does not make them larger.
-    """
-    (p,) = prow
-    head_bits = head.bit_length()
-
-    def step(row, x, bits):
-        grown = max(head_bits + bits, x.bit_length() + bound) + 1
-        if grown > PACKED_BITS:
-            return None
-        new = (head * row[0] - x * p) >> 64
-        if prev == -1:
-            new = -new
-        elif prev != 1:
-            new //= prev
-        return (new,), _signed(new & _SLOT), grown
-
-    return step
-
-
-def _rank(rows, residues, nonzero, step, unit, bits, packing) -> int:
-    """Exact rank of `rows` over an integral domain, given by six things.
-
+    `unit` is the ring's 1, the predecessor of the first pivot;
     `residues(rows)` returns the entries, row-major, under a ring map to the
     integers mod a prime p, as (residues, p), or None when it has no such p;
     `nonzero(entries)` tells whether a sequence of entries has a nonzero one;
     `step(row, head, tail, prev)` is row[1:] after one fraction-free step
     against the pivot row (head, *tail) whose predecessor pivot was prev;
-    `unit` is the ring's 1, the predecessor of the first pivot;
-    `bits(entries)` is the total bit size of a sequence of entries;
-    `packing` is the ring's packed form of the Bareiss steps (see
-    _packed_bareiss).
+    `split(row)` is the parts of a row, sequences of ints, and `join(parts)`
+    the list row they make; and `pivot(prow, h, bound, prev)` is the step
+    against the packed pivot row prow with head h: `step(row, x, bits)` is
+    the packed row with head x after one fraction-free step, column 0
+    dropped, as (row, head, bits), or None when a slot could leave
+    [-2^PACKED_BITS, 2^PACKED_BITS) (see _packed_bareiss).
+    """
+
+    unit = 1
+    nonzero = any
+
+    def residues(self, rows):
+        p = RANK_PRIME
+        return [v % p for row in rows for v in row], p
+
+    def split(self, row):
+        return (row,)
+
+    def join(self, parts):
+        return parts[0]
+
+    def step(self, row, head, tail, prev):
+        x = row[0]
+        if x:
+            return [(head * a - x * b) // prev for a, b in zip(row[1:], tail)]
+        return [head * a // prev for a in row[1:]]
+
+    def pivot(self, prow, head, bound, prev):
+        """A row (R,) with head x becomes ((head*R - x*P) >> 64) // prev.
+
+        Each of head*R and x*P has slots below 2^(bits of the multiplier + the
+        row's bound), so their difference has slots below 2^grown, and
+        dividing by prev does not make them larger.
+        """
+        (p,) = prow
+        head_bits = head.bit_length()
+
+        def step(row, x, bits):
+            grown = max(head_bits + bits, x.bit_length() + bound) + 1
+            if grown > PACKED_BITS:
+                return None
+            new = (head * row[0] - x * p) >> 64
+            if prev == -1:
+                new = -new
+            elif prev != 1:
+                new //= prev
+            return (new,), _signed(new & _SLOT), grown
+
+        return step
+
+    def bits(self, entries) -> int:
+        """The total bit length of a sequence of entries."""
+        return sum(map(int.bit_length, chain.from_iterable(self.split(entries))))
+
+    def head(self, packed):
+        """The entry in column 0 of a packed row: the lowest slot of each part, joined."""
+        return self.join([[_signed(part & _SLOT)] for part in packed])[0]
+
+
+def _rank(rows, ring: _Integers) -> int:
+    """Exact rank of `rows` over `ring`.
 
     With k = min(rows, cols), the certificate runs when
     SMALL_RANK < k <= SLOT_BOUND and there is a p, and returns k when the
     image has rank k; every other case goes to the Bareiss loop.  When the
     pass found more than SMALL_RANK pivots (below that the O(rows * cols)
     sort would cost a rank-1 elimination about 40% more), the rows and
-    columns are first sorted by `bits`, and the loop's first steps run on
-    packed rows while their entries fit the slots.
+    columns are first sorted by `ring.bits`, and the loop's first steps run
+    on packed rows while their entries fit the slots.
     """
     k = min(len(rows), len(rows[0])) if rows else 0
-    rank, prev = 0, unit
+    rank, prev = 0, ring.unit
     if SMALL_RANK < k <= SLOT_BOUND:
-        image = residues(rows)
+        image = ring.residues(rows)
         if image is not None:
             found = _full_rank_mod_p(image[0], len(rows[0]), k, image[1])
             if found == k:
                 return k
             if found > SMALL_RANK:
-                rows = list(zip(*sorted(zip(*sorted(rows, key=bits)), key=bits)))
-                rows, rank, prev = _packed_bareiss(rows, nonzero, unit, *packing)
+                rows = list(zip(*sorted(zip(*sorted(rows, key=ring.bits)), key=ring.bits)))
+                rows, rank, prev = _packed_bareiss(rows, ring)
+    nonzero, step = ring.nonzero, ring.step
     pending = [row for row in rows if nonzero(row)]
     while pending:
         for idx, row in enumerate(pending):
@@ -326,22 +333,16 @@ def _rank(rows, residues, nonzero, step, unit, bits, packing) -> int:
     return rank
 
 
-def _packed_bareiss(rows, nonzero, unit, split, join, pivot):
+def _packed_bareiss(rows, ring: _Integers):
     """The first steps of the Bareiss loop, on packed rows: (rows left, rank, prev).
 
-    A row is split into parts, lists of ints: over Z the row itself, over
-    Z[sqrt(d)] its a-parts and its b-parts.  Each part is packed into one
+    A row is split into the ring's parts (see _Integers), each packed into one
     int of signed 64-bit slots, the int v_0 + v_1*2^64 + v_2*2^128 + ...
     of the part (v_0, v_1, ...), so that one bignum multiply or add acts on
     every slot at once.  Column 0 is in the lowest slot on a little-endian
     machine and in the highest on a big-endian one, which only reverses the
     order in which the columns are eliminated; the rows handed back are in
-    the columns' order either way.  The ring gives `split(row)`, the parts of
-    a list row; `join(parts)`, the list row of unpacked parts; and
-    `pivot(prow, h, bound, prev)`, the step against the packed pivot row prow
-    with head h: `step(row, x, bits)` is the packed row with head x after one
-    fraction-free step, column 0 dropped, as (row, head, bits), or None when
-    a slot could leave [-2^PACKED_BITS, 2^PACKED_BITS).
+    the columns' order either way.
 
     The pivot is the first row whose head is nonzero, as in the list loop,
     so the steps are the list loop's, slot by slot.  A step divides by prev,
@@ -356,33 +357,22 @@ def _packed_bareiss(rows, nonzero, unit, split, join, pivot):
     there.  A matrix with an entry outside [-2^PACKED_BITS, 2^PACKED_BITS)
     is not packed at all.
     """
+    split, nonzero, head = ring.split, ring.nonzero, ring.head
     cols = len(rows[0])
     ones = (1 << 64 * cols) // _SLOT  # 1 in each of cols slots
     offset = ones << 63
     tests = [(t, ones << t, ones * (_SLOT + 1 - (2 << t))) for t in TIGHT_BITS]
-
-    def head(row):  # the entry in column 0: the lowest slot of each part, joined
-        return join([[_signed(part & _SLOT)] for part in row])[0]
-
-    def tight(row, bits):
-        for t, low, high in tests:
-            if t >= bits:
-                break
-            if not any((part + low) & high for part in row):
-                return t
-        return bits
-
     pending = []
     for row in rows:
         parts = split(row)
         bits = max(max(max(part), -min(part)) for part in parts).bit_length()
         if bits > PACKED_BITS:
-            return rows, 0, unit
+            return rows, 0, ring.unit
         packed = tuple(_pack(part, offset) for part in parts)
         if any(packed):
             pending.append((packed, head(packed), bits))
     rank = 0
-    prev = unit
+    prev = ring.unit
     width = cols  # columns left
     while pending:
         for idx, (row, x, _) in enumerate(pending):
@@ -394,14 +384,14 @@ def _packed_bareiss(rows, nonzero, unit, split, join, pivot):
             pending = [(row, head(row), bits) for row, (_, _, bits) in zip(shifted, pending)]
             continue
         prow, h, bound = pending.pop(idx)
-        step = pivot(prow, h, tight(prow, bound), prev)
+        step = ring.pivot(prow, h, _tight(prow, bound, tests), prev)
         nxt = []
         for row, x, bits in pending:
-            new = step(row, x, bits) or step(row, x, tight(row, bits))
+            new = step(row, x, bits) or step(row, x, _tight(row, bits, tests))
             if new is None:
                 pending.insert(idx, (prow, h, bound))
                 left = [[_unpack(part, offset, width) for part in row] for row, _, _ in pending]
-                return list(map(join, left)), rank, prev
+                return list(map(ring.join, left)), rank, prev
             if any(new[0]):
                 nxt.append(new)
         pending = nxt
@@ -409,6 +399,16 @@ def _packed_bareiss(rows, nonzero, unit, split, join, pivot):
         prev = h
         width -= 1
     return [], rank, prev
+
+
+def _tight(row, bits: int, tests) -> int:
+    """The first t < bits in tests that bounds each slot of row, else bits (see _packed_bareiss)."""
+    for t, low, high in tests:
+        if t >= bits:
+            break
+        if not any((part + low) & high for part in row):
+            return t
+    return bits
 
 
 def _pack(values, offset: int) -> int:
@@ -487,41 +487,49 @@ def _full_rank_mod_p(residues: list[int], cols: int, k: int, p: int) -> int:
     return rank
 
 
-@lru_cache(maxsize=64)
-def _quad_root(d: int) -> tuple[int, int] | None:
-    """(p, s) with s^2 = d mod p, for the first prime p = 3 mod 4 counting down
-    from RANK_PRIME for which d is a square mod p; None when none of the first
-    QUAD_PRIME_TRIES such primes has one.  s = 0 when p divides d.
-    """
-    for p in islice(_primes_3_mod_4(), QUAD_PRIME_TRIES):
-        s = pow(d, (p + 1) // 4, p)  # a square root of d whenever d has one
-        if (s * s - d) % p == 0:
-            return p, s
-    return None
-
-
 def _primes_3_mod_4():
     """The primes = 3 mod 4 from RANK_PRIME down (RANK_PRIME = 3 mod 4)."""
     return filter(is_prime, range(RANK_PRIME, 2, -4))
 
 
-def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
-    """Exact rank of a matrix given as rows of Z[sqrt(d)] pairs (a, b) = a + b*sqrt(d).
+class _QuadIntegers(_Integers):
+    """Z[sqrt(d)], whose entries are pairs (a, b) = a + b*sqrt(d) (see _Integers)."""
 
-    a + b*sqrt(d) maps to (a + b*s) mod p, where (p, s) = _quad_root(d): a
-    ring map from Z[sqrt(d)] to the integers mod p, since s^2 = d mod p.  Its
-    residues feed the full-rank certificate, and fraction-free elimination
-    over Z[sqrt(d)] gives every other rank (see _rank).
-    """
+    unit = (1, 0)
 
-    def residues(rows):
-        root = _quad_root(d)
-        if root is None:
+    def __init__(self, d: int):
+        self.d = d
+
+    @cached_property
+    def root(self) -> tuple[int, int] | None:
+        """(p, s) with s^2 = d mod p, for the first prime p = 3 mod 4 counting down
+        from RANK_PRIME for which d is a square mod p; None when none of the first
+        QUAD_PRIME_TRIES such primes has one.  s = 0 when p divides d.
+        """
+        d = self.d
+        for p in islice(_primes_3_mod_4(), QUAD_PRIME_TRIES):
+            s = pow(d, (p + 1) // 4, p)  # a square root of d whenever d has one
+            if (s * s - d) % p == 0:
+                return p, s
+        return None
+
+    def residues(self, rows):
+        if self.root is None:
             return None
-        p, s = root
+        p, s = self.root
         return [(a + b * s) % p for row in rows for a, b in row], p
 
-    def step(row, head, tail, prev):
+    def nonzero(self, pairs):
+        return any(map(any, pairs))
+
+    def split(self, row):
+        return tuple(zip(*row))
+
+    def join(self, parts):
+        return list(zip(*parts))
+
+    def step(self, row, head, tail, prev):
+        d = self.d
         pa, pb = head
         xa, xb = row[0]
         qa, qb = prev
@@ -539,9 +547,10 @@ def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
             new.append((na, nb))
         return new
 
-    def pivot(prow, h, bound, prev):
-        # `step` on packed a-parts and b-parts: t = h*row - x*prow slot by
-        # slot, then t/prev = t*conj(prev) / norm(prev), a sign when prev = -1
+    def pivot(self, prow, h, bound, prev):
+        """`step` on packed a-parts and b-parts: t = h*row - x*prow slot by
+        slot, then t/prev = t*conj(prev) / norm(prev), a sign when prev = -1."""
+        d = self.d
         pa, pb = prow
         ha, hb = h
         qa, qb = prev
@@ -569,15 +578,7 @@ def rank_quad_rows(rows: list[list[tuple[int, int]]], d: int) -> int:
 
         return step
 
-    def split(row):
-        return tuple(zip(*row))
 
-    def join(parts):
-        return list(zip(*parts))
-
-    nonzero = lambda pairs: any(map(any, pairs))  # noqa: E731
-    return _rank(rows, residues, nonzero, step, (1, 0), _quad_bits, (split, join, pivot))
-
-
-def _quad_bits(pairs) -> int:
-    return sum(map(int.bit_length, chain.from_iterable(pairs)))
+_INTEGERS = _Integers()
+# one ring per d, so that each d searches for its root once, when first needed
+_quad_ring = lru_cache(maxsize=64)(_QuadIntegers)

@@ -20,7 +20,7 @@ from .errors import VerificationError
 from .exactfield import as_fraction, format_scalar, scalar_sign, solve_monic_quadratic
 from .ensemble import BipartiteGraph, TwoValuePair, mu_squared
 from .linalg import Matrix  # noqa: F401  kept bound: bench/test_bench.py reads spectra.Matrix
-from .linalg import rank_int_rows, rank_quad_rows
+from .linalg import rank_rows
 
 
 class SpectralReport:
@@ -75,7 +75,7 @@ def bigraph_multiplicity(g: BipartiteGraph, mu2, gram: list[list[int]] | None = 
         row = [q * v for v in gram_row]
         row[i] -= p
         rows.append(row)
-    return len(s) - rank_int_rows(rows)
+    return len(s) - rank_rows(rows)
 
 
 def _schur_rows(xy, c2, cd, d2, p: int, gram) -> list[list[int]]:
@@ -121,11 +121,10 @@ def ensemble_rank(
     by C^T 1 = cp 1 + d g and C^T C = c^2 p J + cd (g 1^T + 1 g^T) + d^2 G.
     That is (p-1)(d^2 G - xy I) plus a matrix with columns in span{1, g},
     so rank(S) is within 2 of rank(G - mu^2 I).  The rank is p + rank(S).
-    S is built from the pair's values scaled to integers and ranked by
-    linalg.rank_int_rows, or scaled to Z[sqrt r] pairs: then the constants'
-    a-parts and b-parts give two integer matrices, zipped into pairs for
-    linalg.rank_quad_rows.  m = n = 1 has rank 2, or 0 when its one cross
-    value is 0.
+    S is built from the pair's values scaled to integers or to Z[sqrt r] pairs
+    (then the constants' a-parts and b-parts give two integer matrices, zipped
+    into pairs) and ranked by linalg.rank_rows, over a ring as linalg._Integers
+    describes.  m = n = 1 has rank 2, or 0 when its one cross value is 0.
     """
     pair.require_good()
     if gram is None:
@@ -139,11 +138,11 @@ def ensemble_rank(
     r, (vaa, vab, vba, vbb) = pair.integral_values
     if r is None:
         c, d = vba, vab - vba
-        return p + rank_int_rows(_schur_rows(vaa * vbb, c * c, c * d, d * d, p, gram))
+        return p + rank_rows(_schur_rows(vaa * vbb, c * c, c * d, d * d, p, gram))
     c, d = vba, (vab[0] - vba[0], vab[1] - vba[1])
     consts = (_qmul(vaa, vbb, r), _qmul(c, c, r), _qmul(c, d, r), _qmul(d, d, r))
     a_rows, b_rows = (_schur_rows(*parts, p, gram) for parts in zip(*consts))
-    return p + rank_quad_rows([list(zip(ra, rb)) for ra, rb in zip(a_rows, b_rows)], r)
+    return p + rank_rows([list(zip(ra, rb)) for ra, rb in zip(a_rows, b_rows)], r)
 
 
 def rank_sandwich(pair: TwoValuePair, g: BipartiteGraph) -> SpectralReport:

@@ -21,8 +21,7 @@ from symrank.linalg import (
     Matrix,
     integer_scaled,
     quad_scaled,
-    rank_int_rows,
-    rank_quad_rows,
+    rank_rows,
 )
 
 from oracle import rank_naive
@@ -249,14 +248,14 @@ def test_int_matrix_ranks_without_rescaling(monkeypatch):
 
 
 def test_row_rank_entry_points():
-    assert rank_int_rows([]) == 0
-    assert rank_int_rows([[0, 0], [0, 0]]) == 0
-    assert rank_int_rows([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
+    assert rank_rows([]) == 0
+    assert rank_rows([[0, 0], [0, 0]]) == 0
+    assert rank_rows([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 0, 1]]) == 2
     # rows of (a, b) = a + b*sqrt(2): the second row is (1 + sqrt 2) times the first
     first = [(1, 0), (0, 1)]
     second = [(1, 1), (2, 1)]
-    assert rank_quad_rows([first, second], 2) == 1
-    assert rank_quad_rows([first, [(0, 0), (0, 0)], [(1, 0), (0, 0)]], 2) == 2
+    assert rank_rows([first, second], 2) == 1
+    assert rank_rows([first, [(0, 0), (0, 0)], [(1, 0), (0, 0)]], 2) == 2
 
 
 def test_scaled_rows_keep_rank():
@@ -271,19 +270,19 @@ def test_scaled_rows_keep_rank():
         rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)] for _ in range(3)]
         rows.append([a + b for a, b in zip(rows[0], rows[1])])
         expected = rank_naive(Matrix.from_rows(rows))
-        assert rank_int_rows([integer_scaled(r) for r in rows]) == expected
+        assert rank_rows([integer_scaled(r) for r in rows]) == expected
 
 
-# -- the mod-p certificate of full rank in rank_int_rows ------------------------
+# -- the mod-p certificate of full rank over Z -----------------------------------
 #
-# Each case checks rank_int_rows against the textbook elimination in
+# Each case checks rank_rows against the textbook elimination in
 # oracle.rank_naive and against sympy's rank over ZZ.  (sympy's DomainMatrix
 # rank: Matrix.rank simplifies entry by entry and takes minutes on a 20x20
 # matrix of 64-bit entries.)
 
 
 def assert_rank(rows, expected=None):
-    rank = rank_int_rows(rows)
+    rank = rank_rows(rows)
     assert rank == rank_naive(Matrix.from_rows(rows))
     assert rank == sympy.Matrix(rows).to_DM().rank()
     if expected is not None:
@@ -305,7 +304,7 @@ def spy_on_modular_pass(monkeypatch, record):
 
 @pytest.fixture
 def modular_pivots(monkeypatch):
-    """The pivot count of every mod-p pass that rank_int_rows runs."""
+    """The pivot count of every mod-p pass that an integer rank runs."""
     counts = []
 
     def record(p, pivots):
@@ -433,10 +432,10 @@ def test_slot_bound_holds_exactly_at_the_largest_k_the_pass_accepts():
         assert p <= RANK_PRIME and largest_slot(p, SLOT_BOUND) < 2**64
 
 
-# -- the mod-p certificate of full rank in rank_quad_rows -----------------------
+# -- the mod-p certificate of full rank over Z[sqrt d] ----------------------------
 #
 # a + b*sqrt(d) maps to a + b*s mod p with s^2 = d mod p.  Each case checks
-# rank_quad_rows against the Z[sqrt d] Bareiss elimination (the pass switched
+# rank_rows against the Z[sqrt d] Bareiss elimination (the pass switched
 # off) and against sympy's rank over QQ<sqrt(d)>.
 
 
@@ -448,9 +447,9 @@ def sympy_quad_rank(rows, d):
 
 
 def assert_quad_rank(rows, d, expected=None):
-    rank = rank_quad_rows(rows, d)
+    rank = rank_rows(rows, d)
     with mock.patch.object(linalg, "SLOT_BOUND", 0):
-        bareiss = rank_quad_rows(rows, d)
+        bareiss = rank_rows(rows, d)
     assert rank == bareiss == sympy_quad_rank(rows, d)
     if expected is not None:
         assert rank == expected
@@ -518,14 +517,32 @@ def test_quad_primes_count_down_the_primes_3_mod_4():
     assert list(islice(linalg._primes_3_mod_4(), QUAD_PRIME_TRIES)) == want
     square_free = [d for d in range(2, 120) if all(e == 1 for e in sympy.factorint(d).values())]
     for d in square_free + [3 * RANK_PRIME]:
-        p, s = linalg._quad_root(d)
+        p, s = linalg._quad_ring(d).root
         assert p == next(q for q in want if sympy.legendre_symbol(d % q, q) >= 0)
         assert (s * s - d) % p == 0 and 0 <= s < p
 
 
+def test_the_root_search_waits_for_the_modular_pass_and_runs_once_per_d(monkeypatch):
+    tested = []
+    real = linalg.is_prime
+    monkeypatch.setattr(linalg, "is_prime", lambda n: tested.append(n) or real(n))
+    linalg._quad_ring.cache_clear()
+    rng = random.Random(76)
+    assert rank_rows(random_quad_rows(rng, SMALL_RANK, 5), 2) == SMALL_RANK
+    assert tested == []  # no mod-p pass at k <= SMALL_RANK, so no root
+    assert rank_rows(random_quad_rows(rng, 5, 4), 2) == 4
+    searched = len(tested)
+    assert searched > 0
+    assert rank_rows(random_quad_rows(rng, 6, 6), 2) == 6
+    assert len(tested) == searched
+    (p2, s2), (p3, s3) = linalg._quad_ring(2).root, linalg._quad_ring(3).root
+    assert len(tested) > searched  # d = 3 searches for its own root
+    assert (s2 * s2 - 2) % p2 == 0 and (s3 * s3 - 3) % p3 == 0
+
+
 def test_p_dividing_d_maps_sqrt_d_to_zero(quad_pivots):
     d = RANK_PRIME  # square-free, and the first prime tried divides it
-    assert linalg._quad_root(d) == (d, 0)
+    assert linalg._quad_ring(d).root == (d, 0)
     rng = random.Random(64)
     rows = random_quad_rows(rng, 5, 6)
     assert_quad_rank(rows, d, 5)
@@ -537,7 +554,7 @@ def test_p_dividing_d_maps_sqrt_d_to_zero(quad_pivots):
 
 def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(quad_pivots):
     assert sympy.legendre_symbol(2, RANK_PRIME) == -1  # RANK_PRIME = 3 mod 8
-    p, s = linalg._quad_root(2)
+    p, s = linalg._quad_ring(2).root
     assert p < RANK_PRIME and (s * s - 2) % p == 0
     rng = random.Random(65)
     assert_quad_rank(random_quad_rows(rng, 6, 8), 2, 6)
@@ -547,7 +564,7 @@ def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(quad_pivots):
 
 @pytest.mark.parametrize("d", [2, 3, 5, RANK_PRIME])
 def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(quad_pivots, d):
-    p, s = linalg._quad_root(d)
+    p, s = linalg._quad_ring(d).root
     vanishing = (p - s, 1)  # (p - s) + sqrt(d) is nonzero, and maps to p = 0
     rng = random.Random(66)
     rows = random_quad_rows(rng, 6, 6)
@@ -573,7 +590,7 @@ def test_small_quad_ranks_skip_the_modular_pass(quad_pivots, k):
 
 
 def test_every_rank_above_small_runs_the_modular_pass_once_at_any_entry_width(quad_pivots):
-    quad_p = linalg._quad_root(3)[0]
+    quad_p = linalg._quad_ring(3).root[0]
     rng = random.Random(61)
     for bits in (1, 2, 40, 100):
         low = 2 ** (bits - 1)
@@ -602,7 +619,7 @@ def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_piv
         rows = [[rng.getrandbits(40) for _ in range(k + 1)] for _ in range(k)]
         assert_rank(rows, k)
         assert_quad_rank(random_quad_rows(rng, k + 1, k), 3, k)
-    p = linalg._quad_root(3)[0]
+    p = linalg._quad_ring(3).root[0]
     assert quad_pivots == [(RANK_PRIME, 5), (p, 5)]
 
 
@@ -610,10 +627,6 @@ def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_piv
 #
 # After a mod-p pass that found more than SMALL_RANK pivots, _rank sorts the rows,
 # then the columns, by the total bit length of their entries before Bareiss.
-
-
-def ring_rank(rows, d):
-    return rank_int_rows(rows) if d is None else rank_quad_rows(rows, d)
 
 
 def oracle_ranks(rows, d):
@@ -663,12 +676,12 @@ def mixed_width_products(draw):
 @given(mixed_width_products(), st.randoms(use_true_random=False))
 def test_mixed_width_products_rank_exactly_in_any_row_and_column_order(case, rng):
     rows, d, rank = case
-    assert ring_rank(rows, d) == rank
+    assert rank_rows(rows, d) == rank
     assert oracle_ranks(rows, d) == (rank, rank)
     for _ in range(3):
         rng.shuffle(rows)
         order = rng.sample(range(len(rows[0])), len(rows[0]))
-        assert ring_rank([[row[j] for j in order] for row in rows], d) == rank
+        assert rank_rows([[row[j] for j in order] for row in rows], d) == rank
 
 
 @pytest.mark.parametrize("d", [None, 3])
@@ -680,14 +693,14 @@ def test_only_more_than_small_rank_pivots_mod_p_sort_the_rows(monkeypatch, quad_
     scales = [2**40 + 1, 1, 2**20 + 7, 3, 2**60 + 3, 5]
     rows = [[scales[i] * (j == i) for j in range(6)] for i in range(5)]
     rows.append([scales[5] * (j < found) for j in range(6)])
-    name = "_int_bits" if d is None else "_quad_bits"
+    ring = linalg._INTEGERS if d is None else linalg._quad_ring(d)
     measured = []
-    real = getattr(linalg, name)
-    monkeypatch.setattr(linalg, name, lambda entries: measured.append(entries) or real(entries))
-    if d is None:
-        assert_rank(rows, 5)
-    else:
-        assert_quad_rank([[(a, a) for a in row] for row in rows], d, 5)
+    real = ring.bits
+    with mock.patch.object(ring, "bits", lambda entries: measured.append(entries) or real(entries)):
+        if d is None:
+            assert_rank(rows, 5)
+        else:
+            assert_quad_rank([[(a, a) for a in row] for row in rows], d, 5)
     assert [pivots for _, pivots in quad_pivots] == [found]
     # one bit size per row and one per column, only past the gate
     assert len(measured) == (12 if found > SMALL_RANK else 0)
@@ -739,14 +752,16 @@ def watch_hand_overs(monkeypatch, d):
     runs = []
     real = linalg._packed_bareiss
 
-    def spy(rows, nonzero, unit, split, join, pivot):
+    def spy(rows, ring):
         prevs = []
+        pivot = ring.pivot
 
         def recorded(prow, h, bound, prev):
             prevs.append(prev)
             return pivot(prow, h, bound, prev)
 
-        left, rank, prev = real(rows, nonzero, unit, split, join, recorded)
+        with mock.patch.object(ring, "pivot", recorded):
+            left, rank, prev = real(rows, ring)
         want_rows, want_prev = bareiss_prefix(rows, rank, d)
         assert bareiss_prefix(left, 0, d)[0] == want_rows and prev == want_prev
         runs.append((rows, left, rank, prev, prevs))
@@ -762,12 +777,15 @@ def list_steps(monkeypatch):
     calls = []
     real = linalg._rank
 
-    def spy(rows, residues, nonzero, step, *rest):
+    def spy(rows, ring):
+        step = ring.step
+
         def counted(*args):
             calls.append(None)
             return step(*args)
 
-        return real(rows, residues, nonzero, counted, *rest)
+        with mock.patch.object(ring, "step", counted):
+            return real(rows, ring)
 
     monkeypatch.setattr(linalg, "_rank", spy)
     return calls
@@ -811,7 +829,7 @@ def packed_rank(monkeypatch, rows, d, rank=None):
     """The hand-over of the rank of rows, which both oracles check; None when
     the mod-p pass found too few pivots to sort and pack."""
     runs = watch_hand_overs(monkeypatch, d)
-    got = ring_rank(rows, d)
+    got = rank_rows(rows, d)
     assert oracle_ranks(rows, d) == (got, got)
     assert rank in (None, got)
     assert len(runs) <= 1
@@ -836,7 +854,7 @@ def test_bench_sized_products_never_take_a_list_step(list_steps, shape, d):
     # the shapes of the benchmark's deficient CSVs, entries a little wider
     rng = random.Random(75)
     rows = ring_product(rng, shape, 4 if d is None else 2, d, unit_block=True)
-    assert ring_rank(rows, d) == shape[2]
+    assert rank_rows(rows, d) == shape[2]
     assert list_steps == []
 
 
@@ -894,6 +912,33 @@ def test_a_step_that_could_leave_a_slot_is_not_packed(monkeypatch, d):
         rows = [[(a, 0) for a in row] for row in rows]
     _, left, rank, _, _ = packed_rank(monkeypatch, rows, d, 6)
     assert rank == 0 and len(left) == 7
+
+
+@pytest.mark.parametrize(
+    "shape, bits, unit_block",
+    [
+        ((SMALL_RANK, 5, SMALL_RANK), 8, False),  # no mod-p pass
+        ((6, 8, 6), 20, False),  # full rank, certified mod p
+        ((30, 30, 24), 2, True),  # packed to the end
+        ((9, 9, 7), 6, False),  # packed, then handed over to the list loop
+    ],
+)
+def test_integer_rows_rank_alike_as_pairs_over_z_sqrt3(quad_pivots, shape, bits, unit_block):
+    rng = random.Random(77)
+    rows = ring_product(rng, shape, bits, None, unit_block)
+    runs = []
+    for ring_rows, d in ((rows, None), ([[(a, 0) for a in row] for row in rows], 3)):
+        with pytest.MonkeyPatch.context() as patch:
+            runs.append(packed_rank(patch, ring_rows, d, shape[2]))
+    k, rank = min(shape[:2]), shape[2]
+    pivots = [found for _, found in quad_pivots]
+    if k <= SMALL_RANK:
+        assert pivots == [] and runs == [None, None]
+    elif rank == k:
+        assert pivots == [k, k] and runs == [None, None]
+    else:  # more than SMALL_RANK pivots mod p: both sort and pack
+        (_, int_left, *_), (_, quad_left, *_) = runs
+        assert (int_left == []) == (quad_left == []) == unit_block
 
 
 @settings(max_examples=40, deadline=None)
