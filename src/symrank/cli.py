@@ -256,22 +256,25 @@ def _cmd_theorem2(args) -> dict:
     return out
 
 
-# name -> builder from the parsed arguments; the names are also the argparse choices
+# name -> builder from the parsed arguments; the names are also the argparse choices.
+# A builder caps its order at SIZE_CAP first: 2^k, and q + 1 before is_prime divides q
 HADAMARD_CONSTRUCTIONS = {
-    "sylvester": lambda args: dsg.sylvester(args.k),
-    "paley": lambda args: dsg.paley(args.q),
+    "sylvester": lambda args: dsg.sylvester(_capped("--k", args.k, SIZE_CAP.bit_length() - 1)),
+    "paley": lambda args: dsg.paley(_capped("--q", args.q, SIZE_CAP - 1)),
 }
 
 DESIGNS = {
     "fano": lambda args: dsg.fano(),
     "complement-fano": lambda args: dsg.complement_design(dsg.fano()),
-    "paley-hadamard": lambda args: dsg.hadamard_design(dsg.paley(args.q)),
-    "sylvester-hadamard": lambda args: dsg.hadamard_design(dsg.sylvester(args.k)),
+    "paley-hadamard": lambda args: dsg.hadamard_design(HADAMARD_CONSTRUCTIONS["paley"](args)),
+    "sylvester-hadamard": lambda args: dsg.hadamard_design(
+        HADAMARD_CONSTRUCTIONS["sylvester"](args)
+    ),
 }
 
 
 def _hadamard_family(args) -> fam.SetFamily:
-    order = args.order
+    order = _capped("--order", args.order)
     if order < 1 or order & (order - 1):
         raise ValueError(f"--order must be a power of two, got {order}")
     return fam.hadamard_family(dsg.sylvester(order.bit_length() - 1))

@@ -15,6 +15,8 @@ incidence graphs.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import UnsupportedParameterError, VerificationError
 from .exactfield import is_prime
 from .ensemble import (
@@ -223,18 +225,15 @@ def onebytwo_scan(k_minus_lambda: int, bound: int) -> list[tuple[int, int]]:
     """Coprime pairs 0 < alpha < beta <= bound with alpha*beta/(alpha-beta)^2 = k - lambda.
 
     Any prime dividing both (alpha-beta)^2 and alpha*beta would divide both
-    alpha and beta, so coprime solutions force |alpha - beta| = 1 and the scan
-    reduces to beta(beta-1) = k - lambda over adjacent pairs.
+    alpha and beta, so coprime solutions force |alpha - beta| = 1, leaving
+    beta(beta-1) = k - lambda over adjacent pairs.  beta(beta-1) increases
+    with beta, so at most one beta solves it: 4(k - lambda) + 1 = (2 beta - 1)^2.
     """
     if k_minus_lambda < 1:
         raise ValueError(f"k - lambda must be >= 1, got {k_minus_lambda}")
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    out = []
-    for beta in range(2, bound + 1):
-        product = beta * (beta - 1)
-        if product > k_minus_lambda:
-            break
-        if product == k_minus_lambda:
-            out.append((beta - 1, beta))
-    return out
+    beta = (1 + isqrt(4 * k_minus_lambda + 1)) // 2
+    if beta * (beta - 1) == k_minus_lambda and beta <= bound:
+        return [(beta - 1, beta)]
+    return []

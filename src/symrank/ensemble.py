@@ -31,7 +31,7 @@ from math import factorial, prod
 
 from .errors import DegenerateEnsembleError, GoodPairError
 from .exactfield import format_scalar
-from .linalg import SIZE_CAP, Matrix, integer_scaled, quad_discriminant, quad_scaled
+from .linalg import SIZE_CAP, Matrix, ring_rows
 
 
 class LinearTheta:
@@ -107,14 +107,13 @@ class TwoValuePair:
     def integral_values(self) -> tuple:
         """(d, values) with the four values scaled by one common nonzero factor.
 
-        d is None and the values are ints when all four are rational;
-        otherwise they are Z[sqrt(d)] pairs (a, b).  A common factor changes
-        neither the rank of an ensemble matrix nor mu^2.
+        The values are linalg.ring_rows of the one row (f(a,a), f(a,b),
+        f(b,a), f(b,b)), so one factor scales all four: ints with d None when
+        all four are rational, otherwise Z[sqrt(d)] pairs (a, b).  A common
+        factor changes neither the rank of an ensemble matrix nor mu^2.
         """
-        d = quad_discriminant(self.values)
-        if d is None:
-            return None, tuple(integer_scaled(self.values))
-        return d, tuple(quad_scaled(self.values))
+        (row,), d = ring_rows([self.values])
+        return d, tuple(row)
 
     @cached_property
     def mu_squared(self):

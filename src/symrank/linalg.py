@@ -3,9 +3,9 @@
 Matrices are dense and immutable by convention, with entries that are ints,
 Fractions, or QuadExt elements over a single discriminant.  A QuadExt is
 never rational, so a matrix is over Q(sqrt(d)) exactly when it has a QuadExt
-entry.  `rank_rows` ranks rows with denominators cleared row by row, over Z
-or over Z[sqrt(d)]; a matrix of ints goes to it as it is.  CSV cells that
-are integers parse to ints.
+entry.  `ring_rows` clears the denominators row by row, into the rows over Z
+or over Z[sqrt(d)] that `rank_rows` ranks; rows of ints pass as they are.
+CSV cells that are integers parse to ints.
 
 One driver, `_rank`, computes the rank over both rings, each an object with
 the operations that `_Integers` lists.  A matrix with k = min(rows, cols) has
@@ -118,12 +118,7 @@ class Matrix:
 
     def rank(self) -> int:
         """Exact rank, independent of row/column order."""
-        rows = [self.row_list(i) for i in range(self.rows)]
-        if all(type(x) is int for x in self._e):
-            return rank_rows(rows)
-        quad_d = quad_discriminant(self._e)
-        scaled = integer_scaled if quad_d is None else quad_scaled
-        return rank_rows([scaled(row) for row in rows], quad_d)
+        return rank_rows(*ring_rows([self.row_list(i) for i in range(self.rows)]))
 
     # -- text I/O -----------------------------------------------------------
 
@@ -187,37 +182,31 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
-def quad_discriminant(values) -> int | None:
-    """The d of the QuadExt scalars among values; None if all are rational.
+def ring_rows(rows: list[list]) -> tuple[list[list], int | None]:
+    """Rows of exact scalars as the arguments of rank_rows: (rows, d).
 
-    Raises FieldMismatchError when two of them have different d.
+    Rows of ints come back as they are, with no lcm computed.  Otherwise each
+    row is multiplied by the lcm of its own denominators, which preserves
+    rank: into ints with d None when every entry is rational, else into
+    Z[sqrt(d)] pairs (a, b), d the discriminant of the QuadExt entries.  Two
+    discriminants raise FieldMismatchError naming the first two, in entry order.
     """
-    quad_d = None
-    for x in values:
-        if isinstance(x, QuadExt):
-            if quad_d is None:
-                quad_d = x.d
-            elif x.d != quad_d:
-                raise FieldMismatchError(f"matrix mixes sqrt({quad_d}) and sqrt({x.d}) entries")
-    return quad_d
-
-
-def integer_scaled(values) -> list[int]:
-    """Rational scalars times the lcm of their denominators (scaling preserves rank)."""
-    scale = lcm(*(v.denominator for v in values))
-    if scale == 1:
-        return [v.numerator for v in values]
-    return [v.numerator * (scale // v.denominator) for v in values]
-
-
-def quad_scaled(values) -> list[tuple[int, int]]:
-    """Scalars of Q(sqrt(d)) as Z[sqrt(d)] pairs (a, b), scaled by one common factor."""
-    parts = [(v.a, v.b) if type(v) is QuadExt else (v, 0) for v in values]
-    scale = lcm(*(x.denominator for pair in parts for x in pair))
-    return [
-        (a.numerator * (scale // a.denominator), b.numerator * (scale // b.denominator))
-        for a, b in parts
-    ]
+    if all(type(x) is int for x in chain.from_iterable(rows)):
+        return rows, None
+    d = None
+    for x in chain.from_iterable(rows):
+        if type(x) is QuadExt and x.d != d:
+            if d is not None:
+                raise FieldMismatchError(f"matrix mixes sqrt({d}) and sqrt({x.d}) entries")
+            d = x.d
+    scaled = []
+    for row in rows:
+        if d is not None:  # a_0, b_0, a_1, b_1, ...: the row's pairs, flattened
+            row = [v for x in row for v in ((x.a, x.b) if type(x) is QuadExt else (x, 0))]
+        scale = lcm(*(v.denominator for v in row))
+        row = [v.numerator * (scale // v.denominator) if scale > 1 else v.numerator for v in row]
+        scaled.append(row if d is None else list(zip(row[::2], row[1::2])))
+    return scaled, d
 
 
 def rank_rows(rows: list[list], d: int | None = None) -> int:

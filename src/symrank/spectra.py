@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import VerificationError
 from .exactfield import as_fraction, format_scalar, scalar_sign, solve_monic_quadratic
-from .ensemble import BipartiteGraph, TwoValuePair, mu_squared
+from .ensemble import BipartiteGraph, LinearTheta, TwoValuePair, mu_squared
 from .linalg import Matrix  # noqa: F401  kept bound: bench/test_bench.py reads spectra.Matrix
 from .linalg import rank_rows
 
@@ -188,11 +188,9 @@ def low_rank_matching_instance(theta, n: int, sign: str = "+") -> tuple[object, 
     makes mu^2 == 1 an eigenvalue of K_{n,n} minus a perfect matching with
     multiplicity n - 1.  Returns (beta, report).
     """
-    theta = Fraction(theta)
-    if not 0 < theta < 1:
-        raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    coeff = 2 + (1 / theta - 1) ** 2
+    f = LinearTheta(theta)  # checks theta before 1 / theta
+    coeff = 2 + (1 / f.theta - 1) ** 2
     plus, minus = solve_monic_quadratic(-coeff, 1)
     beta = plus if sign == "+" else minus
-    pair = TwoValuePair.linear(theta, Fraction(1), beta)
+    pair = TwoValuePair(f, Fraction(1), beta)
     return beta, rank_sandwich(pair, complete_minus_matching(n))

@@ -195,6 +195,22 @@ def test_hadamard_and_design(capsys, tmp_path):
     assert design["v"] == 23 and design["k"] == 11 and design["lambda"] == 5
 
 
+def test_hadamard_orders_at_the_cap_build_and_unused_flags_stay_unchecked(capsys):
+    huge = str(10**20)
+    for argv, order in (
+        (["--construction", "sylvester", "--k", "10", "--q", huge], 1024),
+        (["--construction", "paley", "--q", "1019", "--k", huge], 1020),
+    ):
+        code, out = run_cli(capsys, "hadamard", *argv)
+        assert code == 0
+        assert json.loads(out)["order"] == order
+    for argv in (
+        ["design", "--design", "fano", "--k", huge, "--q", huge],
+        ["family-build", "--kind", "fano", "--order", huge],
+    ):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
 def test_onebytwo(capsys):
     code, out = run_cli(capsys, "onebytwo", "--k-minus-lambda", "6", "--bound", "100")
     assert code == 0
@@ -704,6 +720,29 @@ MALFORMED_INPUTS = [
              "n must be even and >= 4, got 5"),
             ("build-hadamard-order-4", ["family-build", "--kind", "hadamard", "--order", "4"],
              "order 4 is unsupported"),
+            # a Hadamard builder caps its order 2^k, q + 1 or --order at 1024 first
+            ("sylvester-k-11", ["hadamard", "--construction", "sylvester", "--k", "11"],
+             "--k 11 exceeds the size limit of 10"),
+            ("paley-q-1031", ["hadamard", "--construction", "paley", "--q", "1031"],
+             "--q 1031 exceeds the size limit of 1023"),
+            ("design-k-11", ["design", "--design", "sylvester-hadamard", "--k", "11"],
+             "--k 11 exceeds the size limit of 10"),
+            ("design-rank-q-1031", ["design-rank", "--design", "paley-hadamard", "--q", "1031"],
+             "--q 1031 exceeds the size limit of 1023"),
+            ("build-order-2048", ["family-build", "--kind", "hadamard", "--order", "2048"],
+             "--order 2048 exceeds the size limit of 1024"),
+            ("search-order-2048",
+             ["family-search", "--n", "8", "--seed-kind", "hadamard", "--order", "2048"],
+             "--order 2048 exceeds the size limit of 1024"),
+            *(
+                (f"{name}-huge", argv + [flag, str(10**20)],
+                 f"{flag} {10**20} exceeds the size limit of {cap}")
+                for name, argv, flag, cap in (
+                    ("sylvester-k", ["hadamard", "--construction", "sylvester"], "--k", 10),
+                    ("paley-q", ["hadamard", "--construction", "paley"], "--q", 1023),
+                    ("build-order", ["family-build", "--kind", "hadamard"], "--order", 1024),
+                )
+            ),
             # the search's cap binds before any seed is built
             ("search-n-22", ["family-search", "--n", "22"],
              "--n 22 exceeds the size limit of 20"),

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -385,6 +386,34 @@ def test_onebytwo_scan_examples():
 def test_onebytwo_scan_matches_brute_force():
     for target in (1, 2, 3, 4, 6, 12, 20, 30, 49):
         assert onebytwo_scan(target, 300) == coprime_pairs_brute(target, 300)
+
+
+def _onebytwo_loop(k_minus_lambda, bound):
+    """The scan as a loop over beta = 2..bound, stopping once beta(beta-1) passes k - lambda."""
+    out = []
+    for beta in range(2, bound + 1):
+        product = beta * (beta - 1)
+        if product > k_minus_lambda:
+            break
+        if product == k_minus_lambda:
+            out.append((beta - 1, beta))
+    return out
+
+
+def test_onebytwo_scan_matches_the_loop():
+    for bound in (2, 3, 10, 50, 71, 10**4):
+        for target in range(1, 5001):
+            assert onebytwo_scan(target, bound) == _onebytwo_loop(target, bound)
+
+
+def test_onebytwo_scan_of_a_huge_target_returns_at_once():
+    beta = 10**20
+    target = beta * (beta - 1)
+    start = time.perf_counter()
+    assert onebytwo_scan(target, beta) == [(beta - 1, beta)]
+    assert onebytwo_scan(target, beta - 1) == []
+    assert onebytwo_scan(10**30, 10**20) == []
+    assert time.perf_counter() - start < 1
 
 
 def test_prime_powers():

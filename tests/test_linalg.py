@@ -12,6 +12,7 @@ from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
 
 from symrank import linalg
+from symrank.errors import FieldMismatchError
 from symrank.exactfield import QuadExt, parse_scalar
 from symrank.linalg import (
     QUAD_PRIME_TRIES,
@@ -19,9 +20,8 @@ from symrank.linalg import (
     SLOT_BOUND,
     SMALL_RANK,
     Matrix,
-    integer_scaled,
-    quad_scaled,
     rank_rows,
+    ring_rows,
 )
 
 from oracle import rank_naive
@@ -135,8 +135,6 @@ def test_bareiss_matches_oracle_small_sample():
 
 
 def test_mixed_discriminant_rank_rejected():
-    from symrank.errors import FieldMismatchError
-
     m = Matrix.from_rows([[QuadExt(0, 1, 2), QuadExt(0, 1, 5)]])
     with pytest.raises(FieldMismatchError):
         m.rank()
@@ -236,15 +234,13 @@ def test_csv_roundtrip_property(case):
         assert all(type(x) is int for x in again.entries())
 
 
-def test_int_matrix_ranks_without_rescaling(monkeypatch):
-    def rescaled(values):
-        raise AssertionError("an int matrix was rescaled")
-
-    monkeypatch.setattr(linalg, "integer_scaled", rescaled)
-    assert squared_difference_matrix(6).rank() == 3
-    assert Matrix.from_csv("2,4,6\n1,2,3\n-1,0,1\n").rank() == 2
-    with pytest.raises(AssertionError):
-        Matrix(1, 2, [Fraction(1, 2), 1]).rank()
+def test_int_matrix_ranks_without_rescaling():
+    with mock.patch.object(linalg, "lcm", wraps=linalg.lcm) as lcm:
+        assert squared_difference_matrix(6).rank() == 3
+        assert Matrix.from_csv("2,4,6\n1,2,3\n-1,0,1\n").rank() == 2
+        lcm.assert_not_called()
+        assert Matrix(1, 2, [Fraction(1, 2), 1]).rank() == 1
+        lcm.assert_called()
 
 
 def test_row_rank_entry_points():
@@ -259,18 +255,28 @@ def test_row_rank_entry_points():
 
 
 def test_scaled_rows_keep_rank():
-    assert integer_scaled([Fraction(1, 2), Fraction(-2, 3), 4]) == [3, -4, 24]
-    assert integer_scaled([]) == []
-    assert quad_scaled([QuadExt(Fraction(1, 2), Fraction(1, 3), 5), Fraction(1, 4)]) == [
-        (6, 4),
-        (3, 0),
-    ]
+    ints = [[1, 2], [3, 4]]
+    assert ring_rows(ints) == (ints, None) and ring_rows(ints)[0] is ints
+    assert ring_rows([[Fraction(1, 2), Fraction(-2, 3), 4], [1, 2, 3], []]) == (
+        [[3, -4, 24], [1, 2, 3], []],
+        None,
+    )
+    # each row by the lcm of its own denominators, rationals as pairs (x, 0)
+    quad = QuadExt(Fraction(1, 2), Fraction(1, 3), 5)
+    assert ring_rows([[quad, Fraction(1, 4), 2], [Fraction(3, 4), 1, 0]]) == (
+        [[(6, 4), (3, 0), (24, 0)], [(3, 0), (4, 0), (0, 0)]],
+        5,
+    )
+    # the message names the first two discriminants in entry order
+    mixed = [[1, QuadExt(0, 1, 3)], [QuadExt(0, 1, 2), QuadExt(0, 1, 5)]]
+    with pytest.raises(FieldMismatchError, match=re.escape("mixes sqrt(3) and sqrt(2) entries")):
+        ring_rows(mixed)
     rng = random.Random(53)
     for _ in range(30):
         rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)] for _ in range(3)]
         rows.append([a + b for a, b in zip(rows[0], rows[1])])
         expected = rank_naive(Matrix.from_rows(rows))
-        assert rank_rows([integer_scaled(r) for r in rows]) == expected
+        assert rank_rows(*ring_rows(rows)) == expected
 
 
 # -- the mod-p certificate of full rank over Z -----------------------------------

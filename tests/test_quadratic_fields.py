@@ -18,7 +18,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from symrank.errors import NoRealRootError
 from symrank.exactfield import QuadExt, scalar_sign, solve_monic_quadratic
-from symrank.linalg import Matrix, quad_scaled, rank_rows
+from symrank.linalg import Matrix, rank_rows, ring_rows
 
 DISCRIMINANTS = (2, 3, 5, 6, 7, 10, 13)
 
@@ -120,7 +120,7 @@ def test_rank_matches_sympy(case):
     shape = (len(rows), len(rows[0]))
     want = DomainMatrix([[to_sympy(x, d) for x in row] for row in rows], shape, _field(d)[0]).rank()
     assert Matrix.from_rows(rows).rank() == want
-    assert rank_rows([quad_scaled(row) for row in rows], d) == want
+    assert rank_rows(*ring_rows(rows)) == want
 
 
 def _sympy_rational(x):
