@@ -67,6 +67,15 @@ def square_free_part(n: int) -> tuple[int, int]:
     return d, s
 
 
+def check_discriminant(d: int) -> None:
+    """Raise ValueError unless d is a square-free integer >= 2, the d of a QuadExt."""
+    if d < 2:
+        raise ValueError(f"discriminant must be >= 2, got {d}")
+    sf, sq = square_free_part(d)
+    if sq != 1:
+        raise ValueError(f"discriminant must be square-free, got {d} = {sq}**2 * {sf}")
+
+
 def is_prime(n: int) -> bool:
     """Whether n is prime, by trial division."""
     if n < 4:
@@ -92,11 +101,7 @@ class QuadExt:
     def __new__(cls, a, b, d: int):
         # d is checked first, so a zero b still names a bad d; __init__ then
         # fills in an irrational element (bench/tracing.py counts those calls)
-        if d < 2:
-            raise ValueError(f"discriminant must be >= 2, got {d}")
-        sf, sq = square_free_part(d)
-        if sq != 1:
-            raise ValueError(f"discriminant must be square-free, got {d} = {sq}**2 * {sf}")
+        check_discriminant(d)
         if not b:
             return Fraction(a)
         return object.__new__(cls)

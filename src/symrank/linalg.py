@@ -5,7 +5,9 @@ Fractions, or QuadExt elements over a single discriminant.  A QuadExt is
 never rational, so a matrix is over Q(sqrt(d)) exactly when it has a QuadExt
 entry.  `ring_rows` clears the denominators row by row, into the rows over Z
 or over Z[sqrt(d)] that `rank_rows` ranks; rows of ints pass as they are.
-CSV cells that are integers parse to ints.
+`Matrix.from_csv` reads CSV text straight into such rows: integer cells and
+cells a+b*sqrt(d) with integer a and b become ints and pairs without a
+scalar, and a cell is parsed into a scalar only when its entry is asked for.
 
 One driver, `_rank`, computes the rank over both rings, each an object with
 the operations that `_Integers` lists.  A matrix with k = min(rows, cols) has
@@ -51,6 +53,7 @@ packing.
 
 from __future__ import annotations
 
+import re
 import sys
 from array import array
 from functools import cached_property, lru_cache
@@ -58,7 +61,7 @@ from itertools import chain, islice
 from math import lcm
 
 from .errors import FieldMismatchError
-from .exactfield import QuadExt, format_scalar, is_prime, parse_scalar
+from .exactfield import QuadExt, check_discriminant, format_scalar, is_prime, parse_scalar
 
 # largest vertex count, part size, ground set, or CSV row or column count a
 # command builds a structure for; memory grows with its square, and at the cap
@@ -82,27 +85,35 @@ SMALL_RANK = 3
 QUAD_PRIME_TRIES = 32
 
 
-class Matrix:
-    """Dense matrix of exact scalars, stored row-major."""
+# a CSV cell that from_csv reads without parse_scalar: an integer a, or
+# a+b*sqrt(r) with integers a and b and no inner spaces
+_RING_CELL = re.compile(r"([+-]?\d+)(?:([+-]\d+)\*sqrt\((\d+)\))?")
 
-    __slots__ = ("rows", "cols", "_e")
+
+class Matrix:
+    """Dense matrix of exact scalars, stored row-major.
+
+    A matrix read by from_csv keeps its lines of text and its ring rows
+    instead of scalars: it ranks from the ring rows, and parses its scalars
+    from the text only when they are asked for.
+    """
+
+    __slots__ = ("rows", "cols", "_e", "_lines", "_ring")
 
     def __init__(self, rows: int, cols: int, entries):
         self.rows = rows
         self.cols = cols
         self._e = list(entries)
-
-    @classmethod
-    def from_rows(cls, row_lists) -> "Matrix":
-        """The matrix of rows of one length."""
-        row_lists = [list(r) for r in row_lists]
-        cols = len(row_lists[0]) if row_lists else 0
-        return cls(len(row_lists), cols, [x for r in row_lists for x in r])
+        self._lines = self._ring = None
 
     def row_list(self, i: int) -> list:
+        if self._lines is not None:
+            return [parse_scalar(cell) for cell in self._lines[i].split(",")]
         return self._e[i * self.cols : (i + 1) * self.cols]
 
     def entries(self) -> list:
+        if self._lines is not None:
+            return [x for i in range(self.rows) for x in self.row_list(i)]
         return list(self._e)
 
     def __eq__(self, other):
@@ -111,14 +122,15 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and all(a == b for a, b in zip(self._e, other._e))
+            and all(a == b for a, b in zip(self.entries(), other.entries()))
         )
 
     # -- rank -------------------------------------------------------------
 
     def rank(self) -> int:
         """Exact rank, independent of row/column order."""
-        return rank_rows(*ring_rows([self.row_list(i) for i in range(self.rows)]))
+        ring = self._ring or ring_rows([self.row_list(i) for i in range(self.rows)])
+        return rank_rows(*ring)
 
     # -- text I/O -----------------------------------------------------------
 
@@ -130,13 +142,20 @@ class Matrix:
 
     @classmethod
     def from_csv(cls, text: str) -> "Matrix":
-        """Parse CSV text, each cell as parse_scalar reads it.
+        """Read CSV text straight into the ring rows that rank_rows takes.
 
-        A line without "_" is first read with one int() per cell, which
-        accepts exactly the cells parse_scalar reads as ints once "_" is ruled
-        out; any other line goes cell by cell through parse_scalar.  A bad
-        cell raises ValueError naming its 1-based row and column, and a row
-        whose length differs from row 1's names the row and both lengths.
+        Each cell is read as parse_scalar reads it.  A line without "_" is
+        first read with one int() per cell, which accepts exactly the cells
+        parse_scalar reads as ints once "_" is ruled out.  On any other line a
+        cell of the form a or a+b*sqrt(r), with integers a and b and no inner
+        spaces, becomes the pair (a, b), each distinct r checked once by
+        check_discriminant; every other cell goes through parse_scalar.  Only
+        a cell with b != 0 fixes the matrix's d, so 1+0*sqrt(3) is the
+        rational 1 in any matrix.  A row is scaled by the lcm of its
+        denominators only when parse_scalar left a Fraction in it.
+
+        A bad cell raises ValueError naming its 1-based row and column, and a
+        row whose length differs from row 1's names the row and both lengths.
         The first cell over a second discriminant is a bad cell, so a mixed
         matrix is rejected before the remaining cells are parsed and factored.
         More than SIZE_CAP rows, or a line of more than SIZE_CAP cells, is
@@ -147,9 +166,11 @@ class Matrix:
         for count, what in ((len(lines), "rows"), (widest, "columns")):
             if count > SIZE_CAP:
                 raise ValueError(f"{count} {what} exceed the size limit of {SIZE_CAP}")
-        rows = []
-        quad_d = None
-        for line in lines:
+        width = lines[0].count(",") + 1 if lines else 0
+        rows = []  # rows of ints until a cell fixes d, then of Z[sqrt(d)] pairs
+        d = None
+        checked = set()
+        for i, line in enumerate(lines, 1):
             cells = line.split(",")
             row = None
             if "_" not in line:  # int() reads "1_000"; parse_scalar rejects it
@@ -157,26 +178,52 @@ class Matrix:
                     row = list(map(int, cells))
                 except ValueError:
                     pass
+            known = d
             if row is None:
-                row = []
+                row = []  # a_0, b_0, a_1, b_1, ...: the line's pairs, flattened
+                fraction = False
                 for col, cell in enumerate(cells, 1):
                     try:
-                        x = parse_scalar(cell)
-                        if type(x) is QuadExt and x.d != quad_d:
-                            if quad_d is not None:
+                        m = None if "/" in cell else _RING_CELL.fullmatch(cell.strip())
+                        if m is None:
+                            x = parse_scalar(cell)
+                            fraction = True
+                            if type(x) is not QuadExt:  # a rational fixes no d
+                                row += (x, 0)
+                                continue
+                            a, b, r = x.a, x.b, x.d
+                        else:
+                            a, b, r = m.groups()
+                            a, b = int(a), int(b or 0)
+                            if r is not None:
+                                r = int(r)
+                                if r not in checked:
+                                    check_discriminant(r)
+                                    checked.add(r)
+                        if b and r != d:
+                            if d is not None:
                                 raise FieldMismatchError(
-                                    f"matrix mixes sqrt({quad_d}) and sqrt({x.d}) entries"
+                                    f"matrix mixes sqrt({d}) and sqrt({r}) entries"
                                 )
-                            quad_d = x.d
+                            d = r
                     except ValueError as exc:
-                        raise ValueError(f"row {len(rows) + 1}, column {col}: {exc}") from None
-                    row.append(x)
-            if rows and len(row) != len(rows[0]):
-                raise ValueError(
-                    f"row {len(rows) + 1} has length {len(row)}, expected {len(rows[0])} as row 1"
-                )
+                        raise ValueError(f"row {i}, column {col}: {exc}") from None
+                    row += (a, b)
+                if d is None:  # every b is 0
+                    row = _scaled(row[::2]) if fraction else row[::2]
+                else:
+                    row = _paired(_scaled(row) if fraction else row)
+            elif d is not None:
+                row = [(a, 0) for a in row]
+            if len(cells) != width:
+                raise ValueError(f"row {i} has length {len(cells)}, expected {width} as row 1")
+            if known is None and d is not None:  # d was fixed on this line
+                rows = [[(a, 0) for a in earlier] for earlier in rows]
             rows.append(row)
-        return cls.from_rows(rows)
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols = len(lines), width
+        matrix._e, matrix._lines, matrix._ring = None, lines, (rows, d)
+        return matrix
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -199,14 +246,23 @@ def ring_rows(rows: list[list]) -> tuple[list[list], int | None]:
             if d is not None:
                 raise FieldMismatchError(f"matrix mixes sqrt({d}) and sqrt({x.d}) entries")
             d = x.d
-    scaled = []
-    for row in rows:
-        if d is not None:  # a_0, b_0, a_1, b_1, ...: the row's pairs, flattened
-            row = [v for x in row for v in ((x.a, x.b) if type(x) is QuadExt else (x, 0))]
-        scale = lcm(*(v.denominator for v in row))
-        row = [v.numerator * (scale // v.denominator) if scale > 1 else v.numerator for v in row]
-        scaled.append(row if d is None else list(zip(row[::2], row[1::2])))
-    return scaled, d
+    if d is None:
+        return [_scaled(row) for row in rows], None
+    pairs = (
+        [v for x in row for v in ((x.a, x.b) if type(x) is QuadExt else (x, 0))] for row in rows
+    )
+    return [_paired(_scaled(row)) for row in pairs], d
+
+
+def _scaled(row: list) -> list[int]:
+    """The rationals of a row times the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in row))
+    return [v.numerator * (scale // v.denominator) if scale > 1 else v.numerator for v in row]
+
+
+def _paired(row: list[int]) -> list[tuple[int, int]]:
+    """The pairs (a_0, b_0), (a_1, b_1), ... of a row a_0, b_0, a_1, b_1, ..."""
+    return list(zip(row[::2], row[1::2]))
 
 
 def rank_rows(rows: list[list], d: int | None = None) -> int:

@@ -21,6 +21,14 @@ from math import gcd
 
 from symrank.designs import SymmetricDesign
 from symrank.ensemble import BipartiteGraph, Tournament
+from symrank.linalg import Matrix
+
+
+def from_rows(row_lists) -> Matrix:
+    """The Matrix of rows of one length."""
+    row_lists = [list(r) for r in row_lists]
+    cols = len(row_lists[0]) if row_lists else 0
+    return Matrix(len(row_lists), cols, [x for r in row_lists for x in r])
 
 
 def rank_naive(matrix) -> int:

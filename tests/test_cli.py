@@ -1,19 +1,22 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symrank import exactfield, linalg
 from symrank.cli import UNECHOED, build_parser, main, report_json
 from symrank.designs import paley, sylvester
 from symrank.ensemble import matrix_from_tournament
-from symrank.exactfield import square_free_part
+from symrank.exactfield import QuadExt, square_free_part
 from symrank.linalg import Matrix
 
 from oracle import hadamard_csv, hadamard_rows
@@ -316,6 +319,26 @@ def test_second_discriminant_is_rejected_at_its_cell(capsys, tmp_path):
     assert f"row 1, column 2: matrix mixes sqrt({primes[0]}) and sqrt({primes[1]})" in err
     # the cells after the second discriminant are never parsed, so never factored
     assert square_free_part.cache_info().misses <= misses + 2
+
+
+def test_integral_quadratic_csv_ranks_without_the_scalar_parser(capsys, tmp_path):
+    rng = random.Random(23)
+
+    def cell():
+        a, b = rng.randint(-9, 9), rng.randint(-3, 3)
+        return f"{a}{b:+d}*sqrt(5)" if b else str(a)
+
+    path = tmp_path / "sqrt5.csv"
+    path.write_text("".join(",".join(cell() for _ in range(12)) + "\n" for _ in range(12)))
+    with (
+        mock.patch.object(linalg, "parse_scalar", wraps=linalg.parse_scalar) as parse,
+        mock.patch.object(exactfield, "square_free_part", wraps=square_free_part) as factor,
+        mock.patch.object(QuadExt, "__init__", autospec=True, side_effect=QuadExt.__init__) as init,
+    ):
+        assert main(["rank", "--in", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 12
+    assert parse.call_count == 0
+    assert factor.call_count + init.call_count <= 1
 
 
 _json_scalars = (
@@ -792,6 +815,10 @@ MALFORMED_INPUTS = [
              "row 1, column 2: cannot certify square-free part of 1000036000099"),
             ("csv-mixed-discriminants", ["rank", "--in", "{path}"],
              "1,1+1*sqrt(2)\n1+1*sqrt(3),1\n",
+             "row 2, column 1: matrix mixes sqrt(2) and sqrt(3) entries"),
+            # a cell with a rational part goes through parse_scalar, then the same check
+            ("csv-mixed-discriminants-parsed-cell", ["rank", "--in", "{path}"],
+             "1,1+1*sqrt(2)\n1/2+1*sqrt(3),1\n",
              "row 2, column 1: matrix mixes sqrt(2) and sqrt(3) entries"),
             ("check-n-0", ["family-check", "--in", "{path}"],
              json.dumps({"n": 0, "sets": []}), "ground_n must be an integer >= 1, got 0"),

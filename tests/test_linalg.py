@@ -24,7 +24,7 @@ from symrank.linalg import (
     ring_rows,
 )
 
-from oracle import rank_naive
+from oracle import from_rows, rank_naive
 
 
 def squared_difference_matrix(n):
@@ -46,7 +46,7 @@ def test_heawood_gram_nullity():
     # 2-(7,3,1) axioms: diagonal k = 3, off-diagonal lambda = 1
     assert g == [[3 if i == j else 1 for j in range(7)] for i in range(7)]
     # G - 2I = J has nullity 6, the multiplicity of sqrt(2) in the Heawood graph
-    shifted = Matrix.from_rows(
+    shifted = from_rows(
         [[v - 2 * (i == j) for j, v in enumerate(row)] for i, row in enumerate(g)]
     )
     assert 7 - shifted.rank() == 6
@@ -135,7 +135,7 @@ def test_bareiss_matches_oracle_small_sample():
 
 
 def test_mixed_discriminant_rank_rejected():
-    m = Matrix.from_rows([[QuadExt(0, 1, 2), QuadExt(0, 1, 5)]])
+    m = from_rows([[QuadExt(0, 1, 2), QuadExt(0, 1, 5)]])
     with pytest.raises(FieldMismatchError):
         m.rank()
 
@@ -143,11 +143,11 @@ def test_mixed_discriminant_rank_rejected():
 def test_degenerate_shapes():
     assert Matrix(0, 0, []).rank() == 0
     assert Matrix(0, 5, []).rank() == 0
-    assert Matrix.from_rows([]).rows == 0
+    assert from_rows([]).rows == 0
 
 
 def test_csv_roundtrip():
-    m = Matrix.from_rows(
+    m = from_rows(
         [
             [Fraction(1, 2), QuadExt(Fraction(3, 2), Fraction(1, 2), 5)],
             [0, Fraction(-7, 3)],
@@ -243,6 +243,125 @@ def test_int_matrix_ranks_without_rescaling():
         lcm.assert_called()
 
 
+# -- CSV text straight into ring rows ----------------------------------------------
+#
+# The reference reads a grid cell by cell through parse_scalar, rejects the
+# first cell over a second discriminant, and converts with ring_rows.
+
+
+def _cell_by_cell(grid):
+    """(rows of scalars, None), or (None, the message of the first bad cell)."""
+    rows, d = [], None
+    for i, cells in enumerate(grid, 1):
+        row = []
+        for j, cell in enumerate(cells, 1):
+            try:
+                x = parse_scalar(cell)
+                if type(x) is QuadExt and x.d != d:
+                    if d is not None:
+                        raise FieldMismatchError(f"matrix mixes sqrt({d}) and sqrt({x.d}) entries")
+                    d = x.d
+            except ValueError as exc:
+                return None, f"row {i}, column {j}: {exc}"
+            row.append(x)
+        rows.append(row)
+    return rows, None
+
+
+def _read_and_rank(text):
+    """from_csv then rank: (the arguments rank_rows got, the matrix, its rank)."""
+    matrix = Matrix.from_csv(text)
+    with mock.patch.object(linalg, "rank_rows", wraps=linalg.rank_rows) as spy:
+        rank = matrix.rank()
+    return spy.call_args.args, matrix, rank
+
+
+def _fast_cell(pad, a, b, r):
+    """a, or a+b*sqrt(r) with the sign of b written, padded outside."""
+    return f"{pad}{a}{pad}" if r is None else f"{pad}{a}{b:+d}*sqrt({r}){pad}"
+
+
+@st.composite
+def ring_csv_grids(draw):
+    """Grids of CSV cells: integer lines, and lines that mix the fast form
+    a+b*sqrt(r) (b = 0 included) with cells only parse_scalar reads."""
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    d = draw(st.sampled_from([2, 3, 5]))
+    # mostly the matrix's d; a second square-free one, and radicands QuadExt rejects
+    radicand = st.sampled_from([d] * 6 + [7, 4, 8, 1])
+    ints = st.integers(-(10**30), 10**30)
+    small = st.integers(-9, 9)
+    pad = st.sampled_from(["", " "])
+    fast = st.one_of(
+        st.builds(_fast_cell, pad, ints, st.none(), st.none()),
+        st.builds(_fast_cell, pad, ints, small, radicand),
+        st.builds(_fast_cell, pad, small, st.just(0), radicand),
+        st.sampled_from(["\u0663", "-\u0663+1*sqrt(\u0662)", "+0", "-0"]),
+    )
+    fraction = st.fractions(min_value=-9, max_value=9, max_denominator=6).map(str)
+    fallback = st.one_of(
+        fraction,
+        st.builds(lambda b, r: f"{b}*sqrt({r})", fraction, radicand),
+        st.builds(lambda a, b, r: f"{a}{'' if b.startswith('-') else '+'}{b}*sqrt({r})",
+                  fraction, fraction, radicand),
+        st.builds(lambda a, r: f"{a} + 1*sqrt({r})", small, radicand),
+        st.sampled_from(["1_000", "1/1", "3 4"]),
+    )
+    grid = []
+    for _ in range(r):
+        cell = ints.map(str) if draw(st.booleans()) else st.one_of(fast, fallback)
+        grid.append(draw(st.lists(cell, min_size=c, max_size=c)))
+    return grid
+
+
+@settings(max_examples=300)
+@given(ring_csv_grids())
+def test_csv_reads_the_ring_rows_of_its_cells_parsed_one_by_one(grid):
+    text = "".join(",".join(cells) + "\n" for cells in grid)
+    rows, error = _cell_by_cell(grid)
+    if error is not None:
+        with pytest.raises(ValueError) as exc:
+            Matrix.from_csv(text)
+        assert str(exc.value) == error
+        return
+    args, matrix, rank = _read_and_rank(text)
+    assert args == ring_rows(rows)
+    assert rank == rank_naive(from_rows(rows))
+    assert matrix == from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1,1+0*sqrt(4)\n", "row 1, column 2: discriminant must be square-free, got 4 = 2**2 * 1"),
+        ("1,1+1*sqrt(8)\n", "row 1, column 2: discriminant must be square-free, got 8 = 2**2 * 2"),
+    ],
+)
+def test_fast_cells_check_their_radicand_whatever_b(text, error):
+    with pytest.raises(ValueError, match=re.escape(error) + "$"):
+        Matrix.from_csv(text)
+
+
+@pytest.mark.parametrize(
+    "text, rows, d",
+    [
+        # b = 0 makes a rational, which fits a sqrt(2) matrix
+        ("1,1+1*sqrt(2)\n1+0*sqrt(3),2\n", [[(1, 0), (1, 1)], [(1, 0), (2, 0)]], 2),
+        # radicands only with b = 0: a matrix over Z
+        ("1+0*sqrt(3),2\n3,-4-0*sqrt(5)\n", [[1, 2], [3, -4]], None),
+        # an integer line, read before d is known, becomes pairs
+        ("1,2\n1+1*sqrt(2),3\n", [[(1, 0), (2, 0)], [(1, 1), (3, 0)]], 2),
+        # a scaled row read before d is known becomes pairs too
+        ("1/2+0*sqrt(3),1\n1,1+1*sqrt(2)\n", [[(1, 0), (2, 0)], [(1, 0), (1, 1)]], 2),
+        # a Fraction scales its own row only
+        ("1/2,1+1*sqrt(5)\n2,3\n", [[(1, 0), (2, 2)], [(2, 0), (3, 0)]], 5),
+    ],
+)
+def test_csv_ring_rows_of_named_cases(text, rows, d):
+    args, _, _ = _read_and_rank(text)
+    assert args == (rows, d)
+
+
 def test_row_rank_entry_points():
     assert rank_rows([]) == 0
     assert rank_rows([[0, 0], [0, 0]]) == 0
@@ -275,7 +394,7 @@ def test_scaled_rows_keep_rank():
     for _ in range(30):
         rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(4)] for _ in range(3)]
         rows.append([a + b for a, b in zip(rows[0], rows[1])])
-        expected = rank_naive(Matrix.from_rows(rows))
+        expected = rank_naive(from_rows(rows))
         assert rank_rows(*ring_rows(rows)) == expected
 
 
@@ -289,7 +408,7 @@ def test_scaled_rows_keep_rank():
 
 def assert_rank(rows, expected=None):
     rank = rank_rows(rows)
-    assert rank == rank_naive(Matrix.from_rows(rows))
+    assert rank == rank_naive(from_rows(rows))
     assert rank == sympy.Matrix(rows).to_DM().rank()
     if expected is not None:
         assert rank == expected
@@ -638,9 +757,9 @@ def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_piv
 def oracle_ranks(rows, d):
     """(rank_naive, sympy's DomainMatrix rank) over Z, or over Z[sqrt d] for d not None."""
     if d is None:
-        return rank_naive(Matrix.from_rows(rows)), sympy.Matrix(rows).to_DM().rank()
+        return rank_naive(from_rows(rows)), sympy.Matrix(rows).to_DM().rank()
     quads = [[QuadExt(a, b, d) for a, b in row] for row in rows]
-    return rank_naive(Matrix.from_rows(quads)), sympy_quad_rank(rows, d)
+    return rank_naive(from_rows(quads)), sympy_quad_rank(rows, d)
 
 
 @st.composite

@@ -80,6 +80,8 @@ ALLOWED_RAISES = {
 
 _INT_CSV = "1,2,3,4\n2,4,6,8\n1,0,1,0\n0,1,0,1/2\n"  # rank 3 < k = 4: certificate, then Bareiss
 _QUAD_CSV = "1,1+1*sqrt(2),0,1\n1-1*sqrt(2),-1,0,1-1*sqrt(2)\n0,0,1,2\n1,2,3,4\n"
+# fast cells (a, a+b*sqrt(d), b = 0 included) beside cells only parse_scalar reads
+_MIXED_CSV = "1,1/2+1*sqrt(2),2*sqrt(2)\n1+1*sqrt(2), 4 ,1+0*sqrt(3)\n3/2,1 + 1*sqrt(2),5\n"
 # e_1 .. e_5 of six columns and e_1 + ... + e_4: the certificate finds 4 > SMALL_RANK
 # pivots before it fails, so Bareiss first sorts the rows and columns by bit size,
 # then runs on packed rows to the end
@@ -105,6 +107,7 @@ CALLS = [
     (["rank", "--in", "{dir}/int.csv"], {"int.csv": _INT_CSV}, 0),
     # a Z[sqrt d] rank with k > 3 takes the modular pass before Bareiss
     (["rank", "--in", "{dir}/quad.csv"], {"quad.csv": _QUAD_CSV}, 0),
+    (["rank", "--in", "{dir}/mixed.csv"], {"mixed.csv": _MIXED_CSV}, 0),
     (["rank", "--in", "{dir}/sorted.csv"], {"sorted.csv": _SORTED_CSV}, 0),
     (
         ["rank", "--in", "{dir}/sorted.csv"],

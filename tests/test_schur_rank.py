@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from symrank.ensemble import BipartiteGraph, TwoValuePair, matrix_from_bigraph, mu_squared
 from symrank.exactfield import QuadExt, scalar_sign, solve_monic_quadratic
-from symrank.linalg import Matrix
 from symrank.spectra import _schur_rows, complete_minus_matching, ensemble_rank, rank_sandwich
 
-from oracle import complete_bigraph, empty_bigraph, rank_naive, schur_complement
+from oracle import complete_bigraph, empty_bigraph, from_rows, rank_naive, schur_complement
 
 
 def assert_schur_rank_exact(pair: TwoValuePair, g: BipartiteGraph) -> None:
@@ -202,8 +201,8 @@ def assert_builder_matches_dense_schur(pair: TwoValuePair, g: BipartiteGraph) ->
     leftover = [[v - qd2 * g_ij for v, g_ij in zip(row, g_row)] for row, g_row in zip(rows, gram)]
     for i, row in enumerate(leftover):
         row[i] += (p - 1) * xy
-    span = rank_naive(Matrix.from_rows([ones, degrees]))
-    assert rank_naive(Matrix.from_rows([ones, degrees, *zip(*leftover)])) == span
+    span = rank_naive(from_rows([ones, degrees]))
+    assert rank_naive(from_rows([ones, degrees, *zip(*leftover)])) == span
 
 
 @given(st.one_of(linear_pairs(), table_pairs(), quadratic_pairs()), graphs(max_side=6))
