@@ -204,9 +204,11 @@ def hadamard_family(h: HadamardMatrix) -> SetFamily:
         profiles.append(larges + quarter)
     elif missing == 1:
         existing = larges + quarter
+        # the quarter sets first, since one of them rejects almost every candidate
+        checked = quarter + larges
         # a set already in the family is not compatible with itself
         for t in dict.fromkeys(a & b for a, b in combinations(supports, 2)):
-            if t.bit_count() == n // 4 and all(_mask_compatible(t, e, half) for e in existing):
+            if t.bit_count() == n // 4 and all(_mask_compatible(t, e, half) for e in checked):
                 profiles.append(existing + [t])
                 break
         profiles.append(supports + quarter)

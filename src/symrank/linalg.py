@@ -13,27 +13,33 @@ One driver, `_rank`, computes the rank over both rings, each an object with
 the operations that `_Integers` lists.  A matrix with k = min(rows, cols) has
 rank k when its image modulo a prime p has rank k: reduction mod p is a ring
 map, so a k x k minor that is nonzero mod p is nonzero over the ring.  Over
-Z, p is RANK_PRIME = 2^26 - 5; over Z[sqrt(d)], a + b*sqrt(d) maps to a + b*s
-mod p, where p is the first prime = 3 mod 4 counting down from RANK_PRIME for
-which d is a square mod p and s^2 = d mod p (s = 0 when p divides d), which
-is again a ring map.  One pass, `_full_rank_mod_p`, serves both rings: it
-stores each row as one int of 64-bit slots, packed from one array of the
+Z, p is one of RANK_PRIMES = (2039, 2027), the first two primes = 3 mod 4
+below 2^11; over Z[sqrt(d)], a + b*sqrt(d) maps to a + b*s mod p, where p is
+the first, or the second, prime = 3 mod 4 counting down from 2039 for which
+d is a square mod p and s^2 = d mod p (s = 0 when p divides d), which is
+again a ring map.  One pass, `_full_rank_mod_p`, serves both rings: it
+stores each row as one int of 32-bit slots, packed from one array of the
 whole matrix's residues, and eliminates with one bignum multiply-add per
-row.  Since p < 2^26, a slot never carries for k up to SLOT_BOUND = 4097.
+row.  Since p < 2^11, a slot never carries for k up to SLOT_BOUND = 1035,
+which covers every k up to SIZE_CAP.
 
 The driver runs the pass when SMALL_RANK = 3 < k <= SLOT_BOUND and the ring
-has a prime.  At k <= 3 Bareiss is as fast as the pass up to entries of a
-few hundred bits (wider ones make such a rank slower, never different; a
-3 x 3 of 10^4-bit entries takes about 2 ms against 70 us).  Every other
-case, a rank below k mod p included, goes to fraction-free (Bareiss-style)
-Gaussian elimination, whose intermediate values stay minors of the matrix
-instead of blowing up as free-form fractions.  So the result never depends
-on the prime.  Bareiss pivots are the first nonzero entry in column order,
-rows scanned top-down.  When the pass found more than SMALL_RANK pivots
-before it failed, the rows and then the columns are first stable-sorted by
-the total bit length of their entries, so that the minors Bareiss builds
-start from the shortest ones; the order is a function of the entries, so the
-elimination stays deterministic.
+has a prime.  The first prime's pass counts k, k - 1 or fewer pivots, as the
+rank mod p is; k - 1 is how a prime that divides the determinant of a
+full-rank matrix almost always shows, so then the second prime's pass runs,
+and k pivots from either pass return k.  At k <= 3 Bareiss is as fast as
+the pass up to entries of a few hundred bits (wider ones make such a rank
+slower, never different; a 3 x 3 of 10^4-bit entries takes about 2 ms
+against 70 us).  Every other case, a rank below k mod both primes included,
+goes to fraction-free (Bareiss-style) Gaussian elimination, whose
+intermediate values stay minors of the matrix instead of blowing up as
+free-form fractions.  So the result never depends on the primes.  Bareiss
+pivots are the first nonzero entry in column order, rows scanned top-down.
+When the passes found more than SMALL_RANK pivots before they failed, the
+rows and then the columns are first stable-sorted by the total bit length of
+their entries, so that the minors Bareiss builds start from the shortest
+ones; the order is a function of the entries, so the elimination stays
+deterministic.
 
 On that sorted path the first Bareiss steps run on packed rows
 (`_packed_bareiss`): each row, over Z[sqrt(d)] each of its a-parts and
@@ -56,7 +62,7 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain, islice
 from math import lcm
 
@@ -68,12 +74,19 @@ from .exactfield import QuadExt, check_discriminant, format_scalar, is_prime, pa
 # the largest run (the matrix report of a 1024 + 1024 bigraph) peaks at about
 # 440 MiB
 SIZE_CAP = 1024
-# the prime of the full-rank certificate over Z, and the first one tried over
-# Z[sqrt(d)]; = 3 mod 4, so that a square root mod p is one pow
-RANK_PRIME = 2**26 - 5
-# largest min(rows, cols) whose elimination mod a prime p <= RANK_PRIME stays
-# inside 64-bit slots: (p - 1)(1 + (k - 1)(p - 1)) < 2^64
-SLOT_BOUND = (2**64 - RANK_PRIME) // (RANK_PRIME - 1) ** 2 + 1
+# the primes of the full-rank certificate over Z, the second run only when the
+# first leaves one pivot short: the first two primes = 3 mod 4 below 2^11, so
+# that a square root mod p is one pow; the Z[sqrt(d)] primes count down from
+# the first
+RANK_PRIMES = (2039, 2027)
+# largest min(rows, cols) whose elimination mod a prime p <= 2039 stays inside
+# 32-bit slots: (p - 1)(1 + (k - 1)(p - 1)) < 2^32; at least SIZE_CAP, so that
+# every rank a command asks for can be certified
+SLOT_BOUND = (2**32 - RANK_PRIMES[0]) // (RANK_PRIMES[0] - 1) ** 2 + 1
+# the array typecode of those unsigned 32-bit slots: C's unsigned int is only
+# sure to have 2 bytes, and unsigned long 4
+_RESIDUE_CODE = next(code for code in "IL" if array(code).itemsize == 4)
+_RESIDUE_SLOT = 2**32 - 1
 _SLOT = 2**64 - 1
 # a packed Bareiss slot holds a signed 64-bit value, in [-2^PACKED_BITS, 2^PACKED_BITS)
 PACKED_BITS = 63
@@ -81,7 +94,7 @@ PACKED_BITS = 63
 TIGHT_BITS = (15, 31, 47)
 # largest min(rows, cols) that goes straight to Bareiss
 SMALL_RANK = 3
-# how many primes a Z[sqrt(d)] ring tries for its root before leaving its ranks to Bareiss
+# how many primes a Z[sqrt(d)] ring tries for its two roots before leaving its ranks to Bareiss
 QUAD_PRIME_TRIES = 32
 
 
@@ -275,8 +288,9 @@ class _Integers:
     a ring, which _QuadIntegers overrides for Z[sqrt(d)].
 
     `unit` is the ring's 1, the predecessor of the first pivot;
-    `residues(rows)` returns the entries, row-major, under a ring map to the
-    integers mod a prime p, as (residues, p), or None when it has no such p;
+    `residues(rows, which)` returns the entries, row-major, under a ring map
+    to the integers mod the ring's first (which = 0) or second (which = 1)
+    prime p, as (residues, p), or None when it has no such p;
     `nonzero(entries)` tells whether a sequence of entries has a nonzero one;
     `step(row, head, tail, prev)` is row[1:] after one fraction-free step
     against the pivot row (head, *tail) whose predecessor pivot was prev;
@@ -291,8 +305,8 @@ class _Integers:
     unit = 1
     nonzero = any
 
-    def residues(self, rows):
-        p = RANK_PRIME
+    def residues(self, rows, which):
+        p = RANK_PRIMES[which]
         return [v % p for row in rows for v in row], p
 
     def split(self, row):
@@ -343,24 +357,24 @@ def _rank(rows, ring: _Integers) -> int:
     """Exact rank of `rows` over `ring`.
 
     With k = min(rows, cols), the certificate runs when
-    SMALL_RANK < k <= SLOT_BOUND and there is a p, and returns k when the
-    image has rank k; every other case goes to the Bareiss loop.  When the
-    pass found more than SMALL_RANK pivots (below that the O(rows * cols)
-    sort would cost a rank-1 elimination about 40% more), the rows and
-    columns are first sorted by `ring.bits`, and the loop's first steps run
-    on packed rows while their entries fit the slots.
+    SMALL_RANK < k <= SLOT_BOUND and there is a prime: it returns k when the
+    image mod the first prime has rank k, or has rank k - 1 and the image
+    mod the second prime has rank k; every other case goes to the Bareiss
+    loop.  When the passes found more than SMALL_RANK pivots (below that
+    the O(rows * cols) sort would cost a rank-1 elimination about 40% more),
+    the rows and columns are first sorted by `ring.bits`, and the loop's
+    first steps run on packed rows while their entries fit the slots.
     """
     k = min(len(rows), len(rows[0])) if rows else 0
     rank, prev = 0, ring.unit
     if SMALL_RANK < k <= SLOT_BOUND:
-        image = ring.residues(rows)
-        if image is not None:
-            found = _full_rank_mod_p(image[0], len(rows[0]), k, image[1])
-            if found == k:
-                return k
-            if found > SMALL_RANK:
-                rows = list(zip(*sorted(zip(*sorted(rows, key=ring.bits)), key=ring.bits)))
-                rows, rank, prev = _packed_bareiss(rows, ring)
+        found = _full_rank_mod_p(rows, ring, 0, k - 1)
+        # a second pass that falls short counts at most k - 1 = found pivots
+        if found == k or found == k - 1 and _full_rank_mod_p(rows, ring, 1, k) == k:
+            return k
+        if found > SMALL_RANK:
+            rows = list(zip(*sorted(zip(*sorted(rows, key=ring.bits)), key=ring.bits)))
+            rows, rank, prev = _packed_bareiss(rows, ring)
     nonzero, step = ring.nonzero, ring.step
     pending = [row for row in rows if nonzero(row)]
     while pending:
@@ -478,27 +492,37 @@ def _signed(slot: int) -> int:
     return slot - ((slot >> 63) << 64)
 
 
-def _full_rank_mod_p(residues: list[int], cols: int, k: int, p: int) -> int:
-    """The pivots found mod the prime p, up to k = min(rows, cols).
+def _full_rank_mod_p(rows, ring: _Integers, which: int, need: int) -> int:
+    """The pivots of `rows` found mod the ring's prime number `which` (see
+    _Integers.residues), up to k = min(rows, cols); 0 when there is no such
+    prime.
 
-    k means the matrix has rank k mod p, so over its ring too.  Below k the
-    pass stops as soon as the rows or columns left cannot reach k pivots, so
-    the count is a lower bound on the rank, not the rank mod p.
+    k means the matrix has rank k mod p, so over its ring too.  The pass
+    stops as soon as the rows or columns left cannot reach `need` pivots, so
+    a count below `need` is a lower bound on the rank, not the rank mod p;
+    from `need` up the count is the rank mod p.  A matrix whose entries all
+    share the factor p, as 2039 for the first prime over Z, has rank 0 mod p
+    and goes to Bareiss like any other that the passes do not certify.
 
-    `residues` holds its entries reduced mod p, row-major, `cols` to a row.
-    They are packed in one array of 64-bit slots, and each row is read from
-    it as one int: column 0 in the lowest slot on a little-endian machine,
-    in the highest on a big-endian one, which only reverses the order in
-    which the columns are eliminated.  The pivot row is reduced mod p and
-    scaled to head 1 by one unpack and one pack; every other row becomes
-    (row >> 64) + (p - x) * pivot_tail, where x is its head mod p, or just
-    row >> 64 when x is 0.  A row takes at most k - 1 such steps, each adding
-    at most (p-1)^2 to a slot, so a slot stays below
-    (p-1)(1 + (k-1)(p-1)) < 2^64 and never carries while k <= SLOT_BOUND
-    and p <= RANK_PRIME.
+    The residues are packed in one array of 32-bit slots, and each row is
+    read from it as one int: column 0 in the lowest slot on a little-endian
+    machine, in the highest on a big-endian one, which only reverses the
+    order in which the columns are eliminated.  The pivot row is reduced mod
+    p and scaled to head 1 by one unpack and one pack; every other row
+    becomes (row >> 32) + (p - x) * pivot_tail, where x is its head mod p,
+    or just row >> 32 when x is 0.  A row takes at most k - 1 such steps,
+    each adding at most (p-1)^2 to a slot, so a slot stays below
+    (p-1)(1 + (k-1)(p-1)) < 2^32 and never carries while k <= SLOT_BOUND
+    and p <= RANK_PRIMES[0].
     """
-    width = 8 * cols
-    packed = array("Q", residues).tobytes()
+    image = ring.residues(rows, which)
+    if image is None:
+        return 0
+    residues, p = image
+    cols = len(rows[0])
+    k = min(len(rows), cols)
+    width = 4 * cols
+    packed = array(_RESIDUE_CODE, residues).tobytes()
     pending = []
     for start in range(0, len(packed), width):
         row = int.from_bytes(packed[start : start + width], sys.byteorder)
@@ -506,26 +530,27 @@ def _full_rank_mod_p(residues: list[int], cols: int, k: int, p: int) -> int:
             pending.append(row)
     rank = 0
     for left in range(cols, 0, -1):  # columns left, the head's included
-        if rank + min(left, len(pending)) < k:
+        if rank + min(left, len(pending)) < need:
             return rank
         for idx, row in enumerate(pending):
-            head = (row & _SLOT) % p  # a slot can be a nonzero multiple of p
+            head = (row & _RESIDUE_SLOT) % p  # a slot can be a nonzero multiple of p
             if head:
                 break
         else:
-            pending = [row >> 64 for row in pending]
+            pending = [row >> 32 for row in pending]
             continue
         rank += 1
         if rank == k:
             return k
         del pending[idx]
         inv = pow(head, -1, p)
-        tail = array("Q", (row >> 64).to_bytes(8 * (left - 1), sys.byteorder))
-        prow = int.from_bytes(array("Q", [v * inv % p for v in tail]).tobytes(), sys.byteorder)
+        tail = array(_RESIDUE_CODE, (row >> 32).to_bytes(4 * (left - 1), sys.byteorder))
+        prow = array(_RESIDUE_CODE, [v * inv % p for v in tail]).tobytes()
+        prow = int.from_bytes(prow, sys.byteorder)
         nxt = []
         for row in pending:
-            x = (row & _SLOT) % p
-            row = (row >> 64) + (p - x) * prow if x else row >> 64
+            x = (row & _RESIDUE_SLOT) % p
+            row = (row >> 32) + (p - x) * prow if x else row >> 32
             if row:
                 nxt.append(row)
         pending = nxt
@@ -533,8 +558,18 @@ def _full_rank_mod_p(residues: list[int], cols: int, k: int, p: int) -> int:
 
 
 def _primes_3_mod_4():
-    """The primes = 3 mod 4 from RANK_PRIME down (RANK_PRIME = 3 mod 4)."""
-    return filter(is_prime, range(RANK_PRIME, 2, -4))
+    """The primes = 3 mod 4 from RANK_PRIMES[0] down (2039 = 3 mod 4)."""
+    return filter(is_prime, range(RANK_PRIMES[0], 2, -4))
+
+
+def _square_roots(d: int):
+    """(p, s) with s^2 = d mod p, for each of the first QUAD_PRIME_TRIES primes
+    p = 3 mod 4 counting down from RANK_PRIMES[0] for which d is a square mod
+    p, in that order; s = 0 when p divides d."""
+    for p in islice(_primes_3_mod_4(), QUAD_PRIME_TRIES):
+        s = pow(d, (p + 1) // 4, p)  # a square root of d whenever d has one
+        if (s * s - d) % p == 0:
+            yield p, s
 
 
 class _QuadIntegers(_Integers):
@@ -544,24 +579,27 @@ class _QuadIntegers(_Integers):
 
     def __init__(self, d: int):
         self.d = d
+        self.roots = []  # the roots found so far, first and second
+        self._search = _square_roots(d)  # runs no is_prime until a pass needs a root
 
-    @cached_property
-    def root(self) -> tuple[int, int] | None:
-        """(p, s) with s^2 = d mod p, for the first prime p = 3 mod 4 counting down
-        from RANK_PRIME for which d is a square mod p; None when none of the first
-        QUAD_PRIME_TRIES such primes has one.  s = 0 when p divides d.
+    def root(self, which: int) -> tuple[int, int] | None:
+        """The first (which = 0) or second (which = 1) (p, s) of _square_roots(d),
+        searched for only when first asked for and then kept in `roots`; None
+        when the first QUAD_PRIME_TRIES primes = 3 mod 4 have fewer roots.
         """
-        d = self.d
-        for p in islice(_primes_3_mod_4(), QUAD_PRIME_TRIES):
-            s = pow(d, (p + 1) // 4, p)  # a square root of d whenever d has one
-            if (s * s - d) % p == 0:
-                return p, s
-        return None
+        roots = self.roots
+        while len(roots) <= which:
+            found = next(self._search, None)
+            if found is None:
+                return None
+            roots.append(found)
+        return roots[which]
 
-    def residues(self, rows):
-        if self.root is None:
+    def residues(self, rows, which):
+        root = self.root(which)
+        if root is None:
             return None
-        p, s = self.root
+        p, s = root
         return [(a + b * s) % p for row in rows for a, b in row], p
 
     def nonzero(self, pairs):
@@ -625,5 +663,5 @@ class _QuadIntegers(_Integers):
 
 
 _INTEGERS = _Integers()
-# one ring per d, so that each d searches for its root once, when first needed
+# one ring per d, so that each d searches for each root once, when first needed
 _quad_ring = lru_cache(maxsize=64)(_QuadIntegers)

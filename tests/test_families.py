@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symrank.errors import UnsupportedParameterError
+from symrank import families
+from symrank.errors import ConstructionFailedError, UnsupportedParameterError
 from symrank.designs import sylvester
 from symrank.ensemble import BipartiteGraph, mask_to_points
 from symrank.families import (
@@ -146,6 +149,56 @@ def test_at_most_one_quarter_set_is_ever_missing():
         supports = h.row_masks[1:]
         quarter = {s & supports[0] for s in supports[1:]}
         assert len(quarter) >= h.order // 2 - 1
+
+
+def hadamard_family_checking_larges_first(h):
+    """hadamard_family with its profile search checking each candidate against
+    the large sets before the quarter sets, or None where it raises."""
+    n = h.order
+    supports = h.row_masks[1:]
+    larges = supports[1:]
+    quarter = list(dict.fromkeys(s & supports[0] for s in larges))
+    missing = n // 2 - len(quarter)
+    profiles = []
+    if missing == 0:
+        profiles.append(larges + quarter)
+    elif missing == 1:
+        existing = larges + quarter
+        for t in dict.fromkeys(a & b for a, b in combinations(supports, 2)):
+            if t.bit_count() == n // 4 and all(
+                families._mask_compatible(t, e, HALF) for e in existing
+            ):
+                profiles.append(existing + [t])
+                break
+        profiles.append(supports + quarter)
+    for masks in profiles:
+        family = SetFamily.from_masks(n, masks)
+        if len(family) == 3 * n // 2 - 2 and theta_violation(family, HALF) is None:
+            return family
+    return None
+
+
+def test_hadamard_family_is_the_one_the_large_sets_first_order_finds():
+    from symrank.designs import paley
+
+    # Sylvester orders 8 to 256, and the Paley orders divisible by 8
+    for h in [sylvester(k) for k in range(3, 9)] + [paley(q) for q in (23, 47, 71)]:
+        want = hadamard_family_checking_larges_first(h)
+        if want is None:
+            with pytest.raises(ConstructionFailedError):
+                hadamard_family(h)
+        else:
+            assert hadamard_family(h).masks == want.masks
+
+
+def test_hadamard_profile_search_checks_the_quarter_sets_first():
+    # with the large sets first, order 256 made 2,833,757 compatibility tests
+    with mock.patch.object(
+        families, "_mask_compatible", wraps=families._mask_compatible
+    ) as tested:
+        family = hadamard_family(sylvester(8))
+    assert len(family) == 382
+    assert tested.call_count < 150_000
 
 
 def test_hadamard_family_rejects_small_orders():

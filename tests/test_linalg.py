@@ -1,5 +1,6 @@
 import random
 import re
+from array import array
 from fractions import Fraction
 from itertools import islice
 from unittest import mock
@@ -16,7 +17,8 @@ from symrank.errors import FieldMismatchError
 from symrank.exactfield import QuadExt, parse_scalar
 from symrank.linalg import (
     QUAD_PRIME_TRIES,
-    RANK_PRIME,
+    RANK_PRIMES,
+    SIZE_CAP,
     SLOT_BOUND,
     SMALL_RANK,
     Matrix,
@@ -415,29 +417,27 @@ def assert_rank(rows, expected=None):
     return rank
 
 
-def spy_on_modular_pass(monkeypatch, record):
-    """Call record(p, pivots) after every run of the mod-p pass; k pivots certify rank k."""
+@pytest.fixture
+def pass_pivots(monkeypatch):
+    """(p, pivot count) of every mod-p pass a rank runs, over Z or Z[sqrt d]; k
+    pivots certify rank k.  Each pass is checked to be the first prime's, which
+    may leave one pivot short (need = k - 1), or the second prime's (need = k)."""
+    counts = []
     real = linalg._full_rank_mod_p
 
-    def spy(residues, cols, k, p):
-        pivots = real(residues, cols, k, p)
-        record(p, pivots)
+    def spy(rows, ring, which, need):
+        pivots = real(rows, ring, which, need)
+        assert need == min(len(rows), len(rows[0])) - 1 + which
+        assert which == 0 or counts[-1][1] == need - 1  # the second only after k - 1
+        image = ring.residues(rows, which)
+        counts.append((image and image[1], pivots))  # p None: the ring has no such prime
         return pivots
 
     monkeypatch.setattr(linalg, "_full_rank_mod_p", spy)
-
-
-@pytest.fixture
-def modular_pivots(monkeypatch):
-    """The pivot count of every mod-p pass that an integer rank runs."""
-    counts = []
-
-    def record(p, pivots):
-        assert p == RANK_PRIME
-        counts.append(pivots)
-
-    spy_on_modular_pass(monkeypatch, record)
     return counts
+
+
+P1, P2 = RANK_PRIMES
 
 
 @st.composite
@@ -487,18 +487,24 @@ def test_known_rank_products_fall_back_to_bareiss_exactly(case):
     assert_rank(rows, rank)
 
 
-def test_unlucky_prime_falls_back_to_the_exact_rank(modular_pivots):
-    p = RANK_PRIME
-    assert assert_rank([[p * (i == j == 0) + (i == j > 0) for j in range(4)] for i in range(4)], 4)
-    # a row that is 0 mod p leaves fewer than k rows: the pass stops before its first pivot
-    assert modular_pivots == [0]
+def test_unlucky_prime_falls_back_to_the_exact_rank(pass_pivots):
+    # a row that is 0 mod p leaves k - 1 rows: the first pass counts k - 1, and a
+    # second pass that also sees it stops before its first pivot
+    for scale, passes in ((P1, [(P1, 3), (P2, 4)]), (P1 * P2, [(P1, 3), (P2, 0)])):
+        del pass_pivots[:]
+        assert_rank([[scale * (i == j == 0) + (i == j > 0) for j in range(4)] for i in range(4)], 4)
+        assert pass_pivots == passes
     # a full-rank matrix with a nonzero row that is 0 mod p
     rng = random.Random(62)
     rows = [[rng.randint(-(2**20), 2**20) for _ in range(7)] for _ in range(6)]
-    rows[2] = [p * a for a in rows[2]]
-    del modular_pivots[:]
-    assert_rank(rows, 6)
-    assert modular_pivots == [0]
+    for scale, passes in ((P1, [(P1, 5), (P2, 6)]), (P1 * P2, [(P1, 5), (P2, 0)])):
+        del pass_pivots[:]
+        assert_rank(rows[:2] + [[scale * a for a in rows[2]]] + rows[3:], 6)
+        assert pass_pivots == passes
+    # two such rows leave k - 2 rows: the first pass stops before its first pivot
+    del pass_pivots[:]
+    assert_rank(rows[:2] + [[P1 * a for a in row] for row in rows[2:4]] + rows[4:], 6)
+    assert pass_pivots == [(P1, 0)]
 
 
 def slot_growth_rows(k: int, cols: int) -> list[list[int]]:
@@ -510,14 +516,16 @@ def slot_growth_rows(k: int, cols: int) -> list[list[int]]:
     The last row is twice the one before it: multiplier 2 at each of its
     k - 1 steps, after which it is 0 mod p with slots near (k-1)(p-1)^2.
     """
-    u = [[(j == t) - (j > t) for j in range(cols)] for t in range(k - 1)]
-    rows = [[sum(u[t][j] for t in range(r + 1)) for j in range(cols)] for r in range(k - 1)]
+    rows, total = [], [0] * cols
+    for t in range(k - 1):
+        total = [a + (j == t) - (j > t) for j, a in enumerate(total)]
+        rows.append(total)
     return rows + [[2 * a for a in rows[-1]]]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 17, 32, 40])
-def test_slot_growth_stays_inside_the_slots(modular_pivots, k):
-    p = RANK_PRIME
+def test_slot_growth_stays_inside_the_slots(pass_pivots, k):
+    p = P1
     # every entry p - 1, plus a nonzero diagonal: I - J and diag(1..k) - J mod p, full rank
     assert_rank([[p - 1 + (i == j) for j in range(k)] for i in range(k)], k)
     assert_rank([[p - 1 + (i == j) * (i + 1) for j in range(k + 2)] for i in range(k)], k)
@@ -525,14 +533,23 @@ def test_slot_growth_stays_inside_the_slots(modular_pivots, k):
     assert_rank([[2 * (i == j) - 1 for j in range(k)] for i in range(k)])
     for cols in (k, k + 2):
         assert_rank(slot_growth_rows(k, cols), k - 1)
-    # the three full ones, then the two rank-(k-1) cases, whose last row is 0 mod p
-    # after k - 1 pivots; up to SMALL_RANK the pass does not run
-    expected = [k, k, k, k - 1, k - 1] if k > SMALL_RANK else []
-    assert modular_pivots == expected
+    # the three full ones, then the two rank-(k-1) cases, whose last row is 0 mod
+    # either prime after k - 1 pivots; up to SMALL_RANK the pass does not run
+    expected = [(P1, k)] * 3 + [(P1, k - 1), (P2, k - 1)] * 2 if k > SMALL_RANK else []
+    assert pass_pivots == expected
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_slot_growth_at_the_slot_bound_stays_inside_the_slots(which):
+    # the pass alone, at the largest k it accepts: a carry out of a slot would
+    # leave the last row nonzero and count k pivots
+    k = SLOT_BOUND
+    rows = slot_growth_rows(k, k)
+    assert linalg._full_rank_mod_p(rows, linalg._INTEGERS, which, k - 1 + which) == k - 1
 
 
 @pytest.mark.parametrize("k", range(1, SMALL_RANK + 1))
-def test_small_ranks_skip_the_modular_pass_at_any_entry_width(modular_pivots, k):
+def test_small_ranks_skip_the_modular_pass_at_any_entry_width(pass_pivots, k):
     rng = random.Random(63 + k)
     for cols in (k, k + 2):
         rows = [[rng.getrandbits(10**4) - 2 ** (10**4 - 1) for _ in range(cols)] for _ in range(k)]
@@ -540,7 +557,7 @@ def test_small_ranks_skip_the_modular_pass_at_any_entry_width(modular_pivots, k)
         deficient = rows[:-1] + [[3 * a for a in rows[0]]]
         assert_rank(deficient, max(1, k - 1))
         assert_rank([row[:k] for row in rows[:1]] * k, 1)
-    assert modular_pivots == []
+    assert pass_pivots == []
 
 
 def largest_slot(p: int, k: int) -> int:
@@ -549,12 +566,25 @@ def largest_slot(p: int, k: int) -> int:
 
 
 def test_slot_bound_holds_exactly_at_the_largest_k_the_pass_accepts():
-    assert largest_slot(RANK_PRIME, SLOT_BOUND) < 2**64 <= largest_slot(RANK_PRIME, SLOT_BOUND + 1)
-    assert SLOT_BOUND == 4097
-    assert sympy.isprime(RANK_PRIME) and RANK_PRIME % 4 == 3 and RANK_PRIME < 2**26
-    # the Z[sqrt d] pass uses smaller primes, whose slots grow less
+    assert largest_slot(P1, SLOT_BOUND) < 2**32 <= largest_slot(P1, SLOT_BOUND + 1)
+    assert SLOT_BOUND == 1035
+    assert SLOT_BOUND >= SIZE_CAP  # every rank a command asks for can be certified
+    # the first two primes = 3 mod 4 below 2^11, the first the largest
+    assert list(RANK_PRIMES) == [p for p in sympy.primerange(2**10, 2**11) if p % 4 == 3][:-3:-1]
+    assert linalg._INTEGERS.residues([[P1 + 5, -1]], 0) == ([5, P1 - 1], P1)
+    assert linalg._INTEGERS.residues([[P1 + 5, -1]], 1) == ([(P1 + 5) % P2, P2 - 1], P2)
+    # the Z[sqrt d] pass uses these or smaller primes, whose slots grow less
     for p in islice(linalg._primes_3_mod_4(), QUAD_PRIME_TRIES):
-        assert p <= RANK_PRIME and largest_slot(p, SLOT_BOUND) < 2**64
+        assert p <= P1 and largest_slot(p, SLOT_BOUND) < 2**32
+
+
+def test_residues_pack_into_unsigned_32_bit_slots():
+    code = linalg._RESIDUE_CODE
+    assert code in "IL" and array(code).itemsize == 4
+    assert array(code, [2**32 - 1]).tolist() == [2**32 - 1]
+    for outside in (-1, 2**32):
+        with pytest.raises(OverflowError):
+            array(code, [outside])
 
 
 # -- the mod-p certificate of full rank over Z[sqrt d] ----------------------------
@@ -581,14 +611,6 @@ def assert_quad_rank(rows, d, expected=None):
     return rank
 
 
-@pytest.fixture
-def quad_pivots(monkeypatch):
-    """(p, pivot count) of every mod-p pass, over Z[sqrt d] or Z."""
-    counts = []
-    spy_on_modular_pass(monkeypatch, lambda p, pivots: counts.append((p, pivots)))
-    return counts
-
-
 def qmul(x, y, d):
     return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
@@ -603,7 +625,7 @@ def random_quad_rows(rng, r, c, bits=8):
 @st.composite
 def known_rank_quad_products(draw):
     """(rows, d, rank): [I; X] [I | Y] over Z[sqrt d], rows and columns shuffled."""
-    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, RANK_PRIME]))
+    d = draw(st.sampled_from([2, 3, 5, 6, 7, 10, P1]))
     r, c = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     k = min(r, c)
     rank = k - draw(st.integers(0, min(2, k)) | st.integers(0, k))
@@ -634,17 +656,37 @@ def test_known_rank_quad_products_agree_with_bareiss_and_sympy(case):
 
 
 def test_quad_primes_count_down_the_primes_3_mod_4():
-    want, p = [], RANK_PRIME + 1
+    want, p = [], P1 + 1
     while len(want) < QUAD_PRIME_TRIES:
         p = sympy.prevprime(p)
         if p % 4 == 3:
             want.append(p)
     assert list(islice(linalg._primes_3_mod_4(), QUAD_PRIME_TRIES)) == want
     square_free = [d for d in range(2, 120) if all(e == 1 for e in sympy.factorint(d).values())]
-    for d in square_free + [3 * RANK_PRIME]:
-        p, s = linalg._quad_ring(d).root
-        assert p == next(q for q in want if sympy.legendre_symbol(d % q, q) >= 0)
-        assert (s * s - d) % p == 0 and 0 <= s < p
+    for d in square_free + [3 * P1, P1 * P2]:
+        ring = linalg._quad_ring(d)
+        roots = [ring.root(0), ring.root(1)]
+        squares = [q for q in want if sympy.legendre_symbol(d % q, q) >= 0]
+        assert [p for p, _ in roots] == squares[:2]
+        for p, s in roots:
+            assert (s * s - d) % p == 0 and 0 <= s < p
+            assert (s == 0) == (d % p == 0)
+
+
+def test_a_d_with_fewer_roots_leaves_its_ranks_to_bareiss(monkeypatch, pass_pivots):
+    rng = random.Random(79)
+    rows = random_quad_rows(rng, 6, 6)
+    vanishing = (P1 - linalg._quad_ring(3).root(0)[1], 1)
+    rows[2] = [qmul(vanishing, x, 3) for x in rows[2]]
+    # with one prime tried there is no second root, with none no root at all
+    for tries, passes in ((1, [(P1, 5), (None, 0)]), (0, [(None, 0)])):
+        monkeypatch.setattr(linalg, "QUAD_PRIME_TRIES", tries)
+        linalg._quad_ring.cache_clear()
+        del pass_pivots[:]
+        assert_quad_rank(rows, 3, 6)
+        assert pass_pivots == passes
+        assert linalg._quad_ring(3).root(tries) is None
+    linalg._quad_ring.cache_clear()
 
 
 def test_the_root_search_waits_for_the_modular_pass_and_runs_once_per_d(monkeypatch):
@@ -655,67 +697,83 @@ def test_the_root_search_waits_for_the_modular_pass_and_runs_once_per_d(monkeypa
     rng = random.Random(76)
     assert rank_rows(random_quad_rows(rng, SMALL_RANK, 5), 2) == SMALL_RANK
     assert tested == []  # no mod-p pass at k <= SMALL_RANK, so no root
+    ring = linalg._quad_ring(2)
     assert rank_rows(random_quad_rows(rng, 5, 4), 2) == 4
     searched = len(tested)
-    assert searched > 0
+    assert searched > 0 and len(ring.roots) == 1  # certified by the first prime alone
     assert rank_rows(random_quad_rows(rng, 6, 6), 2) == 6
     assert len(tested) == searched
-    (p2, s2), (p3, s3) = linalg._quad_ring(2).root, linalg._quad_ring(3).root
+    # a row that vanishes mod the first prime: the second root is searched for now
+    rows = random_quad_rows(rng, 6, 6)
+    rows[0] = [qmul((P1 - ring.root(0)[1], 1), x, 2) for x in rows[0]]
+    assert rank_rows(rows, 2) == 6
+    assert len(ring.roots) == 2 and len(tested) > searched
+    searched = len(tested)
+    assert rank_rows(rows, 2) == 6
+    assert len(tested) == searched
+    (p2, s2), (p3, s3) = ring.root(0), linalg._quad_ring(3).root(0)
     assert len(tested) > searched  # d = 3 searches for its own root
     assert (s2 * s2 - 2) % p2 == 0 and (s3 * s3 - 3) % p3 == 0
 
 
-def test_p_dividing_d_maps_sqrt_d_to_zero(quad_pivots):
-    d = RANK_PRIME  # square-free, and the first prime tried divides it
-    assert linalg._quad_ring(d).root == (d, 0)
+def test_p_dividing_d_maps_sqrt_d_to_zero(pass_pivots):
+    d = P1  # square-free, and the first prime tried divides it
+    assert linalg._quad_ring(d).root(0) == (d, 0)
     rng = random.Random(64)
     rows = random_quad_rows(rng, 5, 6)
     assert_quad_rank(rows, d, 5)
     # the sqrt(d) parts alone map to 0 mod p, and have full rank over Q(sqrt d)
     assert_quad_rank([[(0, b) for _, b in row] for row in rows], d, 5)
-    # every row of the second is 0 mod p
-    assert quad_pivots == [(d, 5), (d, 0)]
+    # every row of the second is 0 mod p, so no second pass runs
+    assert pass_pivots == [(d, 5), (d, 0)]
 
 
-def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(quad_pivots):
-    assert sympy.legendre_symbol(2, RANK_PRIME) == -1  # RANK_PRIME = 3 mod 8
-    p, s = linalg._quad_ring(2).root
-    assert p < RANK_PRIME and (s * s - 2) % p == 0
+def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(pass_pivots):
+    assert sympy.legendre_symbol(7, P1) == -1
+    p, s = linalg._quad_ring(7).root(0)
+    assert p < P1 and (s * s - 7) % p == 0
     rng = random.Random(65)
-    assert_quad_rank(random_quad_rows(rng, 6, 8), 2, 6)
-    assert_quad_rank(random_quad_rows(rng, 9, 7, bits=40), 2, 7)
-    assert quad_pivots == [(p, 6), (p, 7)]
+    assert_quad_rank(random_quad_rows(rng, 6, 8), 7, 6)
+    assert_quad_rank(random_quad_rows(rng, 9, 7, bits=40), 7, 7)
+    assert pass_pivots == [(p, 6), (p, 7)]
 
 
-@pytest.mark.parametrize("d", [2, 3, 5, RANK_PRIME])
-def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(quad_pivots, d):
-    p, s = linalg._quad_ring(d).root
-    vanishing = (p - s, 1)  # (p - s) + sqrt(d) is nonzero, and maps to p = 0
+@pytest.mark.parametrize("d", [2, 3, 5, 2**26 - 5, P1])
+def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(pass_pivots, d):
+    (p1, s1), (p2, s2) = linalg._quad_ring(d).root(0), linalg._quad_ring(d).root(1)
+    first = (p1 - s1, 1)  # (p1 - s1) + sqrt(d) is nonzero, and maps to p1 = 0
+    both = qmul(first, (p2 - s2, 1), d)  # maps to 0 mod either prime
     rng = random.Random(66)
     rows = random_quad_rows(rng, 6, 6)
     assert_quad_rank(rows, d, 6)
-    rows[2] = [qmul(vanishing, x, d) for x in rows[2]]
-    assert_quad_rank(rows, d, 6)
-    # a diagonal minor of one such entry
-    diagonal = [[vanishing if i == j == 0 else (int(i == j), 0) for j in range(5)] for i in range(5)]
-    assert_quad_rank(diagonal, d, 5)
-    # a row 0 mod p leaves fewer than k rows: the pass stops before its first pivot
-    assert quad_pivots == [(p, 6), (p, 0), (p, 0)]
+    for vanishing in (first, both):
+        scaled = rows[:2] + [[qmul(vanishing, x, d) for x in rows[2]]] + rows[3:]
+        assert_quad_rank(scaled, d, 6)
+        # a diagonal minor of one such entry
+        diagonal = [
+            [vanishing if i == j == 0 else (int(i == j), 0) for j in range(5)] for i in range(5)
+        ]
+        assert_quad_rank(diagonal, d, 5)
+    # a row 0 mod p1 leaves k - 1 rows; the second prime certifies full rank unless
+    # the row is 0 mod p2 too, which stops its pass before its first pivot
+    assert pass_pivots == [(p1, 6), (p1, 5), (p2, 6), (p1, 4), (p2, 5)] + [
+        (p1, 5), (p2, 0), (p1, 4), (p2, 0)
+    ]
 
 
 @pytest.mark.parametrize("k", range(1, SMALL_RANK + 1))
-def test_small_quad_ranks_skip_the_modular_pass(quad_pivots, k):
+def test_small_quad_ranks_skip_the_modular_pass(pass_pivots, k):
     rng = random.Random(67 + k)
     for cols in (k, k + 2):
         rows = random_quad_rows(rng, k, cols, bits=200)
         assert_quad_rank(rows, 3, k)
         deficient = rows[:-1] + [[qmul((1, 1), x, 3) for x in rows[0]]]
         assert_quad_rank(deficient, 3, max(1, k - 1))
-    assert quad_pivots == []
+    assert pass_pivots == []
 
 
-def test_every_rank_above_small_runs_the_modular_pass_once_at_any_entry_width(quad_pivots):
-    quad_p = linalg._quad_ring(3).root[0]
+def test_every_rank_above_small_runs_the_modular_pass_at_any_entry_width(pass_pivots):
+    primes = [RANK_PRIMES, [linalg._quad_ring(3).root(which)[0] for which in (0, 1)]]
     rng = random.Random(61)
     for bits in (1, 2, 40, 100):
         low = 2 ** (bits - 1)
@@ -729,23 +787,103 @@ def test_every_rank_above_small_runs_the_modular_pass_once_at_any_entry_width(qu
                 int_deficient = rows[:-1] + [[-a for a in rows[0]]]
                 quad_deficient = quad[:-1] + [[qmul((1, 1), x, 3) for x in quad[0]]]
                 for int_rows, quad_rows in ((rows, quad), (int_deficient, quad_deficient)):
-                    del quad_pivots[:]
-                    ranks = assert_rank(int_rows), assert_quad_rank(quad_rows, 3)
-                    assert [p for p, _ in quad_pivots] == [RANK_PRIME, quad_p]
-                    for (_, pivots), rank in zip(quad_pivots, ranks):
+                    del pass_pivots[:]
+                    int_rank = assert_rank(int_rows)
+                    int_runs = pass_pivots[:]
+                    del pass_pivots[:]
+                    passes = [(int_rank, int_runs), (assert_quad_rank(quad_rows, 3), pass_pivots)]
+                    for (rank, runs), (p1, p2) in zip(passes, primes):
+                        # the first prime always, the second exactly when the first
+                        # leaves one pivot short
+                        first = runs[0][1]
+                        assert [p for p, _ in runs] == [p1] + [p2] * (first == k - 1)
                         # k pivots certify rank k, and fewer bound it from below
-                        assert (pivots == k) == (rank == k) and pivots <= rank
+                        assert (runs[-1][1] == k) == (rank == k)
+                        assert all(pivots <= rank for _, pivots in runs if pivots < k)
 
 
-def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, quad_pivots):
+def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, pass_pivots):
     monkeypatch.setattr(linalg, "SLOT_BOUND", 5)
     rng = random.Random(68)
     for k in (5, 6):
         rows = [[rng.getrandbits(40) for _ in range(k + 1)] for _ in range(k)]
         assert_rank(rows, k)
         assert_quad_rank(random_quad_rows(rng, k + 1, k), 3, k)
-    p = linalg._quad_ring(3).root[0]
-    assert quad_pivots == [(RANK_PRIME, 5), (p, 5)]
+    p = linalg._quad_ring(3).root(0)[0]
+    assert pass_pivots == [(P1, 5), (p, 5)]
+
+
+# -- the route through both primes ------------------------------------------------
+#
+# The first prime's pass counts k, k - 1 or fewer pivots; the second prime's runs
+# only at k - 1.  Each case checks the rank over Z (d None) and over Z[sqrt d]
+# against the Bareiss elimination with the passes switched off and against
+# sympy's DomainMatrix rank.
+
+
+def vanishing(d, which):
+    """A nonzero entry that the ring map to the prime number `which` sends to 0:
+    that prime over Z, (p - s) + sqrt(d) over Z[sqrt d]."""
+    if d is None:
+        return RANK_PRIMES[which]
+    p, s = linalg._quad_ring(d).root(which)
+    return p - s, 1
+
+
+def times(x, row, d):
+    return [x * a for a in row] if d is None else [qmul(x, a, d) for a in row]
+
+
+def plus(u, v, d):
+    if d is None:
+        return [a + b for a, b in zip(u, v)]
+    return [(a[0] + b[0], a[1] + b[1]) for a, b in zip(u, v)]
+
+
+@pytest.mark.parametrize("d", [None, 2, 7, P1])
+def test_the_second_prime_runs_only_when_the_first_leaves_one_pivot_short(pass_pivots, d):
+    ring = linalg._INTEGERS if d is None else linalg._quad_ring(d)
+    p1, p2 = RANK_PRIMES if d is None else (ring.root(0)[0], ring.root(1)[0])
+    one = vanishing(d, 0)
+    both = one * vanishing(d, 1) if d is None else qmul(one, vanishing(d, 1), d)
+    rng = random.Random(78)
+    rows = ring_product(rng, (6, 7, 6), 8, d, unit_block=False)
+    deficient = ring_product(rng, (6, 7, 5), 8, d, unit_block=False)
+    # rows 0 and 2 plus p1 times rows 4 and 5 in place of rows 4 and 5: rank k over the
+    # ring, k - 2 mod p1
+    mod_p1_twice = rows[:4] + [
+        plus(rows[i], times(one, rows[j], d), d) for i, j in ((0, 4), (2, 5))
+    ]
+    cases = [
+        # certified by the first prime
+        (rows, 6, [(p1, 6)]),
+        # a row 0 mod p1: one pivot short, then certified by the second prime
+        (rows[:2] + [times(one, rows[2], d)] + rows[3:], 6, [(p1, 5), (p2, 6)]),
+        # a row 0 mod either prime: both short, and Bareiss after the sort
+        (rows[:2] + [times(both, rows[2], d)] + rows[3:], 6, [(p1, 5), (p2, 0)]),
+        # corank 1 over the ring: both short
+        (deficient, 5, [(p1, 5), (p2, 5)]),
+        # two rows 0 mod p1, or two rows equal to others mod p1: no second pass
+        (rows[:2] + [times(one, row, d) for row in rows[2:4]] + rows[4:], 6, [(p1, 0)]),
+        (mod_p1_twice, 6, None),
+    ]
+    for matrix, rank, passes in cases:
+        del pass_pivots[:]
+        measured = []
+        real = ring.bits
+        with mock.patch.object(ring, "bits", lambda e: measured.append(e) or real(e)):
+            assert rank_rows(matrix, d) == rank
+        with mock.patch.object(linalg, "SLOT_BOUND", 0):
+            assert rank_rows(matrix, d) == rank
+        assert oracle_ranks(matrix, d)[1] == rank  # sympy's
+        if passes is None:  # one pass, which counts at most k - 2
+            assert [p for p, _ in pass_pivots] == [p1] and pass_pivots[0][1] <= 4
+        else:
+            assert pass_pivots == passes
+        # uncertified, the sort gate takes the larger count: the first pass's, since a
+        # second pass that falls short counts at most k - 1
+        found, last = pass_pivots[0][1], pass_pivots[-1][1]
+        assert len(measured) == (13 if last < 6 and found > SMALL_RANK else 0)
 
 
 # -- the bit-size order of the Bareiss fallback ----------------------------------
@@ -811,22 +949,22 @@ def test_mixed_width_products_rank_exactly_in_any_row_and_column_order(case, rng
 
 @pytest.mark.parametrize("d", [None, 3])
 @pytest.mark.parametrize("found", [SMALL_RANK, SMALL_RANK + 1])
-def test_only_more_than_small_rank_pivots_mod_p_sort_the_rows(monkeypatch, quad_pivots, found, d):
-    # e_1 .. e_5 of six columns, each times its own width, and the sum of e_1 .. e_found:
-    # the pass zeroes that sum at its pivot number `found` and stops, since the rows
-    # left cannot reach k = 6 pivots
+def test_only_more_than_small_rank_pivots_mod_p_sort_the_rows(monkeypatch, pass_pivots, found, d):
+    # e_1 .. e_4 of six columns, each times its own width, and two multiples of the
+    # sum of e_1 .. e_found: the pass zeroes both at its pivot number `found` and
+    # stops, since the rows left cannot reach k - 1 = 5 pivots
     scales = [2**40 + 1, 1, 2**20 + 7, 3, 2**60 + 3, 5]
-    rows = [[scales[i] * (j == i) for j in range(6)] for i in range(5)]
-    rows.append([scales[5] * (j < found) for j in range(6)])
+    rows = [[scales[i] * (j == i) for j in range(6)] for i in range(4)]
+    rows += [[scales[i] * (j < found) for j in range(6)] for i in (4, 5)]
     ring = linalg._INTEGERS if d is None else linalg._quad_ring(d)
     measured = []
     real = ring.bits
     with mock.patch.object(ring, "bits", lambda entries: measured.append(entries) or real(entries)):
         if d is None:
-            assert_rank(rows, 5)
+            assert_rank(rows, 4)
         else:
-            assert_quad_rank([[(a, a) for a in row] for row in rows], d, 5)
-    assert [pivots for _, pivots in quad_pivots] == [found]
+            assert_quad_rank([[(a, a) for a in row] for row in rows], d, 4)
+    assert [pivots for _, pivots in pass_pivots] == [found]
     # one bit size per row and one per column, only past the gate
     assert len(measured) == (12 if found > SMALL_RANK else 0)
 
@@ -1048,7 +1186,7 @@ def test_a_step_that_could_leave_a_slot_is_not_packed(monkeypatch, d):
         ((9, 9, 7), 6, False),  # packed, then handed over to the list loop
     ],
 )
-def test_integer_rows_rank_alike_as_pairs_over_z_sqrt3(quad_pivots, shape, bits, unit_block):
+def test_integer_rows_rank_alike_as_pairs_over_z_sqrt3(pass_pivots, shape, bits, unit_block):
     rng = random.Random(77)
     rows = ring_product(rng, shape, bits, None, unit_block)
     runs = []
@@ -1056,7 +1194,7 @@ def test_integer_rows_rank_alike_as_pairs_over_z_sqrt3(quad_pivots, shape, bits,
         with pytest.MonkeyPatch.context() as patch:
             runs.append(packed_rank(patch, ring_rows, d, shape[2]))
     k, rank = min(shape[:2]), shape[2]
-    pivots = [found for _, found in quad_pivots]
+    pivots = [found for _, found in pass_pivots]
     if k <= SMALL_RANK:
         assert pivots == [] and runs == [None, None]
     elif rank == k:
