@@ -10,7 +10,11 @@ even-sized candidate sets.  The search is a maximum-clique search on the
 candidates' compatibility graph, bounded by a greedy colouring of the
 candidates at each node (Tomita and Seki's MCQ, on bitsets as in San Segundo
 et al.'s BBMC): a clique meets each colour class, an independent set, at most
-once.
+once.  It also breaks the seed's symmetry, in the manner of lex-leader
+predicates (Crawford, Ginsberg, Luks and Roy, KR 1996) and of McKay's
+isomorph-free generation: points that lie in the same seed sets (an atom)
+can be swapped without moving any seed set, so a branch that such a swap
+maps to a lower one is skipped.
 
 A family stores each set as a bitmask (bit j is point j + 1), as every 0/1
 structure of the package does; the JSON form lists each set as an ascending
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 import time
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, product
 
 from .errors import ConstructionFailedError, UnsupportedParameterError
 from .designs import HadamardMatrix
@@ -31,8 +35,9 @@ from .linalg import SIZE_CAP
 
 # most candidate sets `search_bisection_closed` will branch over
 CANDIDATE_CAP = 5000
-# largest ground set `family-search` accepts: the search enumerates all
-# 2^(n-1) even subsets
+# largest ground set `family-search` accepts: the candidates are enumerated by
+# their counts in the atoms, up to 2^n count vectors when the seed separates
+# every point
 SEARCH_GROUND_CAP = 20
 
 
@@ -123,11 +128,15 @@ def theta_violation(family: SetFamily, theta) -> tuple[list[int], list[int]] | N
     theta = Fraction(theta)
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
+    den, num = theta.denominator, theta.numerator
     masks = family.masks
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if not _mask_compatible(masks[i], masks[j], theta):
-                return mask_to_points(masks[i]), mask_to_points(masks[j])
+    # A and B are compatible when den*|A & B| is num*|A| or num*|B|
+    scaled = [num * m.bit_count() for m in masks]
+    for i, (a, sa) in enumerate(zip(masks, scaled)):
+        for b, sb in zip(masks[i + 1:], scaled[i + 1:]):
+            c = den * (a & b).bit_count()
+            if c != sa and c != sb:
+                return mask_to_points(a), mask_to_points(b)
     return None
 
 
@@ -249,6 +258,67 @@ def colour_class_tops(adjacency: list[int]):
     return tops
 
 
+def _candidates(n: int, seed_masks: list[int]) -> tuple[list[int], list[list[int]]]:
+    """The search's candidates and the atoms of [n] under the seed.
+
+    The atoms group the points (as bits, ascending) by the seed sets that
+    contain them.  At theta = 1/2 an even-sized set A is compatible with a
+    seed set S when 2|A & S| is |A| or |S|, and |A & S| adds up A's counts
+    in the atoms inside S; so A's size and count vector decide, and only the
+    compatible vectors are expanded into masks.  No seed set is compatible
+    with itself.  The vectors grow one atom at a time, each held as the set
+    of the lowest points it counts in each atom, from the atoms in the most
+    seed sets.  Once the last atom inside S is counted, |A & S| is final:
+    unless 2|A & S| = |S|, A must end with 2|A & S| points, so a vector
+    already larger is dropped.  The candidates are sorted by size, then by
+    the lexicographic order of their point subsets (a lower point first is
+    a higher bit of the reversed mask).  UnsupportedParameterError names a
+    count above CANDIDATE_CAP before any mask is built.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for j in range(n):
+        groups.setdefault(tuple(s >> j & 1 for s in seed_masks), []).append(1 << j)
+    atoms = [groups[key] for key in sorted(groups, key=sum, reverse=True)]
+    seed_sized = [(s, s.bit_count()) for s in seed_masks]
+    settled: dict[int, list[tuple[int, int]]] = {}
+    for s, ps in seed_sized:
+        last = max(i for i, atom in enumerate(atoms) if atom[0] & s)
+        settled.setdefault(last, []).append((s, ps))
+    reps = [0]
+    for i, atom in enumerate(atoms):
+        lowest = list(accumulate(atom, initial=0))
+        reps = [r | low for r in reps for low in lowest]
+        for s, ps in settled.get(i, ()):
+            reps = [
+                r for r in reps if (x := 2 * (r & s).bit_count()) == ps or r.bit_count() <= x
+            ]
+    vectors = []
+    total = 0
+    for rep in reps:
+        size = rep.bit_count()
+        if size and size % 2 == 0 and all(
+            2 * (rep & s).bit_count() in (size, ps) for s, ps in seed_sized
+        ):
+            counts = [(rep & sum(atom)).bit_count() for atom in atoms]
+            vectors.append(counts)
+            total += math.prod(map(math.comb, map(len, atoms), counts))
+    if total > CANDIDATE_CAP:
+        raise UnsupportedParameterError(
+            f"{total} candidate sets exceed the cap {CANDIDATE_CAP}; "
+            "seed the search with a larger family"
+        )
+    subsets = [
+        [list(map(sum, combinations(atom, k))) for k in range(len(atom) + 1)] for atom in atoms
+    ]
+    candidates = [
+        sum(parts)
+        for counts in vectors
+        for parts in product(*(subsets[i][c] for i, c in enumerate(counts)))
+    ]
+    candidates.sort(key=lambda m: (m.bit_count(), -int(f"{m:0{n}b}"[::-1], 2)))
+    return candidates, atoms
+
+
 def search_bisection_closed(
     n: int,
     seed: SetFamily,
@@ -257,18 +327,30 @@ def search_bisection_closed(
     """Best bisection-closed extension of `seed` over [n] found by backtracking.
 
     Candidates are the even-sized subsets of [n] compatible with every seed
-    member, enumerated by size then lexicographically, so a completed search
-    is deterministic.  Each node branches on its candidates lowest first,
-    after colouring them (`colour_class_tops` on the compatibility graph): a
-    family among the candidates >= v takes at most one set per class whose
-    top is >= v, and the node stops at the first v where that count cannot
-    beat the best family.  The bound only cuts branches that could not
-    improve on the best family, so a completed search returns the same
-    family as one pruning on the plain candidate count.  The search also
-    stops at the trivial 2n family bound; the time budget, a finite number
-    of seconds > 0 (ValueError names any other value), cuts long searches,
-    returning the best family found so far.  The result always passes the
-    checker.
+    member (`_candidates`), ordered by size then lexicographically, so a
+    completed search is deterministic.  The search looks for a largest
+    clique of their compatibility graph, as an increasing index list
+    `chosen`.  Each node branches on its candidates lowest first, after
+    colouring them (`colour_class_tops`): a family among the candidates >= v
+    takes at most one set per class whose top is >= v, and the node stops at
+    the first v where that count cannot beat the best family.  Since `best`
+    changes only on strict improvement, a completed search returns C*, the
+    lexicographically first largest clique.
+
+    Permuting the points of one atom (the points in the same seed sets)
+    fixes every seed set, so it maps candidates to candidates and cliques to
+    cliques.  For each swap g of two consecutive points of an atom, a branch
+    is skipped when g maps `chosen` to an index list that sorts lower.  No
+    branch leading to C* is skipped: if g mapped a prefix P of C* lower,
+    then g(C*), a largest clique too, would sort lower than C*, since the
+    j-th smallest element of g(C*), a superset of g(P), is at most that of
+    g(P).  The colour bound only cuts branches that could not improve on
+    the best family, so a completed search returns the same family as a
+    search with neither the swaps nor the colours, pruning on the plain
+    candidate count.  The search also stops at the trivial 2n family bound;
+    the time budget, a finite number of seconds > 0 (ValueError names any
+    other value), cuts long searches, returning the best family found so
+    far.  The result always passes the checker.
     """
     if not 0 < time_budget < math.inf:
         raise ValueError(f"time budget must be a finite number of seconds > 0, got {time_budget}")
@@ -278,29 +360,19 @@ def search_bisection_closed(
     if violation is not None:
         raise ValueError(f"seed is not bisection-closed: {violation[0]} vs {violation[1]}")
     seed_masks = list(seed.masks)
-    seed_lookup = set(seed_masks)
-
-    # sums of distinct single bits, in the lexicographic order of the point subsets;
-    # at theta = 1/2, A and B are compatible when 2|A & B| is |A| or |B|
-    bits = [1 << j for j in range(n)]
-    seed_sized = [(s, s.bit_count()) for s in seed_masks]
-    candidates = []
-    sizes = []
-    for size in range(2, n + 1, 2):
-        for combo in combinations(bits, size):
-            mask = sum(combo)
-            if mask in seed_lookup:
-                continue
-            if all(2 * (mask & s).bit_count() in (size, ps) for s, ps in seed_sized):
-                candidates.append(mask)
-                sizes.append(size)
-    if len(candidates) > CANDIDATE_CAP:
-        raise UnsupportedParameterError(
-            f"{len(candidates)} candidate sets exceed the cap {CANDIDATE_CAP}; "
-            "seed the search with a larger family"
-        )
+    candidates, atoms = _candidates(n, seed_masks)
+    index = {mask: i for i, mask in enumerate(candidates)}
+    # each swap of two consecutive points of an atom, as a table of candidate indices
+    swaps = []
+    for atom in atoms:
+        for a, b in zip(atom, atom[1:]):
+            pair = a | b
+            swaps.append(
+                [index[m ^ pair] if (m & pair) in (a, b) else i for i, m in enumerate(candidates)]
+            )
 
     count = len(candidates)
+    sizes = [m.bit_count() for m in candidates]
     adjacency = [0] * count
     for i, (a, pa) in enumerate(zip(candidates, sizes)):
         for j in range(i + 1, count):
@@ -333,6 +405,11 @@ def search_bisection_closed(
                 return True
             cand_mask ^= low
             chosen.append(v)
+            # a swap mapping the chosen sets to a lower index list rules out every
+            # family through them (see the docstring)
+            if any(sorted([swap[u] for u in chosen]) < chosen for swap in swaps):
+                chosen.pop()
+                continue
             if len(chosen) > len(best):
                 best = chosen.copy()
                 if len(best) >= hard_cap:

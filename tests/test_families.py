@@ -4,7 +4,7 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import families
@@ -332,6 +332,82 @@ def test_colour_bound_returns_the_plain_bound_family(n, seed):
     result = search_bisection_closed(n, seed, time_budget=600)
     expected = SetFamily.from_masks(n, search_plain_bound(n, seed.with_ground(n).masks))
     assert result.to_dict() == expected.to_dict()
+
+
+def _relabelled(masks, image):
+    """The masks with point j + 1 sent to point image[j] + 1."""
+    return [sum(1 << image[j] for j in range(len(image)) if m >> j & 1) for m in masks]
+
+
+@st.composite
+def _drawn_seeds(draw, max_n):
+    """(n, seed masks): a relabelled sunflower, a nonempty sub-family of Fano,
+    one or two compatible even sets, or the empty family at n <= 7."""
+    kind = draw(st.sampled_from(["sunflower", "fano", "random", "empty"]))
+    if kind == "empty":
+        return draw(st.integers(2, 7)), []
+    if kind == "fano":
+        n = draw(st.integers(8, max_n))
+        masks = draw(st.lists(st.sampled_from(fano_family().masks), min_size=1, unique=True))
+    elif kind == "sunflower":
+        n = draw(st.integers(4, max_n))
+        masks = list(sunflower_family(draw(st.sampled_from(range(4, n + 1, 2)))).masks)
+    else:
+        n = draw(st.integers(2, max_n))
+        evens = [m for m in range(1, 1 << n) if m.bit_count() % 2 == 0]
+        masks = [draw(st.sampled_from(evens))]
+        second = [m for m in evens if m != masks[0] and _bisection_compatible(m, masks[0])]
+        if second and draw(st.booleans()):
+            masks.append(draw(st.sampled_from(second)))
+    return n, _relabelled(masks, draw(st.permutations(range(n))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_drawn_seeds(9))
+def test_pruned_search_returns_the_plain_bound_family_on_drawn_seeds(case):
+    n, masks = case
+    result = search_bisection_closed(n, SetFamily.from_masks(n, masks), time_budget=600)
+    assert result.to_dict() == SetFamily.from_masks(n, search_plain_bound(n, masks)).to_dict()
+
+
+@pytest.mark.parametrize(
+    "n, seed",
+    [
+        pytest.param(6, sunflower_family(6), id="sunflower6"),
+        pytest.param(8, sunflower_family(8), id="sunflower8"),
+        pytest.param(8, fano_family(), id="fano8"),
+    ],
+)
+def test_seed_of_single_point_atoms_searches_without_swaps(n, seed):
+    # every point lies in its own set of seed members, so no swap fixes the seed
+    _, atoms = families._candidates(n, list(seed.masks))
+    assert all(len(atom) == 1 for atom in atoms)
+    result = search_bisection_closed(n, seed, time_budget=600)
+    assert result.to_dict() == SetFamily.from_masks(n, search_plain_bound(n, seed.masks)).to_dict()
+
+
+def _combinations_candidates(n, seed_masks):
+    """The candidate list of the search before it counted points per atom:
+    every even subset by size, then lexicographically, kept when compatible."""
+    bits = [1 << j for j in range(n)]
+    candidates = []
+    for size in range(2, n + 1, 2):
+        for combo in combinations(bits, size):
+            mask = sum(combo)
+            if mask not in seed_masks and all(_bisection_compatible(mask, s) for s in seed_masks):
+                candidates.append(mask)
+    return candidates
+
+
+@given(_drawn_seeds(10))
+def test_candidates_by_atom_counts_keep_the_combinations_order(case):
+    n, masks = case
+    candidates, atoms = families._candidates(n, masks)
+    assert candidates == _combinations_candidates(n, masks)
+    assert sorted(b for atom in atoms for b in atom) == [1 << j for j in range(n)]
+    for atom in atoms:
+        assert atom == sorted(atom)
+        assert len({tuple(s & b != 0 for s in masks) for b in atom}) == 1
 
 
 def test_sunflower_over_10_is_maximal():
