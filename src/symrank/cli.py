@@ -216,6 +216,8 @@ def _cmd_theorem1_verify(args) -> dict:
         if bound < 1:
             raise ValueError(f"{flag} must be >= 1, got {bound}")
     if args.samples:
+        _capped("--max-m", args.max_m)
+        _capped("--max-n", args.max_n)
         rng = random.Random(args.seed)
         for _ in range(args.samples):
             m = rng.randint(1, args.max_m)

@@ -350,7 +350,9 @@ def search_bisection_closed(
     candidate count.  The search also stops at the trivial 2n family bound;
     the time budget, a finite number of seconds > 0 (ValueError names any
     other value), cuts long searches, returning the best family found so
-    far.  The result always passes the checker.
+    far.  It bounds the branch-and-bound alone: the set-up before it, the
+    candidates and their compatibility graph, grows with the square of the
+    candidate count.  The result always passes the checker.
     """
     if not 0 < time_budget < math.inf:
         raise ValueError(f"time budget must be a finite number of seconds > 0, got {time_budget}")

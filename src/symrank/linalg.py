@@ -573,33 +573,20 @@ def _square_roots(d: int):
 
 
 class _QuadIntegers(_Integers):
-    """Z[sqrt(d)], whose entries are pairs (a, b) = a + b*sqrt(d) (see _Integers)."""
+    """Z[sqrt(d)], whose entries are pairs (a, b) = a + b*sqrt(d) (see _Integers).
+    `roots`, found when the ring is built, is the first and the second (p, s)
+    of _square_roots(d), fewer when the primes it tries hold fewer."""
 
     unit = (1, 0)
 
     def __init__(self, d: int):
         self.d = d
-        self.roots = []  # the roots found so far, first and second
-        self._search = _square_roots(d)  # runs no is_prime until a pass needs a root
-
-    def root(self, which: int) -> tuple[int, int] | None:
-        """The first (which = 0) or second (which = 1) (p, s) of _square_roots(d),
-        searched for only when first asked for and then kept in `roots`; None
-        when the first QUAD_PRIME_TRIES primes = 3 mod 4 have fewer roots.
-        """
-        roots = self.roots
-        while len(roots) <= which:
-            found = next(self._search, None)
-            if found is None:
-                return None
-            roots.append(found)
-        return roots[which]
+        self.roots = list(islice(_square_roots(d), 2))
 
     def residues(self, rows, which):
-        root = self.root(which)
-        if root is None:
+        if which >= len(self.roots):
             return None
-        p, s = root
+        p, s = self.roots[which]
         return [(a + b * s) % p for row in rows for a, b in row], p
 
     def nonzero(self, pairs):
@@ -663,5 +650,5 @@ class _QuadIntegers(_Integers):
 
 
 _INTEGERS = _Integers()
-# one ring per d, so that each d searches for each root once, when first needed
+# one ring per d, so that a d's roots are searched for once, not once per rank
 _quad_ring = lru_cache(maxsize=64)(_QuadIntegers)

@@ -605,6 +605,16 @@ MALFORMED_INPUTS = [
     pytest.param(
         ["theorem1-verify", "--samples", "3", "--max-n", "0"], None, "--max-n", id="max-n-0"
     ),
+    *(
+        pytest.param(
+            ["theorem1-verify", "--samples", "1", flag, value],
+            None,
+            f"{flag} {value} exceeds the size limit of 1024",
+            id=f"sampled-{flag[2:]}-{label}",
+        )
+        for flag in ("--max-m", "--max-n")
+        for value, label in (("1025", "over-cap"), (str(10**20), "huge"))
+    ),
     pytest.param(
         ["theorem1-verify", "--max-m", "0", "--max-n", "7"],
         None,
@@ -884,6 +894,14 @@ def test_identical_invocations_byte_identical(tmp_path, capsys):
             == 0
         )
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_theorem1_verify_sampled_at_the_size_cap(capsys):
+    code, out = run_cli(
+        capsys, "theorem1-verify", "--samples", "1", "--max-m", "1024", "--max-n", "2"
+    )
+    assert code == 0
+    assert json.loads(out)["instances_checked"] == 1
 
 
 def test_theorem1_verify_one_vertex_parts(capsys):

@@ -1,3 +1,5 @@
+import json
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symrank import families
+from symrank.cli import main
 from symrank.errors import ConstructionFailedError, UnsupportedParameterError
 from symrank.designs import sylvester
 from symrank.ensemble import BipartiteGraph, mask_to_points
@@ -229,6 +232,50 @@ def test_search_monotone_and_verified():
     seed = sunflower_family(4)
     result = search_bisection_closed(4, seed, time_budget=0.001)
     assert len(result) >= len(seed)
+    assert theta_violation(result, HALF) is None
+
+
+class _CutClock:
+    """A stand-in for the `time` module whose clock reads 0 when the deadline is
+    set and past any deadline after, so a search stops at its first check."""
+
+    def __init__(self):
+        self.reads = 0
+
+    def monotonic(self):
+        self.reads += 1
+        return 0.0 if self.reads == 1 else math.inf
+
+
+@pytest.mark.parametrize(
+    "seed", [SetFamily(11, []), SetFamily(11, [(1, 2)])], ids=["seedless", "pair"]
+)
+def test_the_budget_cuts_the_search_at_its_first_clock_check(monkeypatch, seed):
+    complete = search_bisection_closed(11, seed, time_budget=600)
+    cuts = []
+    for _ in range(2):
+        clock = _CutClock()
+        monkeypatch.setattr(families, "time", clock)
+        cuts.append(search_bisection_closed(11, seed, time_budget=1))
+        assert clock.reads == 2  # the deadline, then node 2048
+    cut = cuts[0]
+    assert cuts[1].masks == cut.masks
+    assert theta_violation(cut, HALF) is None
+    assert set(seed.masks) <= set(cut.masks)
+    assert len(seed) <= len(cut) <= len(complete)
+
+
+def test_a_cut_search_from_the_cli_reports_a_valid_family(monkeypatch, tmp_path, capsys):
+    seed_path = tmp_path / "seed.json"
+    seed_path.write_text(json.dumps({"n": 11, "sets": []}))
+    clock = _CutClock()
+    monkeypatch.setattr(families, "time", clock)
+    argv = ["family-search", "--n", "11", "--seed-file", str(seed_path), "--budget", "1"]
+    assert main(argv) == 0
+    assert clock.reads == 2
+    report = json.loads(capsys.readouterr().out)
+    result = SetFamily.from_dict(report["family"])
+    assert report["seed_size"] == 0 and report["size"] == len(result) > 0
     assert theta_violation(result, HALF) is None
 
 

@@ -665,7 +665,7 @@ def test_quad_primes_count_down_the_primes_3_mod_4():
     square_free = [d for d in range(2, 120) if all(e == 1 for e in sympy.factorint(d).values())]
     for d in square_free + [3 * P1, P1 * P2]:
         ring = linalg._quad_ring(d)
-        roots = [ring.root(0), ring.root(1)]
+        roots = ring.roots
         squares = [q for q in want if sympy.legendre_symbol(d % q, q) >= 0]
         assert [p for p, _ in roots] == squares[:2]
         for p, s in roots:
@@ -676,7 +676,7 @@ def test_quad_primes_count_down_the_primes_3_mod_4():
 def test_a_d_with_fewer_roots_leaves_its_ranks_to_bareiss(monkeypatch, pass_pivots):
     rng = random.Random(79)
     rows = random_quad_rows(rng, 6, 6)
-    vanishing = (P1 - linalg._quad_ring(3).root(0)[1], 1)
+    vanishing = (P1 - linalg._quad_ring(3).roots[0][1], 1)
     rows[2] = [qmul(vanishing, x, 3) for x in rows[2]]
     # with one prime tried there is no second root, with none no root at all
     for tries, passes in ((1, [(P1, 5), (None, 0)]), (0, [(None, 0)])):
@@ -685,40 +685,35 @@ def test_a_d_with_fewer_roots_leaves_its_ranks_to_bareiss(monkeypatch, pass_pivo
         del pass_pivots[:]
         assert_quad_rank(rows, 3, 6)
         assert pass_pivots == passes
-        assert linalg._quad_ring(3).root(tries) is None
+        assert len(linalg._quad_ring(3).roots) == tries
     linalg._quad_ring.cache_clear()
 
 
-def test_the_root_search_waits_for_the_modular_pass_and_runs_once_per_d(monkeypatch):
+def test_the_root_search_runs_once_per_d_when_its_ring_is_built(monkeypatch):
     tested = []
     real = linalg.is_prime
     monkeypatch.setattr(linalg, "is_prime", lambda n: tested.append(n) or real(n))
     linalg._quad_ring.cache_clear()
     rng = random.Random(76)
     assert rank_rows(random_quad_rows(rng, SMALL_RANK, 5), 2) == SMALL_RANK
-    assert tested == []  # no mod-p pass at k <= SMALL_RANK, so no root
+    searched = len(tested)
+    assert searched > 0
     ring = linalg._quad_ring(2)
     assert rank_rows(random_quad_rows(rng, 5, 4), 2) == 4
-    searched = len(tested)
-    assert searched > 0 and len(ring.roots) == 1  # certified by the first prime alone
     assert rank_rows(random_quad_rows(rng, 6, 6), 2) == 6
-    assert len(tested) == searched
-    # a row that vanishes mod the first prime: the second root is searched for now
+    # a row that vanishes mod the first prime runs the second pass on the same roots
     rows = random_quad_rows(rng, 6, 6)
-    rows[0] = [qmul((P1 - ring.root(0)[1], 1), x, 2) for x in rows[0]]
-    assert rank_rows(rows, 2) == 6
-    assert len(ring.roots) == 2 and len(tested) > searched
-    searched = len(tested)
+    rows[0] = [qmul((P1 - ring.roots[0][1], 1), x, 2) for x in rows[0]]
     assert rank_rows(rows, 2) == 6
     assert len(tested) == searched
-    (p2, s2), (p3, s3) = ring.root(0), linalg._quad_ring(3).root(0)
+    (p2, s2), (p3, s3) = ring.roots[0], linalg._quad_ring(3).roots[0]
     assert len(tested) > searched  # d = 3 searches for its own root
     assert (s2 * s2 - 2) % p2 == 0 and (s3 * s3 - 3) % p3 == 0
 
 
 def test_p_dividing_d_maps_sqrt_d_to_zero(pass_pivots):
     d = P1  # square-free, and the first prime tried divides it
-    assert linalg._quad_ring(d).root(0) == (d, 0)
+    assert linalg._quad_ring(d).roots[0] == (d, 0)
     rng = random.Random(64)
     rows = random_quad_rows(rng, 5, 6)
     assert_quad_rank(rows, d, 5)
@@ -730,7 +725,7 @@ def test_p_dividing_d_maps_sqrt_d_to_zero(pass_pivots):
 
 def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(pass_pivots):
     assert sympy.legendre_symbol(7, P1) == -1
-    p, s = linalg._quad_ring(7).root(0)
+    p, s = linalg._quad_ring(7).roots[0]
     assert p < P1 and (s * s - 7) % p == 0
     rng = random.Random(65)
     assert_quad_rank(random_quad_rows(rng, 6, 8), 7, 6)
@@ -740,7 +735,7 @@ def test_d_without_a_root_mod_the_first_prime_uses_a_later_one(pass_pivots):
 
 @pytest.mark.parametrize("d", [2, 3, 5, 2**26 - 5, P1])
 def test_a_minor_that_vanishes_mod_p_falls_back_to_bareiss(pass_pivots, d):
-    (p1, s1), (p2, s2) = linalg._quad_ring(d).root(0), linalg._quad_ring(d).root(1)
+    (p1, s1), (p2, s2) = linalg._quad_ring(d).roots
     first = (p1 - s1, 1)  # (p1 - s1) + sqrt(d) is nonzero, and maps to p1 = 0
     both = qmul(first, (p2 - s2, 1), d)  # maps to 0 mod either prime
     rng = random.Random(66)
@@ -773,7 +768,7 @@ def test_small_quad_ranks_skip_the_modular_pass(pass_pivots, k):
 
 
 def test_every_rank_above_small_runs_the_modular_pass_at_any_entry_width(pass_pivots):
-    primes = [RANK_PRIMES, [linalg._quad_ring(3).root(which)[0] for which in (0, 1)]]
+    primes = [RANK_PRIMES, [linalg._quad_ring(3).roots[which][0] for which in (0, 1)]]
     rng = random.Random(61)
     for bits in (1, 2, 40, 100):
         low = 2 ** (bits - 1)
@@ -809,7 +804,7 @@ def test_ranks_above_the_slot_bound_go_straight_to_bareiss(monkeypatch, pass_piv
         rows = [[rng.getrandbits(40) for _ in range(k + 1)] for _ in range(k)]
         assert_rank(rows, k)
         assert_quad_rank(random_quad_rows(rng, k + 1, k), 3, k)
-    p = linalg._quad_ring(3).root(0)[0]
+    p = linalg._quad_ring(3).roots[0][0]
     assert pass_pivots == [(P1, 5), (p, 5)]
 
 
@@ -826,7 +821,7 @@ def vanishing(d, which):
     that prime over Z, (p - s) + sqrt(d) over Z[sqrt d]."""
     if d is None:
         return RANK_PRIMES[which]
-    p, s = linalg._quad_ring(d).root(which)
+    p, s = linalg._quad_ring(d).roots[which]
     return p - s, 1
 
 
@@ -843,7 +838,7 @@ def plus(u, v, d):
 @pytest.mark.parametrize("d", [None, 2, 7, P1])
 def test_the_second_prime_runs_only_when_the_first_leaves_one_pivot_short(pass_pivots, d):
     ring = linalg._INTEGERS if d is None else linalg._quad_ring(d)
-    p1, p2 = RANK_PRIMES if d is None else (ring.root(0)[0], ring.root(1)[0])
+    p1, p2 = RANK_PRIMES if d is None else (ring.roots[0][0], ring.roots[1][0])
     one = vanishing(d, 0)
     both = one * vanishing(d, 1) if d is None else qmul(one, vanishing(d, 1), d)
     rng = random.Random(78)
