@@ -1,8 +1,11 @@
 """Eigenvalue multiplicities of bipartite graphs and the rank sandwich.
 
 The multiplicity of an eigenvalue mu (given through mu^2) in a bipartite
-adjacency spectrum is obtained as the exact nullity of the Gram matrix minus
-mu^2 times the identity, computed on the smaller side.  For a matrix of the
+adjacency spectrum is the nullity of the Gram matrix minus mu^2 times the
+identity, on the smaller side.  That Gram matrix is a nonnegative integer
+matrix, so a rational mu^2 can be one of its eigenvalues only as an integer
+no larger than its largest row sum; any other mu^2 has multiplicity 0 with no
+elimination, and one inside that bound is counted exactly.  For a matrix of the
 two-valued ensemble this multiplicity nu pins the exact rank inside
 [m+n-2-nu, m+n+2-nu].  The lower bound is floored at the rank of the larger
 diagonal block f(a,a)(J - I) or f(b,b)(J - I): k for a part of size k >= 2,
@@ -52,8 +55,7 @@ class SpectralReport:
 def _gram_smaller_side(g: BipartiteGraph) -> list[list[int]]:
     """Gram matrix (B B^T or B^T B, whichever is smaller) via bitmask dots."""
     masks = g.row_masks if g.m <= g.n else g.column_masks()
-    size = len(masks)
-    return [[(masks[i] & masks[j]).bit_count() for j in range(size)] for i in range(size)]
+    return [[(a & b).bit_count() for b in masks] for a in masks]
 
 
 def bigraph_multiplicity(g: BipartiteGraph, mu2, gram: list[list[int]] | None = None) -> int:
@@ -61,18 +63,24 @@ def bigraph_multiplicity(g: BipartiteGraph, mu2, gram: list[list[int]] | None = 
 
     mu2 must be nonzero, as a good pair's mu^2 is.  Negative mu2 means the
     eigenvalue is imaginary and the multiplicity is 0; positive mu2 must be
-    rational and the count is the exact nullity of (Gram - mu2 * I) on the
-    smaller side.  A caller that already holds that Gram matrix may pass it
-    as gram.
+    rational (ValueError otherwise) and the count is the nullity of
+    (Gram - mu2 * I) on the smaller side.  The Gram matrix has nonnegative
+    integer entries, so its characteristic polynomial is monic over Z and its
+    eigenvalues are at most its largest row sum: a mu2 that is not an integer,
+    or is above that row sum, gives 0 without an elimination.  A caller that
+    already holds that Gram matrix may pass it as gram.
     """
     if scalar_sign(mu2) < 0:
         return 0
     mu2 = as_fraction(mu2)
     p, q = mu2.numerator, mu2.denominator
     s = _gram_smaller_side(g) if gram is None else gram
+    # rational root theorem and the Perron-Frobenius row-sum bound
+    if q != 1 or p > max(map(sum, s), default=0):
+        return 0
     rows = []
     for i, gram_row in enumerate(s):
-        row = [q * v for v in gram_row]
+        row = list(gram_row)
         row[i] -= p
         rows.append(row)
     return len(s) - rank_rows(rows)

@@ -231,6 +231,18 @@ def test_family_roundtrip(tmp_path, capsys):
     assert json.loads(out)["ok"] is True
 
 
+def test_readme_family_chain(tmp_path, capsys):
+    # README: family-build --out, take "family" out of the report, family-check it
+    report_path, family_path = tmp_path / "report.json", tmp_path / "family.json"
+    code = main(["family-build", "--kind", "sunflower", "--n", "8", "--out", str(report_path)])
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    family_path.write_text(json.dumps(report["family"]))
+    code, out = run_cli(capsys, "family-check", "--in", str(family_path), "--theta", "1/2")
+    assert code == 0
+    assert json.loads(out)["size"] == report["size"] == 10
+
+
 def test_family_check_failure_exits_one(tmp_path, capsys):
     fpath = tmp_path / "bad.json"
     fpath.write_text(json.dumps({"n": 4, "sets": [[1, 2], [3, 4]]}))

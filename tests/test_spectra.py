@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
+from symrank import spectra
 from symrank.errors import DegenerateEnsembleError, GoodPairError
 from symrank.exactfield import QuadExt
 from symrank.ensemble import BipartiteGraph, TwoValuePair, matrix_from_bigraph
+from symrank.linalg import rank_rows
 from symrank.spectra import (
+    _gram_smaller_side,
     bigraph_multiplicity,
     complete_minus_matching,
     low_rank_matching_instance,
@@ -44,6 +48,75 @@ def test_multiplicity_edge_cases():
     assert bigraph_multiplicity(g, Fraction(-2)) == 0
     with pytest.raises(ValueError):
         bigraph_multiplicity(g, QuadExt(0, 1, 5))  # irrational mu^2 rejected
+
+
+def _eliminated_nullity(gram, mu2: Fraction) -> int:
+    # q G - p I through rank_rows, for every mu2 = p/q, with no bound applied
+    p, q = mu2.numerator, mu2.denominator
+    rows = [[q * v - (p if i == j else 0) for j, v in enumerate(row)] for i, row in enumerate(gram)]
+    return len(gram) - rank_rows(rows)
+
+
+def _sympy_nullity(gram, mu2: Fraction) -> int:
+    size = len(gram)
+    shifted = sympy.Matrix(gram) - sympy.Rational(mu2.numerator, mu2.denominator) * sympy.eye(size)
+    return size - shifted.rank()
+
+
+def test_multiplicity_matches_full_elimination_and_sympy():
+    # integer mu2 up to one past the largest Gram row sum, and p/q with q <= 4
+    rng = random.Random(53)
+    eigen_hits = 0
+    for _ in range(60):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        g = BipartiteGraph(m, n, [rng.getrandbits(n) for _ in range(m)])
+        gram = _gram_smaller_side(g)
+        bound = max(map(sum, gram))
+        draws = {Fraction(max(bound, 1)), Fraction(bound + 1)}
+        draws |= {Fraction(rng.randint(1, bound + 1)) for _ in range(5)}
+        draws |= {Fraction(rng.randint(1, 4 * bound + 4), rng.randint(2, 4)) for _ in range(3)}
+        for mu2 in draws:
+            nu = bigraph_multiplicity(g, mu2)
+            assert nu == _eliminated_nullity(gram, mu2) == _sympy_nullity(gram, mu2), (g.row_masks, mu2)
+            eigen_hits += nu > 0
+    assert eigen_hits >= 20
+
+
+def test_multiplicity_at_the_row_sum_bound():
+    from symrank.designs import fano, incidence_bigraph
+
+    for m, n in ((1, 1), (2, 3), (4, 2), (3, 5), (6, 6)):
+        g = complete_bigraph(m, n)  # Gram (smaller side) is max(m, n) J: eigenvalue mn once
+        assert bigraph_multiplicity(g, Fraction(m * n)) == 1
+        assert bigraph_multiplicity(g, Fraction(m * n + 1)) == 0
+    assert bigraph_multiplicity(complete_minus_matching(2), Fraction(1)) == 2
+    heawood = incidence_bigraph(fano())  # Gram 2I + J: row sum 9, spectrum {9, 2^6}
+    assert bigraph_multiplicity(heawood, Fraction(2)) == 6
+    assert bigraph_multiplicity(heawood, Fraction(9)) == 1
+    assert bigraph_multiplicity(heawood, Fraction(10)) == 0
+    empty = empty_bigraph(4, 3)  # bound 0: no positive mu2 is an eigenvalue
+    assert bigraph_multiplicity(empty, Fraction(1)) == 0
+    assert bigraph_multiplicity(empty, Fraction(1, 3)) == 0
+
+
+def test_multiplicity_eliminates_only_an_integer_inside_the_bound(monkeypatch):
+    from symrank.designs import fano, incidence_bigraph
+
+    calls = []
+
+    def spy(rows, d=None):
+        calls.append(len(rows))
+        return rank_rows(rows, d)
+
+    monkeypatch.setattr(spectra, "rank_rows", spy)
+    heawood = incidence_bigraph(fano())
+    for mu2 in (Fraction(5, 2), Fraction(1, 3), Fraction(10), Fraction(100)):
+        assert bigraph_multiplicity(heawood, mu2) == 0
+    assert bigraph_multiplicity(empty_bigraph(3, 3), Fraction(1)) == 0
+    assert calls == []
+    assert bigraph_multiplicity(heawood, Fraction(3)) == 0  # integer in [1, 9], not an eigenvalue
+    assert bigraph_multiplicity(heawood, 9) == 1
+    assert calls == [7, 7]
 
 
 def test_multiplicity_side_independence():
