@@ -13,17 +13,29 @@ and 0 for a part of size 1.
 
 The exact rank comes from the Schur complement of the larger part's diagonal
 block, as in the rank theorem's proof, built by _schur_rows; see ensemble_rank.
+
+The paper's low-rank constructions (symmetric designs, disjoint copies of one,
+K_{n,n} minus a perfect matching) have a Gram matrix aI + bB with
+B = I_c (x) J_v.  It lies in the Bose-Mesner algebra of a trivial or
+group-divisible scheme, and so does that Schur complement, so both spectra,
+and with them nu and the exact rank, follow from a, b, c and v.  When the
+smaller side has more than linalg.SMALL_RANK vertices, rank_sandwich checks
+every entry of the Gram matrix for that form (_gram_algebra) and, if it
+passes, reads both numbers off the eigenvalues (_closed_form) with no
+elimination.  Every other Gram matrix takes the general route,
+bigraph_multiplicity and ensemble_rank, which is also the closed form's oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from .errors import VerificationError
 from .exactfield import as_fraction, format_scalar, scalar_sign, solve_monic_quadratic
 from .ensemble import BipartiteGraph, LinearTheta, TwoValuePair, mu_squared
 from .linalg import Matrix  # noqa: F401  kept bound: bench/test_bench.py reads spectra.Matrix
-from .linalg import rank_rows
+from .linalg import SMALL_RANK, rank_rows
 
 
 class SpectralReport:
@@ -112,6 +124,17 @@ def _qmul(x: tuple[int, int], y: tuple[int, int], r: int) -> tuple[int, int]:
     return (x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
+def _schur_constants(pair: TwoValuePair) -> tuple[int | None, tuple]:
+    """(r, parts): ensemble_rank's (xy, c^2, cd, d^2) once over Z (r None), or
+    their a-parts and b-parts over Z[sqrt r]."""
+    r, (vaa, vab, vba, vbb) = pair.integral_values
+    if r is None:
+        c, d = vba, vab - vba
+        return r, ((vaa * vbb, c * c, c * d, d * d),)
+    c, d = vba, (vab[0] - vba[0], vab[1] - vba[1])
+    return r, tuple(zip(_qmul(vaa, vbb, r), _qmul(c, c, r), _qmul(c, d, r), _qmul(d, d, r)))
+
+
 def ensemble_rank(
     pair: TwoValuePair, g: BipartiteGraph, gram: list[list[int]] | None = None
 ) -> int:
@@ -143,30 +166,91 @@ def ensemble_rank(
             return 0
         cross = pair.values[1 if gram[0][0] else 2]  # f(a,b) on the edge, f(b,a) without
         return 2 if cross != 0 else 0
-    r, (vaa, vab, vba, vbb) = pair.integral_values
+    r, parts = _schur_constants(pair)
     if r is None:
-        c, d = vba, vab - vba
-        return p + rank_rows(_schur_rows(vaa * vbb, c * c, c * d, d * d, p, gram))
-    c, d = vba, (vab[0] - vba[0], vab[1] - vba[1])
-    consts = (_qmul(vaa, vbb, r), _qmul(c, c, r), _qmul(c, d, r), _qmul(d, d, r))
-    a_rows, b_rows = (_schur_rows(*parts, p, gram) for parts in zip(*consts))
+        return p + rank_rows(_schur_rows(*parts[0], p, gram))
+    a_rows, b_rows = (_schur_rows(*consts, p, gram) for consts in parts)
     return p + rank_rows([list(zip(ra, rb)) for ra, rb in zip(a_rows, b_rows)], r)
+
+
+def _gram_algebra(gram: list[list[int]]) -> tuple[int, int, int] | None:
+    """(a, b, v) when gram = aI + bB, B = I_c (x) J_v up to a relabelling; else None.
+
+    Every entry is checked: the diagonal is one nonzero g0 = a + b, each row
+    has v - 1 off-diagonal nonzero entries, all equal to b (b = 0 when v = 1),
+    and the rows of the same nonzero pattern number v.  A row's pattern holds
+    the row itself, so v rows sharing one pattern of v positions are exactly
+    those positions: the patterns are the classes of an equivalence relation.
+    At v = 1 each pattern is its own row, and at v = k every pattern is all
+    of [k], so only 1 < v < k counts them.
+    """
+    k, first = len(gram), gram[0]
+    g0, v = first[0], k - first.count(0)
+    if not g0 or any(row[i] != g0 for i, row in enumerate(gram)):
+        return None
+    b = next((x for x in first[1:] if x), 0)
+    classes = Counter()
+    for row in gram:
+        if row.count(0) != k - v or (b and row.count(b) != v - (b != g0)):
+            return None
+        if 1 < v < k:
+            classes[bytes(map(bool, row))] += 1
+    return (g0 - b, b, v) if set(classes.values()) <= {v} else None
+
+
+def _closed_form(pair: TwoValuePair, gram, mu2, p: int) -> tuple[int, int] | None:
+    """(nu, exact rank) read off a Gram matrix aI + bB, or None for any other Gram.
+
+    With w = k/v classes, G has the eigenvalues a (multiplicity w(v-1)) and
+    a + vb (multiplicity w).  With g0 = a + b, the (p-1) x S of _schur_rows is
+    alpha I + beta B + gamma J, where
+
+        alpha = (p-1)(d^2 a - xy),  beta = (p-1) d^2 b,
+        gamma = (p-1) xy - c^2 p - 2 cd g0 - d^2 g0^2,
+
+    whose eigenvalues are alpha (multiplicity w(v-1)), alpha + v beta (w - 1)
+    and alpha + v beta + k gamma (once).  Over Z[sqrt r] each is an (a-part,
+    b-part) pair, nonzero when either part is.  A positive irrational mu^2
+    raises ValueError, as bigraph_multiplicity does on the general route.
+    """
+    algebra = _gram_algebra(gram)
+    if algebra is None:
+        return None
+    if scalar_sign(mu2) > 0:
+        as_fraction(mu2)
+    a, b, v = algebra
+    k = len(gram)
+    w, g0, q = k // v, a + b, p - 1
+    nu = w * (v - 1) * (a == mu2) + w * (a + v * b == mu2)
+    eigenvalues = []
+    for xy, c2, cd, d2 in _schur_constants(pair)[1]:
+        alpha, beta = q * (d2 * a - xy), q * d2 * b
+        gamma = q * xy - c2 * p - 2 * cd * g0 - d2 * g0 * g0
+        eigenvalues.append((alpha, alpha + v * beta, alpha + v * beta + k * gamma))
+    e0, e1, e2 = (any(parts) for parts in zip(*eigenvalues))
+    return nu, p + w * (v - 1) * e0 + (w - 1) * e1 + e2
 
 
 def rank_sandwich(pair: TwoValuePair, g: BipartiteGraph) -> SpectralReport:
     """Exact rank of the ensemble matrix of g, verified against its nu bounds.
 
     Requires f(a,a), f(b,b) and f(a,b) - f(b,a) all nonzero (GoodPairError
-    and DegenerateEnsembleError from the pair's own checks).  Raises
+    and DegenerateEnsembleError from the pair's own checks), and rejects a
+    positive irrational mu^2 (ValueError) on either route below.  When
+    the smaller side has k > linalg.SMALL_RANK vertices and its Gram matrix
+    passes _gram_algebra's check, nu and the rank come from _closed_form;
+    otherwise from bigraph_multiplicity and ensemble_rank.  Raises
     VerificationError if the computed rank ever escapes the sandwich, which
     would indicate a genuine bug.
     """
     pair.require_good()
     mu2 = mu_squared(pair)
     gram = _gram_smaller_side(g)
-    nu = bigraph_multiplicity(g, mu2, gram)
     m, n = g.m, g.n
-    exact = ensemble_rank(pair, g, gram)
+    if len(gram) > SMALL_RANK and (found := _closed_form(pair, gram, mu2, max(m, n))):
+        nu, exact = found
+    else:
+        nu, exact = bigraph_multiplicity(g, mu2, gram), ensemble_rank(pair, g, gram)
     # each diagonal block f(.,.)(J - I) is a principal submatrix: rank k for k >= 2, 0 for k = 1
     block_rank = max((k for k in (m, n) if k >= 2), default=0)
     lower = max(block_rank, m + n - 2 - nu)
@@ -193,8 +277,10 @@ def low_rank_matching_instance(theta, n: int, sign: str = "+") -> tuple[object, 
     """A rank <= n+3 member of the ensemble over (1^(n), beta^(n)).
 
     beta is the chosen root of x^2 - (2 + (1/theta - 1)^2) x + 1 = 0, which
-    makes mu^2 == 1 an eigenvalue of K_{n,n} minus a perfect matching with
-    multiplicity n - 1.  Returns (beta, report).
+    makes mu^2 == 1.  The Gram matrix of K_{n,n} minus a perfect matching is
+    (J - I)^2 = I + (n - 2)J, with the eigenvalue 1 of multiplicity n - 1 and
+    (n - 1)^2 once, so nu = n - 1, except nu = 2 at n = 2, where both are 1.
+    Returns (beta, report).
     """
     f = LinearTheta(theta)  # checks theta before 1 / theta
     coeff = 2 + (1 / f.theta - 1) ** 2

@@ -62,6 +62,19 @@ def test_design_rank_fano(capsys):
     assert report["low_rank_branch"] is True
 
 
+def test_design_rank_rejects_an_irrational_mu2_on_the_structured_route(capsys):
+    # Fano's Gram 2I + J passes the closed form's check, yet a positive irrational
+    # mu^2 still exits 2 before either route runs; the benchmark's
+    # probe-fano-irrational-mu and its self-test expect exactly this
+    code = main(
+        ["design-rank", "--design", "fano", "--theta", "1/2", "--alpha", "1", "--beta", "1+1*sqrt(2)"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "1/2+1/2*sqrt(2) is irrational" in captured.err
+
+
 def test_tournament_determinism(capsys):
     code1, out1 = run_cli(capsys, "tournament", "--n", "10", "--seed", "7")
     code2, out2 = run_cli(capsys, "tournament", "--n", "10", "--seed", "7")

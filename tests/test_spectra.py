@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from symrank import spectra
 from symrank.errors import DegenerateEnsembleError, GoodPairError
-from symrank.exactfield import QuadExt
+from symrank.exactfield import QuadExt, solve_monic_quadratic
 from symrank.ensemble import BipartiteGraph, TwoValuePair, matrix_from_bigraph
-from symrank.linalg import rank_rows
+from symrank.linalg import SMALL_RANK, rank_rows, ring_rows
 from symrank.spectra import (
     _gram_smaller_side,
     bigraph_multiplicity,
     complete_minus_matching,
+    ensemble_rank,
     low_rank_matching_instance,
+    mu_squared,
     rank_sandwich,
 )
 
@@ -23,6 +27,8 @@ from oracle import (
     complete_bigraph,
     empty_bigraph,
     rank_naive,
+    replicate_bigraph,
+    replicated_design_rank,
 )
 
 HALF = Fraction(1, 2)
@@ -229,3 +235,201 @@ def test_report_serialization():
     report = rank_sandwich(TwoValuePair.linear(HALF, 1, 2), incidence_bigraph(fano()))
     data = report.to_dict()
     assert data["mu_squared"] == "2" and data["nu"] == 6 and data["exact_rank"] == 8
+
+
+# -- the closed form on Gram matrices aI + bB -------------------------------------
+#
+# rank_sandwich reads nu and the rank off a Gram matrix aI + b(I_c (x) J_v) with
+# no elimination.  Its oracles are the general route, bigraph_multiplicity and
+# ensemble_rank called directly, and sympy's rank of the ensemble matrix itself
+# where m + n <= 16.  replicated_design_rank shares the closed form's eigenvalue
+# argument, so it is a sanity check only.
+
+
+def _structured_graphs():
+    """(graph, (v, k, lambda, copies) or None): every graph's Gram is aI + bB."""
+    from symrank.designs import (
+        complement_design,
+        fano,
+        hadamard_design,
+        incidence_bigraph,
+        paley,
+        sylvester,
+    )
+
+    designs = [fano(), complement_design(fano())]
+    designs += [hadamard_design(paley(q)) for q in (7, 11, 19, 23)]
+    designs += [hadamard_design(sylvester(k)) for k in (3, 4, 5)]
+    cases = []
+    for design in designs:
+        for copies in (1, 2, 3) if design.v <= 11 else (1,):
+            params = (design.v, design.k, design.lam, copies)
+            cases.append((replicate_bigraph(incidence_bigraph(design), copies), params))
+    cases += [(complete_minus_matching(n), None) for n in range(1, 10)]
+    cases += [(complete_bigraph(m, n), None) for m, n in ((1, 5), (4, 4), (5, 7), (8, 6), (7, 3))]
+    cases.append((empty_bigraph(5, 6), None))
+    return cases
+
+
+def _pairs_at(t):
+    """Pairs with mu^2 = t: linear ones over Z or over some Z[sqrt r], and table
+    ones over Z, Z[sqrt 2] and Z[sqrt 3]; and one pair with mu^2 = -t."""
+    for theta in (HALF, Fraction(1, 3), Fraction(2, 5), Fraction(3, 4)):
+        # alpha = 1 and beta a root of x^2 - (2 + (1/theta - 1)^2 / t) x + 1
+        for beta in solve_monic_quadratic(-(2 + (1 / theta - 1) ** 2 / Fraction(t)), 1):
+            yield TwoValuePair.linear(theta, 1, beta)
+    yield TwoValuePair.table(1, 2, Fraction(t), Fraction(3), Fraction(2), Fraction(1))
+    for r in (2, 3):
+        root = QuadExt(0, 1, r)
+        for cross in (Fraction(1), QuadExt(1, 1, r)):
+            yield TwoValuePair.table(1, 2, root, cross + root, cross, t * root)
+    yield TwoValuePair.table(1, 2, Fraction(1), Fraction(3), Fraction(1), Fraction(-t))
+
+
+def _sympy_rank(matrix) -> int:
+    """sympy's rank of the matrix; over Q(sqrt d), half the rank over Q of the
+    real form [[A, dB], [B, A]] of A + B sqrt(d), which is Q(sqrt d)-linear."""
+    rows, d = ring_rows([matrix.row_list(i) for i in range(matrix.rows)])
+    if d is not None:
+        a_rows = [[a for a, _ in row] for row in rows]
+        b_rows = [[b for _, b in row] for row in rows]
+        rows = [ra + [d * b for b in rb] for ra, rb in zip(a_rows, b_rows)]
+        rows += [rb + ra for ra, rb in zip(a_rows, b_rows)]
+    shape = (len(rows), len(rows[0]))
+    rank = DomainMatrix([[ZZ(x) for x in row] for row in rows], shape, ZZ).rank()
+    return rank if d is None else rank // 2
+
+
+def test_closed_form_matches_the_general_route_and_sympy(monkeypatch):
+    closed, closed_form = [], spectra._closed_form
+
+    def spy(pair, gram, mu2, p):
+        found = closed_form(pair, gram, mu2, p)
+        if found is not None:
+            closed.append((found[0] > 0, pair.integral_values[0] is not None))
+        return found
+
+    monkeypatch.setattr(spectra, "_closed_form", spy)
+    checked = 0
+    for g, params in _structured_graphs():
+        gram = _gram_smaller_side(g)
+        g0, off = gram[0][0], max(gram[0][1:], default=0)
+        # the eigenvalues a = g0 - b and a + vb (the row sum), and a t that is neither
+        targets = {t for t in (g0 - off, sum(gram[0])) if t > 0}
+        for t in targets | {sum(gram[0]) + 1}:
+            for pair in _pairs_at(t):
+                report = rank_sandwich(pair, g)
+                mu2 = mu_squared(pair)
+                want = (bigraph_multiplicity(g, mu2), ensemble_rank(pair, g))
+                assert (report.nu, report.exact_rank) == want, (g, t, pair.values)
+                if g.m + g.n <= 16:
+                    assert report.exact_rank == _sympy_rank(matrix_from_bigraph(pair, g))
+                if params is not None:
+                    rank, nu = replicated_design_rank(*params, pair.values)
+                    assert (report.nu, report.exact_rank) == (nu, rank)
+                checked += 1
+    assert checked > 1200
+    # the closed form answered with nu > 0 and with nu = 0, over Z and over Z[sqrt r]
+    assert set(closed) == {(True, False), (True, True), (False, False), (False, True)}
+    assert len(closed) > 1000
+
+
+def _moved_edge_fano():
+    from symrank.designs import fano, incidence_bigraph
+
+    masks = list(incidence_bigraph(fano()).row_masks)
+    low = masks[0] & -masks[0]
+    masks[0] ^= low | next(1 << j for j in range(7) if not masks[0] >> j & 1)
+    return BipartiteGraph(7, 7, masks)  # every degree still 3
+
+
+def _flipped_paley11():
+    from symrank.designs import hadamard_design, incidence_bigraph, paley
+
+    masks = list(incidence_bigraph(hadamard_design(paley(11))).row_masks)
+    masks[4] ^= 1 << 6
+    return BipartiteGraph(11, 11, masks)
+
+
+def _fano_and_paley11():
+    from symrank.designs import fano, hadamard_design, incidence_bigraph, paley
+
+    small, large = incidence_bigraph(fano()), incidence_bigraph(hadamard_design(paley(11)))
+    masks = small.row_masks + [mask << 7 for mask in large.row_masks]
+    return BipartiteGraph(18, 18, masks)
+
+
+NEAR_MISSES = [
+    pytest.param(_moved_edge_fano, id="fano-one-edge-moved"),
+    pytest.param(_flipped_paley11, id="paley11-one-incidence-flipped"),
+    # designs of v = 7 and v = 11 side by side; their diagonals differ too (3 and 5)
+    pytest.param(_fano_and_paley11, id="fano-and-paley11"),
+    # K_{2,3} beside K_{3,3}: Gram 3J_2 (+) 3J_3, constant diagonal, one b
+    pytest.param(lambda: BipartiteGraph(5, 6, [0b111] * 2 + [0b111000] * 3), id="classes-2-and-3"),
+    # the 10-cycle: Gram 2I plus 1s at i +- 1 mod 5, every row alike, no equivalence
+    pytest.param(
+        lambda: BipartiteGraph(5, 5, [1 << i | 1 << (i + 1) % 5 for i in range(5)]), id="cycle-10"
+    ),
+    # K_{4,6} and one isolated smaller-side vertex: a zero on the diagonal
+    pytest.param(lambda: BipartiteGraph(5, 6, [0b111111] * 4 + [0]), id="isolated-vertex"),
+    # blocks {0,1,2}, {0,1,3}, {0,4,5}, {1,4,5}: degree 3, no zeros, overlaps 1 and 2
+    pytest.param(lambda: BipartiteGraph(4, 6, [0b111, 0b1011, 0b110001, 0b110010]), id="two-overlaps"),
+    # the near-pencil {0,1,2}, {0,3}, {1,3}, {2,3}: every overlap 1, degrees 3 and 2
+    pytest.param(lambda: BipartiteGraph(4, 4, [0b111, 0b1001, 0b1010, 0b1100]), id="near-pencil"),
+    # {0,1} apart from the path {2,3}, {3,4}, {4,5}: the first row alone looks like 2I
+    pytest.param(lambda: BipartiteGraph(4, 6, [0b11, 0b1100, 0b11000, 0b110000]), id="first-row-apart"),
+]
+
+
+@pytest.mark.parametrize("build", NEAR_MISSES)
+def test_near_miss_grams_take_the_general_route(monkeypatch, build):
+    g = build()
+    assert min(g.m, g.n) > SMALL_RANK
+    gram = _gram_smaller_side(g)
+    calls = []
+
+    def spy(rows, d=None):
+        calls.append(len(rows))
+        return rank_rows(rows, d)
+
+    pairs = [TwoValuePair.linear(HALF, 1, 2), TwoValuePair.linear(Fraction(1, 3), 2, 5)]
+    pairs += [
+        TwoValuePair.table(1, 2, Fraction(1), Fraction(3), Fraction(1), Fraction(t)) for t in (2, 3, 4)
+    ]
+    for pair in pairs:
+        mu2 = mu_squared(pair)
+        want = (bigraph_multiplicity(g, mu2, gram), ensemble_rank(pair, g, gram))
+        monkeypatch.setattr(spectra, "rank_rows", spy)
+        report = rank_sandwich(pair, g)
+        monkeypatch.setattr(spectra, "rank_rows", rank_rows)
+        assert calls, pair.values
+        calls.clear()
+        assert (report.nu, report.exact_rank) == want
+
+
+def test_structured_grams_take_no_elimination(monkeypatch):
+    from symrank.designs import fano, incidence_bigraph
+
+    calls = []
+
+    def spy(rows, d=None):
+        calls.append(len(rows))
+        return rank_rows(rows, d)
+
+    monkeypatch.setattr(spectra, "rank_rows", spy)
+    heawood = incidence_bigraph(fano())
+    assert rank_sandwich(TwoValuePair.linear(HALF, 1, 2), heawood).exact_rank == 8
+    assert low_rank_matching_instance(HALF, 12)[1].nu == 11
+    assert calls == []
+    # k = 3 <= SMALL_RANK keeps the general route
+    rank_sandwich(TwoValuePair.linear(HALF, 1, 2), complete_minus_matching(3))
+    assert calls
+
+
+def test_irrational_mu2_is_rejected_before_either_route():
+    from symrank.designs import fano, incidence_bigraph
+
+    pair = TwoValuePair.linear(HALF, 1, QuadExt(1, 1, 2))  # mu^2 = 1/2 + sqrt(2)/2
+    for g in (incidence_bigraph(fano()), complete_bigraph(2, 3)):
+        with pytest.raises(ValueError, match=r"1/2\+1/2\*sqrt\(2\) is irrational"):
+            rank_sandwich(pair, g)
