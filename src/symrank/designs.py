@@ -116,35 +116,42 @@ def paley(q: int) -> HadamardMatrix:
 
 
 class SymmetricDesign:
-    """A symmetric 2-(v, k, lambda) design stored as block-by-point bitmask rows."""
+    """A symmetric 2-(v, k, lambda) design stored as block-by-point bitmask rows.
 
-    __slots__ = ("v", "k", "lam", "row_masks")
+    Its point-block incidence graph, blocks on the left, is built once and kept
+    as `graph`.  That graph's Gram matrix holds every pairwise block
+    intersection, each counted once: the design is validated by reading it,
+    and the rank sandwich of the design's ensemble matrix reads the same one.
+    """
+
+    __slots__ = ("v", "k", "lam", "row_masks", "graph")
 
     def __init__(self, v: int, k: int, lam: int, row_masks):
-        row_masks = list(row_masks)
         if lam * (v - 1) != k * (k - 1):
             raise VerificationError(
                 f"parameters 2-({v},{k},{lam}) violate lambda(v-1) = k(k-1)"
             )
-        for i, mask in enumerate(row_masks):
-            if mask.bit_count() != k:
-                raise VerificationError(f"block {i} has size {mask.bit_count()}, not {k}")
+        graph = BipartiteGraph(v, v, row_masks)
+        for i, row in enumerate(graph.gram()):
+            if row[i] != k:
+                raise VerificationError(f"block {i} has size {row[i]}, not {k}")
         # The block checks imply that every point lies on exactly k blocks.  With
         # N the v x v incidence matrix, N N^T = (k - lam) I + lam J, so
         # N N^T 1 = (k - lam + lam v) 1 = k^2 1 = N (k 1) by lam(v-1) = k(k-1).
         # N is invertible unless k is 0 or lam (det N N^T = (k - lam)^(v-1) k^2),
         # so N^T 1 = k 1; for k in {0, lam} every block is empty or all of [v].
-        for i, row in enumerate(row_masks):
-            for j in range(i + 1, v):
-                shared = (row & row_masks[j]).bit_count()
-                if shared != lam:
-                    raise VerificationError(
-                        f"blocks {i} and {j} share {shared} points, expected {lam}"
-                    )
+        # Off its diagonal k, Gram row i must hold lam v - 1 times (v times in all
+        # when k = lam).  Its entries left of the diagonal were checked in earlier
+        # rows, so the first bad pair of a failing row lies right of the diagonal.
+        for i, row in enumerate(graph.gram()):
+            if row.count(lam) != v - (k != lam):
+                j = next(j for j in range(i + 1, v) if row[j] != lam)
+                raise VerificationError(f"blocks {i} and {j} share {row[j]} points, expected {lam}")
         self.v = v
         self.k = k
         self.lam = lam
-        self.row_masks = row_masks
+        self.row_masks = graph.row_masks
+        self.graph = graph
 
     @classmethod
     def from_blocks(cls, v: int, k: int, lam: int, blocks) -> "SymmetricDesign":
@@ -209,8 +216,12 @@ def complement_design(design: SymmetricDesign) -> SymmetricDesign:
 
 
 def incidence_bigraph(design: SymmetricDesign) -> BipartiteGraph:
-    """The point-block incidence graph, blocks on the left, points on the right."""
-    return BipartiteGraph(design.v, design.v, list(design.row_masks))
+    """The point-block incidence graph, blocks on the left, points on the right.
+
+    It is the design's own graph, so its Gram matrix is the one the design
+    was validated with.
+    """
+    return design.graph
 
 
 def design_rank_instance(design: SymmetricDesign, pair: TwoValuePair) -> SpectralReport:

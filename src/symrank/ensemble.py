@@ -290,15 +290,31 @@ def _int_pair(edge) -> tuple[int, int]:
 class BipartiteGraph:
     """Bipartite graph on parts of sizes m and n, stored as row bitmasks."""
 
-    __slots__ = ("m", "n", "row_masks")
+    __slots__ = ("m", "n", "row_masks", "_gram")
 
     def __init__(self, m: int, n: int, row_masks):
         self.m = m
         self.n = n
         self.row_masks = list(row_masks)
+        self._gram = None
 
     def column_masks(self) -> list[int]:
         return transpose_masks(self.row_masks, self.n)
+
+    def gram(self) -> list[list[int]]:
+        """The smaller side's Gram matrix (B B^T when m <= n, else B^T B), built once.
+
+        Entry (i, j) = |N_i & N_j| is counted once per unordered pair: row i
+        takes its upper part from bitmask popcounts and its lower part from
+        column i of the rows above.  Callers only read it.
+        """
+        if self._gram is None:
+            masks = self.row_masks if self.m <= self.n else self.column_masks()
+            rows = []
+            for i, a in enumerate(masks):
+                rows.append([row[i] for row in rows] + [(a & b).bit_count() for b in masks[i:]])
+            self._gram = rows
+        return self._gram
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):

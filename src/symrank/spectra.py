@@ -2,10 +2,12 @@
 
 The multiplicity of an eigenvalue mu (given through mu^2) in a bipartite
 adjacency spectrum is the nullity of the Gram matrix minus mu^2 times the
-identity, on the smaller side.  That Gram matrix is a nonnegative integer
-matrix, so a rational mu^2 can be one of its eigenvalues only as an integer
-no larger than its largest row sum; any other mu^2 has multiplicity 0 with no
-elimination, and one inside that bound is counted exactly.  For a matrix of the
+identity, on the smaller side.  Every function here reads it as g.gram(),
+which the graph builds once; a design's graph arrives with it built, as the
+design's validation reads it too.  It is a nonnegative integer matrix, so a
+rational mu^2 can be one of its eigenvalues only as an integer no larger than
+its largest row sum; any other mu^2 has multiplicity 0 with no elimination,
+and one inside that bound is counted exactly.  For a matrix of the
 two-valued ensemble this multiplicity nu pins the exact rank inside
 [m+n-2-nu, m+n+2-nu].  The lower bound is floored at the rank of the larger
 diagonal block f(a,a)(J - I) or f(b,b)(J - I): k for a part of size k >= 2,
@@ -64,29 +66,22 @@ class SpectralReport:
         }
 
 
-def _gram_smaller_side(g: BipartiteGraph) -> list[list[int]]:
-    """Gram matrix (B B^T or B^T B, whichever is smaller) via bitmask dots."""
-    masks = g.row_masks if g.m <= g.n else g.column_masks()
-    return [[(a & b).bit_count() for b in masks] for a in masks]
-
-
-def bigraph_multiplicity(g: BipartiteGraph, mu2, gram: list[list[int]] | None = None) -> int:
+def bigraph_multiplicity(g: BipartiteGraph, mu2) -> int:
     """Multiplicity of +sqrt(mu2) in the adjacency spectrum of the bipartite graph.
 
     mu2 must be nonzero, as a good pair's mu^2 is.  Negative mu2 means the
     eigenvalue is imaginary and the multiplicity is 0; positive mu2 must be
     rational (ValueError otherwise) and the count is the nullity of
-    (Gram - mu2 * I) on the smaller side.  The Gram matrix has nonnegative
+    (g.gram() - mu2 * I) on the smaller side.  The Gram matrix has nonnegative
     integer entries, so its characteristic polynomial is monic over Z and its
     eigenvalues are at most its largest row sum: a mu2 that is not an integer,
-    or is above that row sum, gives 0 without an elimination.  A caller that
-    already holds that Gram matrix may pass it as gram.
+    or is above that row sum, gives 0 without an elimination.
     """
     if scalar_sign(mu2) < 0:
         return 0
     mu2 = as_fraction(mu2)
     p, q = mu2.numerator, mu2.denominator
-    s = _gram_smaller_side(g) if gram is None else gram
+    s = g.gram()
     # rational root theorem and the Perron-Frobenius row-sum bound
     if q != 1 or p > max(map(sum, s), default=0):
         return 0
@@ -135,9 +130,7 @@ def _schur_constants(pair: TwoValuePair) -> tuple[int | None, tuple]:
     return r, tuple(zip(_qmul(vaa, vbb, r), _qmul(c, c, r), _qmul(c, d, r), _qmul(d, d, r)))
 
 
-def ensemble_rank(
-    pair: TwoValuePair, g: BipartiteGraph, gram: list[list[int]] | None = None
-) -> int:
+def ensemble_rank(pair: TwoValuePair, g: BipartiteGraph) -> int:
     """Exact rank of matrix_from_bigraph(pair, g), computed on the smaller side.
 
     Let the larger part have p >= 2 vertices and diagonal value x, the
@@ -158,8 +151,7 @@ def ensemble_rank(
     describes.  m = n = 1 has rank 2, or 0 when its one cross value is 0.
     """
     pair.require_good()
-    if gram is None:
-        gram = _gram_smaller_side(g)
+    gram = g.gram()
     p = max(g.m, g.n)
     if p < 2:
         if not gram:
@@ -245,12 +237,11 @@ def rank_sandwich(pair: TwoValuePair, g: BipartiteGraph) -> SpectralReport:
     """
     pair.require_good()
     mu2 = mu_squared(pair)
-    gram = _gram_smaller_side(g)
     m, n = g.m, g.n
-    if len(gram) > SMALL_RANK and (found := _closed_form(pair, gram, mu2, max(m, n))):
+    if min(m, n) > SMALL_RANK and (found := _closed_form(pair, g.gram(), mu2, max(m, n))):
         nu, exact = found
     else:
-        nu, exact = bigraph_multiplicity(g, mu2, gram), ensemble_rank(pair, g, gram)
+        nu, exact = bigraph_multiplicity(g, mu2), ensemble_rank(pair, g)
     # each diagonal block f(.,.)(J - I) is a principal submatrix: rank k for k >= 2, 0 for k = 1
     block_rank = max((k for k in (m, n) if k >= 2), default=0)
     lower = max(block_rank, m + n - 2 - nu)

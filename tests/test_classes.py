@@ -119,7 +119,7 @@ def test_a_failing_sandwich_still_exits_one(monkeypatch, capsys, fails, message)
     monkeypatch.setattr(
         spectra,
         "ensemble_rank",
-        lambda pair, g, gram=None: g.m + g.n + 3 if fails(g) else rank(pair, g, gram),
+        lambda pair, g: g.m + g.n + 3 if fails(g) else rank(pair, g),
     )
     code = main(["theorem1-verify", "--max-m", "3", "--max-n", "3"])
     captured = capsys.readouterr()

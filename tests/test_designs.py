@@ -7,13 +7,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symrank import designs
+from symrank.cli import main
 from symrank.errors import (
     DegenerateEnsembleError,
     GoodPairError,
     UnsupportedParameterError,
     VerificationError,
 )
-from symrank.ensemble import TwoValuePair, matrix_from_bigraph, mu_squared, transpose_masks
+from symrank.ensemble import (
+    BipartiteGraph,
+    TwoValuePair,
+    matrix_from_bigraph,
+    mu_squared,
+    transpose_masks,
+)
 from symrank.designs import (
     HadamardMatrix,
     SymmetricDesign,
@@ -167,6 +175,56 @@ def test_design_validation_catches_bad_blocks():
         SymmetricDesign.from_blocks(7, 3, 1, blocks)
     with pytest.raises(VerificationError):
         SymmetricDesign.from_blocks(7, 3, 2, fano().blocks())
+
+
+def test_design_validation_rejects_a_block_of_the_wrong_size():
+    blocks = fano().blocks()
+    blocks[0] = [1, 2]
+    with pytest.raises(VerificationError, match="block 0 has size 2, not 3"):
+        SymmetricDesign.from_blocks(7, 3, 1, blocks)
+    # blocks 0 and 1 share two points, yet the later block's size is reported first
+    blocks = fano().blocks()
+    blocks[0], blocks[5] = [1, 2, 4], [3, 4]
+    with pytest.raises(VerificationError, match="block 5 has size 2, not 3"):
+        SymmetricDesign.from_blocks(7, 3, 1, blocks)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--design", "fano", "--alpha", "1", "--beta", "2"],
+        ["--design", "paley-hadamard", "--q", "23", "--alpha", "2", "--beta", "3"],
+        ["--design", "sylvester-hadamard", "--k", "4", "--theta", "1/4", "--alpha", "4", "--beta", "1"],
+    ],
+    ids=["fano", "paley-23", "sylvester-16"],
+)
+def test_design_rank_computes_the_gram_once(monkeypatch, capsys, argv):
+    # the design's validation and the rank sandwich read one Gram matrix
+    computed, read, built, sandwiched = [], [], [], []
+    gram, instance, sandwich = BipartiteGraph.gram, design_rank_instance, designs.rank_sandwich
+
+    def gram_spy(g):
+        if g._gram is None:
+            computed.append(g)
+        read.append(gram(g))
+        return read[-1]
+
+    def instance_spy(design, pair):
+        built.append(design)
+        return instance(design, pair)
+
+    def sandwich_spy(pair, g):
+        sandwiched.append(g)
+        return sandwich(pair, g)
+
+    monkeypatch.setattr(BipartiteGraph, "gram", gram_spy)
+    monkeypatch.setattr(designs, "design_rank_instance", instance_spy)
+    monkeypatch.setattr(designs, "rank_sandwich", sandwich_spy)
+    assert main(["design-rank", *argv]) == 0
+    assert '"exact_rank"' in capsys.readouterr().out
+    [design] = built
+    assert computed == sandwiched == [design.graph]
+    assert len(read) >= 2 and all(r is design.graph._gram for r in read)
 
 
 def test_designs_with_uneven_point_counts_are_rejected_by_block_intersections():

@@ -12,7 +12,6 @@ from symrank.exactfield import QuadExt, solve_monic_quadratic
 from symrank.ensemble import BipartiteGraph, TwoValuePair, matrix_from_bigraph
 from symrank.linalg import SMALL_RANK, rank_rows, ring_rows
 from symrank.spectra import (
-    _gram_smaller_side,
     bigraph_multiplicity,
     complete_minus_matching,
     ensemble_rank,
@@ -69,14 +68,37 @@ def _sympy_nullity(gram, mu2: Fraction) -> int:
     return size - shifted.rank()
 
 
+def _dense_gram(g) -> list[list[int]]:
+    """B B^T or B^T B, whichever is smaller, from the 0/1 biadjacency matrix B."""
+    b = [[mask >> j & 1 for j in range(g.n)] for mask in g.row_masks]
+    if g.m > g.n:
+        b = [list(column) for column in zip(*b)]
+    return [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
+
+
+def _transposed(g) -> BipartiteGraph:
+    return bigraph_from_edges(g.n, g.m, [(j, i) for i, j in bigraph_edges(g)])
+
+
 def test_multiplicity_matches_full_elimination_and_sympy():
     # integer mu2 up to one past the largest Gram row sum, and p/q with q <= 4
     rng = random.Random(53)
+
+    def graphs():
+        for _ in range(60):
+            m, n = rng.randint(1, 7), rng.randint(1, 7)
+            yield BipartiteGraph(m, n, [rng.getrandbits(n) for _ in range(m)])
+        # one-vertex sides, and m < n beside its transpose m > n
+        yield from (empty_bigraph(1, 1), complete_bigraph(1, 1), empty_bigraph(1, 5))
+        for g in (complete_bigraph(1, 4), BipartiteGraph(2, 6, [0b101101, 0b011110])):
+            yield from (g, _transposed(g))
+        g = BipartiteGraph(3, 5, [0b10011, 0b01110, 0b11001])
+        yield from (g, _transposed(g))
+
     eigen_hits = 0
-    for _ in range(60):
-        m, n = rng.randint(1, 7), rng.randint(1, 7)
-        g = BipartiteGraph(m, n, [rng.getrandbits(n) for _ in range(m)])
-        gram = _gram_smaller_side(g)
+    for g in graphs():
+        gram = g.gram()
+        assert gram == _dense_gram(g), (g.m, g.n, g.row_masks)
         bound = max(map(sum, gram))
         draws = {Fraction(max(bound, 1)), Fraction(bound + 1)}
         draws |= {Fraction(rng.randint(1, bound + 1)) for _ in range(5)}
@@ -131,7 +153,7 @@ def test_multiplicity_side_independence():
     for _ in range(60):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         g = BipartiteGraph(m, n, [rng.getrandbits(n) for _ in range(m)])
-        transposed = bigraph_from_edges(n, m, [(j, i) for i, j in bigraph_edges(g)])
+        transposed = _transposed(g)
         for mu2 in (Fraction(1), Fraction(2), Fraction(1, 2)):
             assert bigraph_multiplicity(g, mu2) == bigraph_multiplicity(transposed, mu2)
 
@@ -312,7 +334,7 @@ def test_closed_form_matches_the_general_route_and_sympy(monkeypatch):
     monkeypatch.setattr(spectra, "_closed_form", spy)
     checked = 0
     for g, params in _structured_graphs():
-        gram = _gram_smaller_side(g)
+        gram = g.gram()
         g0, off = gram[0][0], max(gram[0][1:], default=0)
         # the eigenvalues a = g0 - b and a + vb (the row sum), and a t that is neither
         targets = {t for t in (g0 - off, sum(gram[0])) if t > 0}
@@ -385,7 +407,6 @@ NEAR_MISSES = [
 def test_near_miss_grams_take_the_general_route(monkeypatch, build):
     g = build()
     assert min(g.m, g.n) > SMALL_RANK
-    gram = _gram_smaller_side(g)
     calls = []
 
     def spy(rows, d=None):
@@ -398,7 +419,7 @@ def test_near_miss_grams_take_the_general_route(monkeypatch, build):
     ]
     for pair in pairs:
         mu2 = mu_squared(pair)
-        want = (bigraph_multiplicity(g, mu2, gram), ensemble_rank(pair, g, gram))
+        want = (bigraph_multiplicity(g, mu2), ensemble_rank(pair, g))
         monkeypatch.setattr(spectra, "rank_rows", spy)
         report = rank_sandwich(pair, g)
         monkeypatch.setattr(spectra, "rank_rows", rank_rows)
